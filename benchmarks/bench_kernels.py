@@ -21,7 +21,8 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 
 def bench_raw(repeats: int) -> dict[str, float]:
@@ -81,6 +82,7 @@ def bench_multiply(n: int, terms: int, repeats: int, power: int) -> dict[str, fl
     out = {}
     for env_flag in ("", "1"):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         if env_flag:
             env["BRAUER_PURE_PYTHON"] = "1"
         else:

@@ -623,14 +623,31 @@ def _term_word(t: RegularMonomial) -> list[Atom]:
     return word
 
 
+def _check_atom(atom: Atom, n: int) -> None:
+    """Reject an atom whose kind or index does not exist in A(n, N)."""
+    kind, k = atom
+    if kind in ("s", "sbar"):
+        ok = 1 <= k <= n - 1
+    elif kind == "y":
+        ok = 1 <= k <= n
+    elif kind == "w":
+        ok = k >= 0
+    else:
+        raise ValueError(f"unknown atom {atom}")
+    if not ok:
+        raise ValueError(f"atom {kind}{k} is out of range for n={n}")
+
+
 def from_word(atoms: list[Atom], n: int) -> AffineElement:
-    """Normal form of a product of generator atoms."""
+    """Normal form of a product of generator atoms.
+
+    The atoms are checked against n here, once; the rewriting engine trusts
+    its input."""
+    for atom in atoms:
+        _check_atom(atom, n)
     e = AffineElement.one(n)
     for atom in atoms:
-        if atom[0] in ("y", "s", "sbar", "w"):
-            e = _elem_times_atom(e, atom)
-        else:
-            raise ValueError(f"unknown atom {atom}")
+        e = _elem_times_atom(e, atom)
     return e
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import affine, repform, shapes, tensor, verify
@@ -19,11 +20,24 @@ from .diagrams import element_to_json, verify_presentation
 from .shapes import parse_partition
 
 
-def _parse_value(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
+    """argparse type for --N: a bad rational is a usage error (exit 2)."""
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"bad rational {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
+
+
+def _generator_word(text: str) -> list[affine.Atom]:
+    """argparse type for `mult --word`: s<k> and sbar<k> tokens only."""
+    try:
+        atoms = affine.parse_word(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    bad = [a for a in atoms if a[0] not in ("s", "sbar")]
+    if bad:
+        raise argparse.ArgumentTypeError(f"mult takes diagram generators only, got {bad}")
+    return atoms
 
 
 def _emit(data, fmt: str, table_fn=None):
@@ -37,14 +51,10 @@ def _emit(data, fmt: str, table_fn=None):
 
 
 def cmd_mult(args) -> int:
-    atoms = affine.parse_word(args.word)
-    bad = [a for a in atoms if a[0] not in ("s", "sbar")]
-    if bad:
-        raise SystemExit(f"mult takes diagram generators only, got {bad}")
     from .diagrams import AlgebraElement, multiply, s_diagram, sbar_diagram
 
     acc = AlgebraElement.one(args.n)
-    for kind, k in atoms:
+    for kind, k in args.word:
         d = s_diagram(k, args.n) if kind == "s" else sbar_diagram(k, args.n)
         acc = multiply(acc, AlgebraElement.from_diagram(d))
     _emit(element_to_json(acc), args.format)
@@ -58,7 +68,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    N = int(_parse_value(args.N))
+    N = int(args.N)
     members = shapes.enumerate_O(args.n, N)
     counts = shapes.path_counts(args.n, N)
     data = [{"diagram": list(lam), "paths": counts.get(lam, 0)} for lam in members]
@@ -74,7 +84,7 @@ def cmd_shapes(args) -> int:
 
 def cmd_paths(args) -> int:
     lam = parse_partition(args.lam)
-    N = int(_parse_value(args.N))
+    N = int(args.N)
     paths = shapes.enumerate_paths(lam, args.n, N)
     data = [shapes.path_to_json(p) for p in paths]
 
@@ -88,16 +98,14 @@ def cmd_paths(args) -> int:
 
 def cmd_rep(args) -> int:
     lam = parse_partition(args.lam)
-    N = _parse_value(args.N)
-    rep = repform.build_representation(lam, args.n, N, verify=not args.no_verify)
+    rep = repform.build_representation(lam, args.n, args.N, verify=not args.no_verify)
     _emit(repform.representation_to_json(rep), args.format)
     return 0
 
 
 def cmd_central(args) -> int:
     mu = parse_partition(args.mu)
-    N = _parse_value(args.N)
-    pair = repform.central_series(mu, N, args.order)
+    pair = repform.central_series(mu, args.N, args.order)
     data = {
         "mu": list(mu),
         "N": format_rational(pair.N),
@@ -116,14 +124,13 @@ def cmd_central(args) -> int:
 
 def cmd_oracle(args) -> int:
     import random
-    import time
 
     rng = random.Random(args.seed if args.seed is not None else verify.DEFAULT_SEED)
     suites = ("hom", "rank", "casimir", "spectrum") if args.suite == "all" else (args.suite,)
     report = []
     ok = True
     for suite in suites:
-        t0 = time.time()
+        t0 = time.perf_counter()
         if suite == "hom":
             r = tensor.verify_homomorphism(args.n, args.N, args.trials, rng)
             entry = {"suite": "hom", "ok": r["ok"], "checked": r["checked"]}
@@ -141,7 +148,7 @@ def cmd_oracle(args) -> int:
                 entry["ok"] = entry["ok"] and r["ok"]
         else:
             raise SystemExit(f"unknown oracle suite {suite!r}")
-        entry["seconds"] = round(time.time() - t0, 3)
+        entry["seconds"] = round(time.perf_counter() - t0, 3)
         ok = ok and entry["ok"]
         report.append(entry)
     _emit(report, args.format)
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mult", parents=[common], help="multiply diagram generators")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True, help='e.g. "s1 sbar2 s1"')
+    p.add_argument("--word", required=True, type=_generator_word, help='e.g. "s1 sbar2 s1"')
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("relations", parents=[common], help="check the defining relations symbolically")
@@ -203,25 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", parents=[common], help="list O(n, N) with path counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", required=True)
+    p.add_argument("--N", required=True, type=_rational)
     p.set_defaults(fn=cmd_shapes)
 
     p = sub.add_parser("paths", parents=[common], help="list up-down paths to a diagram")
     p.add_argument("--lambda", dest="lam", required=True, help='comma list, "" for empty')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", required=True)
+    p.add_argument("--N", required=True, type=_rational)
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("rep", parents=[common], help="build a representation in orthogonal form")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", required=True, help="integer or p/q")
+    p.add_argument("--N", required=True, type=_rational, help="integer or p/q")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_rep)
 
     p = sub.add_parser("central", parents=[common], help="central series Z and Q coefficients")
     p.add_argument("--mu", required=True)
-    p.add_argument("--N", required=True)
+    p.add_argument("--N", required=True, type=_rational)
     p.add_argument("--order", type=int, default=8)
     p.set_defaults(fn=cmd_central)
 

@@ -168,6 +168,9 @@ class NPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction value, so it must hash like it
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(sorted(self.coeffs.items())))
 
     # -- specialization and printing

@@ -7,10 +7,12 @@ product over its edges: top vertices read the output multi-index, bottom
 vertices the input one.
 
 Everything here is exact.  Vectors carry Fraction amplitudes and operators
-are applied functionally; the big homomorphism sweeps use scipy sparse
-matrices over int64 (entries are 0/1 and products stay far below 2^63, so
-this is exact integer arithmetic), with a pure-Fraction fallback when scipy
-is unavailable.
+are applied functionally (`act_diagram` is the reference action).  The big
+homomorphism sweeps use scipy sparse matrices over int64, built by numpy
+index arithmetic (entries are 0/1 and products stay far below 2^63, so this
+is exact integer arithmetic).  numpy and scipy are required; there is no
+Fraction fallback for the sweeps.  `centralizer_rank` reads the same index
+arrays and eliminates exactly over Q with Fraction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
+
+import numpy as np
+from scipy import sparse
 
 from . import shapes
 from .diagrams import (
@@ -30,13 +36,6 @@ from .diagrams import (
     sbar_diagram,
     s_diagram,
 )
-
-try:
-    import numpy as _np
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is an optional accelerator
-    _np = None
-    _sparse = None
 
 
 def tuple_to_index(t: tuple[int, ...], N: int) -> int:
@@ -199,44 +198,39 @@ def act_element(e: AlgebraElement, N: int) -> TensorOperator:
 # sparse exact-integer matrices
 
 
-def diagram_entries(g: BrauerDiagram, N: int):
-    """Yield the (out_index, in_index) positions of the 0/1 action matrix."""
+def _entry_indices(g: BrauerDiagram, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output and input indices of the ones in the 0/1 action matrix of g.
+
+    Each edge carries one free label in 0..N-1.  A label adds its value times
+    a weight to the output index and times another weight to the input
+    index, with stride[p] = N**(n-1-p): a through edge (t, b) has weights
+    stride[t] and stride[b], a top edge (a, b) has stride[a] + stride[b] and
+    0, a bottom edge 0 and stride[a] + stride[b].  Distinct label
+    assignments give distinct (out, in) pairs, so there are exactly N**n.
+    """
     n = g.n
-    tops = [(a - 1, b - 1) for a, b in g.top_edges()]
-    bottoms = [(a - 1, b - 1) for a, b in g.bottom_edges()]
-    throughs = [(t - 1, b - 1) for t, b in g.through_edges()]
-    r = len(tops)
-    t_count = len(throughs)
-    for through_vals in itertools.product(range(N), repeat=t_count):
-        for top_vals in itertools.product(range(N), repeat=r):
-            for bot_vals in itertools.product(range(N), repeat=r):
-                out = [0] * n
-                inp = [0] * n
-                for (t, b), val in zip(throughs, through_vals):
-                    out[t] = val
-                    inp[b] = val
-                for (a, b), val in zip(tops, top_vals):
-                    out[a] = out[b] = val
-                for (a, b), val in zip(bottoms, bot_vals):
-                    inp[a] = inp[b] = val
-                yield tuple_to_index(tuple(out), N), tuple_to_index(tuple(inp), N)
-
-
-from functools import lru_cache
+    stride = [N ** (n - 1 - p) for p in range(n)]
+    w_out, w_in = [], []
+    for t, b in g.through_edges():
+        w_out.append(stride[t - 1])
+        w_in.append(stride[b - 1])
+    for a, b in g.top_edges():
+        w_out.append(stride[a - 1] + stride[b - 1])
+        w_in.append(0)
+    for a, b in g.bottom_edges():
+        w_out.append(0)
+        w_in.append(stride[a - 1] + stride[b - 1])
+    labels = np.indices((N,) * len(w_out), dtype=np.int64).reshape(len(w_out), -1)
+    return np.array(w_out, dtype=np.int64) @ labels, np.array(w_in, dtype=np.int64) @ labels
 
 
 @lru_cache(maxsize=4096)
 def diagram_matrix(g: BrauerDiagram, N: int):
     """scipy CSR int64 matrix of the diagram action (exact integers)."""
-    if _sparse is None:
-        raise RuntimeError("scipy is not available")
     dim = N**g.n
-    rows, cols = [], []
-    for out, inp in diagram_entries(g, N):
-        rows.append(out)
-        cols.append(inp)
-    data = _np.ones(len(rows), dtype=_np.int64)
-    return _sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=_np.int64).tocsr()
+    rows, cols = _entry_indices(g, N)
+    data = np.ones(len(rows), dtype=np.int64)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +240,8 @@ def diagram_matrix(g: BrauerDiagram, N: int):
 def _homomorphism_pair_ok(g1: BrauerDiagram, g2: BrauerDiagram, N: int) -> bool:
     """act(g1) . act(g2) == N^q act(g1 o g2), exactly."""
     prod, loops = compose(g1, g2)
-    if _sparse is not None:
-        m1, m2, mp = diagram_matrix(g1, N), diagram_matrix(g2, N), diagram_matrix(prod, N)
-        diff = (m1 @ m2 - N**loops * mp).tocoo()
-        return diff.nnz == 0 or not diff.data.any()
-    op1, op2 = act_diagram(g1, N), act_diagram(g2, N)
-    opp = act_diagram(prod, N)
-    scale = Fraction(N**loops)
-    n = g1.n
-    for t in itertools.product(range(N), repeat=n):
-        e = TensorVector.basis_vector(t, N)
-        if op1(op2(e)) != opp(e).scale(scale):
-            return False
-    return True
+    diff = diagram_matrix(g1, N) @ diagram_matrix(g2, N) - N**loops * diagram_matrix(prod, N)
+    return not diff.data.any()
 
 
 def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
@@ -284,16 +267,13 @@ def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
 def centralizer_rank(n: int, N: int) -> int:
     """Rank over Q of the span of the diagram actions, by exact elimination."""
     dim = N**n
-    rows: list[dict[int, Fraction]] = []
     from .diagrams import all_diagrams
 
     pivots: dict[int, dict[int, Fraction]] = {}
     rank = 0
     for g in all_diagrams(n):
-        row: dict[int, Fraction] = {}
-        for out, inp in diagram_entries(g, N):
-            key = out * dim + inp
-            row[key] = row.get(key, Fraction(0)) + 1
+        out, inp = _entry_indices(g, N)
+        row = {key: Fraction(1) for key in (out * dim + inp).tolist()}
         # eliminate against existing pivots
         while row:
             lead = min(row)

@@ -36,12 +36,12 @@ def _seed(seed: int | None) -> int:
 
 
 def _result(name: str, ok: bool, t0: float, **details) -> dict:
-    return {"name": name, "ok": ok, "seconds": round(time.time() - t0, 3), "details": details}
+    return {"name": name, "ok": ok, "seconds": round(time.perf_counter() - t0, 3), "details": details}
 
 
 def criterion_1_presentation(max_n: int = 6) -> dict:
     """The defining relations as exact polynomial identities, n <= 6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     ok = True
     for n in range(2, max_n + 1):
@@ -54,7 +54,7 @@ def criterion_1_presentation(max_n: int = 6) -> dict:
 def criterion_2_jucys_murphy(max_n: int = 4) -> dict:
     """Commutativity, the mixed relations, odd central power sums, and the
     conditional-expectation recurrence, all with N symbolic."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     checked = 0
     for n in range(2, max_n + 1):
@@ -95,7 +95,7 @@ REP_SWEEP_VALUES = (2, 3, 4, 5, 7, 9)
 def criterion_3_representations() -> dict:
     """Every V(lam, n), n <= 5, N in {2,3,4,5,7,9}: exact relations, diagonal
     x-action with the content eigenvalues, scalar central sum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     built = 0
     for N in REP_SWEEP_VALUES:
@@ -128,7 +128,7 @@ def criterion_3_representations() -> dict:
 def criterion_4_rank_trace() -> dict:
     """Every equal-endpoint sbar fiber block: symmetric PSD rank one with
     trace exactly N."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     blocks = 0
     for N in REP_SWEEP_VALUES:
@@ -161,7 +161,7 @@ SERIES_RATIONAL_VALUES = (
 def criterion_5_series() -> dict:
     """The central-series identity against the diagram-side conditional expectation, the
     box-product form of Q, and the path-product form of Q_k."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     checks = 0
     for N in (3, 5):
@@ -214,7 +214,7 @@ def _tensor_grid() -> list[tuple[int, int]]:
 def criterion_6_tensor(trials: int = 100, seed: int | None = None) -> dict:
     """Homomorphism property over the whole sandbox-sized grid, centralizer
     ranks against path counts, and the Casimir identity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_seed(seed))
     ok = True
     pairs = 0
@@ -244,7 +244,7 @@ def criterion_6_tensor(trials: int = 100, seed: int | None = None) -> dict:
 def criterion_7_separation(max_n: int = 5) -> dict:
     """Eigenvalue tuples separate paths when N is odd or N >= 2n-1, and an
     explicit even-N counterexample exhibits the failure."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     checked = 0
     for n in range(2, max_n + 1):
@@ -301,7 +301,7 @@ def criterion_8_affine(seed: int | None = None) -> dict:
     """Associativity, shift-homomorphism consistency, desk-scale
     faithfulness, the Hecke-quotient relation kill, and the conditional-
     expectation series cross-check."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_seed(seed))
     ok = True
 

@@ -56,6 +56,17 @@ def test_parse_word():
         parse_word("q3")
 
 
+def test_from_word_rejects_out_of_range_atoms():
+    n = 3
+    for atom in [("s", 0), ("s", 3), ("sbar", 0), ("sbar", 3), ("y", 0), ("y", 4), ("y", -1), ("w", -2)]:
+        with pytest.raises(ValueError, match="out of range"):
+            from_word([("s", 1), atom], n)
+    with pytest.raises(ValueError, match="unknown atom"):
+        from_word([("t", 1)], n)
+    # the extreme legal indices still multiply
+    assert not from_word([("s", 2), ("sbar", 2), ("y", 1), ("y", 3), ("w", 0), ("w", 3)], n).is_zero()
+
+
 def test_regularity_enforced():
     from brauer.diagrams import sbar_diagram
 

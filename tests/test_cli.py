@@ -27,8 +27,24 @@ def test_mult(capsys):
 
 
 def test_mult_rejects_non_generators(capsys):
-    with pytest.raises(SystemExit):
-        main(["mult", "--n", "2", "--word", "y1"])
+    for word in ("y1", "s1 y1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["mult", "--n", "2", "--word", word])
+        assert exc.value.code == 2
+        assert "generators only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", "1/0", "2/"])
+def test_bad_rational_is_usage_error(capsys, value):
+    for argv in (
+        ["shapes", "--n", "2", "--N", value],
+        ["rep", "--lambda", "", "--n", "2", "--N", value],
+        ["central", "--mu", "", "--N", value],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "bad rational" in capsys.readouterr().err
 
 
 def test_shapes(capsys):
@@ -75,6 +91,14 @@ def test_affine_nf(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["coeff"] == "1/2*N^2 - 1/2*N"
+
+
+@pytest.mark.parametrize("word", ["y0", "s3", "sbar2", "y3", "s1 y0"])
+def test_affine_nf_out_of_range_index_is_usage_error(capsys, word):
+    code = main(["affine", "nf", "--n", "2", "--word", word])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "out of range for n=2" in captured.err
 
 
 def test_oracle(capsys):

@@ -84,6 +84,15 @@ def test_npoly_basics():
     assert NPoly.from_string("-N^2 + 1/2") == -(N**2) + Fraction(1, 2)
 
 
+def test_npoly_constant_hashes_like_its_value():
+    for c in (0, 1, -3, Fraction(2, 7)):
+        p = NPoly.const(c)
+        assert p == c and hash(p) == hash(c) == hash(Fraction(c))
+    assert hash(NPoly.zero()) == hash(0)
+    assert len({NPoly.const(1), 1, Fraction(1)}) == 1
+    assert NPoly.N() != 1
+
+
 npoly_strategy = st.builds(
     lambda pairs: NPoly({e: c for e, c in pairs}),
     st.lists(st.tuples(st.integers(min_value=0, max_value=4), rationals), max_size=3),

@@ -76,12 +76,14 @@ def test_linearity_spot_check():
 
 
 def test_sparse_matrix_matches_functional():
+    # the index-arithmetic matrices against the functional reference action,
+    # on every (n, N) with N^n <= 64, N = 1 and n = 1 included
     import numpy as np
 
     rng = random.Random(4)
-    for n, N in [(2, 3), (3, 2)]:
-        for _ in range(8):
-            g = random_diagram(n, rng)
+    grid = [(n, N) for n in range(1, 7) for N in range(1, 65) if N**n <= 64]
+    for n, N in grid:
+        for g in {random_diagram(n, rng) for _ in range(5)}:
             m = diagram_matrix(g, N)
             op = act_diagram(g, N)
             dense = np.zeros((N**n, N**n), dtype=int)
@@ -90,6 +92,7 @@ def test_sparse_matrix_matches_functional():
                 out = op(e)
                 for row, amp in enumerate(out.amps):
                     dense[row, col] = int(amp)
+            assert m.dtype == np.int64 and m.nnz == N**n
             assert (m.toarray() == dense).all()
 
 
@@ -119,8 +122,9 @@ def test_centralizer_ranks():
     assert centralizer_rank(3, 2) == 10 < 15
     assert centralizer_rank(3, 3) == 15
     assert centralizer_rank(3, 4) == 15
-    for n in (2, 3):
-        for N in (2, 3, 4):
+    # rank of the span of the diagram actions = dim of the centralizer
+    for n in (1, 2, 3):
+        for N in (1, 2, 3, 4):
             expect = sum(c * c for c in shapes.path_counts(n, N).values())
             assert centralizer_rank(n, N) == expect
 
