@@ -3,7 +3,7 @@ representations in Young's orthogonal form, the central generating series,
 and the affine Brauer algebra A(n, N) with its regular-monomial normal form.
 """
 
-from .coeffs import NPoly, Rational, SurdSum, USeries, sqrt_of_rational, surd_mul
+from .coeffs import NPoly, Rational, SurdSum, USeries, sqrt_of_rational
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,

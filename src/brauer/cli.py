@@ -28,6 +28,14 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def _integer(text: str) -> int:
+    """argparse type for --N where only an integer level makes sense."""
+    value = _rational(text)
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"N must be an integer here, got {text!r}")
+    return int(value)
+
+
 def _generator_word(text: str) -> list[affine.Atom]:
     """argparse type for `mult --word`: s<k> and sbar<k> tokens only."""
     try:
@@ -68,7 +76,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    N = int(args.N)
+    N = args.N
     members = shapes.enumerate_O(args.n, N)
     counts = shapes.path_counts(args.n, N)
     data = [{"diagram": list(lam), "paths": counts.get(lam, 0)} for lam in members]
@@ -84,7 +92,7 @@ def cmd_shapes(args) -> int:
 
 def cmd_paths(args) -> int:
     lam = parse_partition(args.lam)
-    N = int(args.N)
+    N = args.N
     paths = shapes.enumerate_paths(lam, args.n, N)
     data = [shapes.path_to_json(p) for p in paths]
 
@@ -210,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", parents=[common], help="list O(n, N) with path counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", required=True, type=_rational)
+    p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_shapes)
 
     p = sub.add_parser("paths", parents=[common], help="list up-down paths to a diagram")
     p.add_argument("--lambda", dest="lam", required=True, help='comma list, "" for empty')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", required=True, type=_rational)
+    p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("rep", parents=[common], help="build a representation in orthogonal form")

@@ -18,6 +18,11 @@ Every constructed representation is re-verified against the defining
 relations in exact surd arithmetic; a failure raises with the violated
 relation named.
 
+Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
+non-zero entry; ``entry(i, j)`` reads any entry).  s_k and sbar_k are
+block-diagonal over the level-k fibers and x_k is diagonal, so products and
+the relation checks cost time in proportion to the non-zeros.
+
 N is specialized to a rational before any matrix is built (the formulas
 divide by eigenvalue differences); all symbolic-N checks live in `diagrams`.
 """
@@ -68,109 +73,127 @@ def are_associated(lam: Diagram, mu: Diagram, N: int) -> bool:
 
 
 class RepMatrix:
-    """Dense square matrix with exact SurdSum entries."""
+    """Square matrix with exact SurdSum entries, stored as sparse rows.
+
+    ``rows[i]`` maps a column index to the non-zero entry there; an absent
+    column is zero.  No zero is ever stored, so equal matrices have equal
+    row dicts and ``==`` is a plain row comparison.  Read single entries
+    through ``entry(i, j)``.  The ``build_*`` functions fill a fresh matrix
+    through ``set(i, j, value)``; after that a matrix is treated as immutable, and
+    arithmetic may return an operand unchanged instead of a copy.
+    """
 
     __slots__ = ("dim", "rows")
 
-    def __init__(self, rows: list[list[SurdSum]]):
+    def __init__(self, rows: list[dict[int, SurdSum]]):
         self.rows = rows
         self.dim = len(rows)
 
     @staticmethod
     def zero(d: int) -> RepMatrix:
-        z = SurdSum.zero()
-        return RepMatrix([[z for _ in range(d)] for _ in range(d)])
+        return RepMatrix([{} for _ in range(d)])
 
     @staticmethod
     def identity(d: int) -> RepMatrix:
-        m = RepMatrix.zero(d)
-        for i in range(d):
-            m.rows[i][i] = SurdSum.one()
-        return m
+        one = SurdSum.one()
+        return RepMatrix([{i: one} for i in range(d)])
 
     @staticmethod
     def diagonal(values: list[Fraction | SurdSum]) -> RepMatrix:
         m = RepMatrix.zero(len(values))
         for i, v in enumerate(values):
-            m.rows[i][i] = SurdSum.coerce(v)
+            m.set(i, i, SurdSum.coerce(v))
         return m
 
+    def entry(self, i: int, j: int) -> SurdSum:
+        return self.rows[i].get(j) or SurdSum.zero()
+
+    def set(self, i: int, j: int, value: SurdSum) -> None:
+        """Store value at (i, j); a zero value removes the entry."""
+        if value:
+            self.rows[i][j] = value
+        else:
+            self.rows[i].pop(j, None)
+
     def __add__(self, other: RepMatrix) -> RepMatrix:
-        return RepMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        rows = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            for j, b in rb.items():
+                if j in row:
+                    b = row[j] + b
+                    if not b:
+                        del row[j]
+                        continue
+                row[j] = b
+            rows.append(row)
+        return RepMatrix(rows)
 
     def __sub__(self, other: RepMatrix) -> RepMatrix:
-        return RepMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> RepMatrix:
-        return RepMatrix([[-a for a in row] for row in self.rows])
+        return RepMatrix([{j: -a for j, a in row.items()} for row in self.rows])
 
     def scale(self, c) -> RepMatrix:
         c = SurdSum.coerce(c)
-        return RepMatrix([[a * c for a in row] for row in self.rows])
+        if not c:
+            return RepMatrix.zero(self.dim)
+        return RepMatrix([{j: a * c for j, a in row.items()} for row in self.rows])
 
     def __mul__(self, other: RepMatrix) -> RepMatrix:
-        d = self.dim
-        out = RepMatrix.zero(d)
         orows = other.rows
-        for i in range(d):
-            srow = self.rows[i]
-            orow = out.rows[i]
-            for k in range(d):
-                a = srow[k]
-                if not a:
-                    continue
-                brow = orows[k]
-                for j in range(d):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return out
+        out = []
+        for srow in self.rows:
+            acc: dict[int, SurdSum] = {}
+            for k, a in srow.items():
+                for j, b in orows[k].items():
+                    if j in acc:
+                        acc[j] = acc[j] + a * b
+                    else:
+                        acc[j] = a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return RepMatrix(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepMatrix):
             return NotImplemented
-        return self.dim == other.dim and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
+        return hash(tuple(tuple(sorted(row.items())) for row in self.rows))
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
+        return not any(self.rows)
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.dim) for j in range(i)
-        )
+        return all(a == self.rows[j].get(i) for i, row in enumerate(self.rows) for j, a in row.items())
 
     def trace(self) -> SurdSum:
         t = SurdSum.zero()
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
+        for i, row in enumerate(self.rows):
+            if i in row:
+                t = t + row[i]
         return t
 
-    def entry(self, i: int, j: int) -> SurdSum:
-        return self.rows[i][j]
-
     def rank_at_most_one(self) -> bool:
-        """All 2x2 minors vanish."""
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        m = self.rows[i][a] * self.rows[j][b] - self.rows[i][b] * self.rows[j][a]
+        """All 2x2 minors vanish; only columns where one of the two rows is
+        non-zero can give a non-zero minor."""
+        rows = [row for row in self.rows if row]
+        zero = SurdSum.zero()
+        for t, ri in enumerate(rows):
+            for rj in rows[t + 1 :]:
+                cols = sorted(ri.keys() | rj.keys())
+                for x, a in enumerate(cols):
+                    for b in cols[x + 1 :]:
+                        m = ri.get(a, zero) * rj.get(b, zero) - ri.get(b, zero) * rj.get(a, zero)
                         if m:
                             return False
         return True
 
     def __repr__(self) -> str:
-        return "RepMatrix([" + ",\n           ".join(str([repr(e) for e in r]) for r in self.rows) + "])"
+        dense = ([repr(self.entry(i, j)) for j in range(self.dim)] for i in range(self.dim))
+        return "RepMatrix([" + ",\n           ".join(str(r) for r in dense) + "])"
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +273,7 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
         mu = p0[k - 1]
         diag = [_sbar_diagonal(mu, jm_eigenvalue(basis.paths[i], k, basis.N), basis.N) for i in fiber]
         for a, i in enumerate(fiber):
-            m.rows[i][i] = SurdSum.rational(diag[a])
+            m.set(i, i, SurdSum.rational(diag[a]))
             for b in range(a + 1, len(fiber)):
                 j = fiber[b]
                 prod = diag[a] * diag[b]
@@ -259,8 +282,8 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
                         f"degenerate N={basis.N}: negative product of sbar diagonals on fiber over {mu}"
                     )
                 s = sqrt_of_rational(prod)
-                m.rows[i][j] = s
-                m.rows[j][i] = s
+                m.set(i, j, s)
+                m.set(j, i, s)
     return m
 
 
@@ -285,7 +308,7 @@ def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
                         f"x_k = x_(k+1) on a split fiber at N={N}; construction breaks"
                     )
                 deltas.append(delta)
-                m.rows[i][i] = SurdSum.rational(1 / delta)
+                m.set(i, i, SurdSum.rational(1 / delta))
             if len(fiber) == 2:
                 radicand = 1 - deltas[0] ** -2
                 if radicand < 0:
@@ -294,8 +317,8 @@ def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
                     )
                 s = sqrt_of_rational(radicand)
                 i, j = fiber
-                m.rows[i][j] = s
-                m.rows[j][i] = s
+                m.set(i, j, s)
+                m.set(j, i, s)
         else:
             mu = p0[k - 1]
             bs = [jm_eigenvalue(basis.paths[i], k, N) for i in fiber]
@@ -313,7 +336,7 @@ def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
                         sbar_entry = sqrt_of_rational(prod)
                         delta = SurdSum.zero()
                     if denom != 0:
-                        m.rows[i][j] = (sbar_entry - delta).divide_rational(denom)
+                        m.set(i, j, (sbar_entry - delta).divide_rational(denom))
                     else:
                         # x_k = 0 self-paired branch, legal only for odd
                         # integer N with associated step diagrams.  The
@@ -338,7 +361,7 @@ def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
                             (diag[t] / bs[t] for t in range(len(fiber)) if t != a),
                             Fraction(0),
                         )
-                        m.rows[i][j] = SurdSum.rational(value)
+                        m.set(i, j, SurdSum.rational(value))
     return m
 
 
@@ -370,6 +393,32 @@ def _relation_matrices(rep: Representation) -> dict[tuple[str, int], RepMatrix]:
     return out
 
 
+def _combination(terms, gens: dict[tuple[str, int], RepMatrix], N: Fraction, d: int) -> RepMatrix:
+    """Sum of coeff(N) * (product of the word's generator matrices) over
+    (coeff, word) terms.
+
+    A product starts from its first generator, so only the empty word uses
+    the identity; coefficients 0, 1 and -1 skip the scaling.
+    """
+    total = None
+    for coeff, word in terms:
+        c = coeff.eval(N)
+        if not c:
+            continue
+        if word:
+            acc = gens[word[0]]
+            for token in word[1:]:
+                acc = acc * gens[token]
+        else:
+            acc = RepMatrix.identity(d)
+        if c == -1:
+            acc = -acc
+        elif c != 1:
+            acc = acc.scale(c)
+        total = acc if total is None else total + acc
+    return RepMatrix.zero(d) if total is None else total
+
+
 def verify_representation(rep: Representation) -> None:
     """Check every defining and Jucys-Murphy relation on the matrices.
 
@@ -378,18 +427,8 @@ def verify_representation(rep: Representation) -> None:
     basis = rep.basis
     n, N, d = basis.n, basis.N, basis.dim
     gens = _relation_matrices(rep)
-
-    def side_matrix(side) -> RepMatrix:
-        total = RepMatrix.zero(d)
-        for coeff, word in side:
-            acc = RepMatrix.identity(d)
-            for token in word:
-                acc = acc * gens[token]
-            total = total + acc.scale(coeff.eval(N))
-        return total
-
     for name, lhs, rhs in presentation_relations(n) + jm_relations(n):
-        if side_matrix(lhs) != side_matrix(rhs):
+        if _combination(lhs, gens, N, d) != _combination(rhs, gens, N, d):
             raise RepresentationError(
                 f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
             )
@@ -421,25 +460,15 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
     basis = rep.basis
     if element.n != basis.n:
         raise ValueError("element size does not match the representation")
-    gens = _relation_matrices(rep)
-    total = RepMatrix.zero(basis.dim)
-    for d, coeff in element.terms.items():
-        acc = RepMatrix.identity(basis.dim)
-        for token in factor_diagram(d):
-            acc = acc * gens[token]
-        total = total + acc.scale(coeff.eval(basis.N))
-    return total
+    terms = ((coeff, factor_diagram(d)) for d, coeff in element.terms.items())
+    return _combination(terms, _relation_matrices(rep), basis.N, basis.dim)
 
 
 def scalar_of(matrix: RepMatrix) -> Fraction:
     """The scalar c with matrix = c*I; raises if the matrix is not scalar."""
-    d = matrix.dim
-    c = matrix.rows[0][0]
-    for i in range(d):
-        for j in range(d):
-            expect = c if i == j else SurdSum.zero()
-            if matrix.rows[i][j] != expect:
-                raise ValueError("matrix is not scalar")
+    c = matrix.entry(0, 0)
+    if matrix != RepMatrix.identity(matrix.dim).scale(c):
+        raise ValueError("matrix is not scalar")
     return c.rational_value()
 
 
@@ -527,9 +556,11 @@ def sbar_fiber_report(basis: PathBasis, k: int) -> list[dict]:
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
-        block = RepMatrix([[matrix.rows[i][j] for j in fiber] for i in fiber])
+        block = RepMatrix(
+            [{b: e for b, j in enumerate(fiber) if (e := matrix.entry(i, j))} for i in fiber]
+        )
         diag_nonneg = all(
-            block.rows[t][t].is_rational() and block.rows[t][t].rational_value() >= 0
+            block.entry(t, t).is_rational() and block.entry(t, t).rational_value() >= 0
             for t in range(block.dim)
         )
         out.append(
@@ -564,7 +595,7 @@ def surd_from_json(data: list[list]) -> SurdSum:
 
 
 def matrix_to_json(m: RepMatrix) -> list[list]:
-    return [[surd_to_json(e) for e in row] for row in m.rows]
+    return [[surd_to_json(m.entry(i, j)) for j in range(m.dim)] for i in range(m.dim)]
 
 
 def representation_to_json(rep: Representation) -> dict:

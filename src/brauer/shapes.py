@@ -132,10 +132,21 @@ def enumerate_paths(lam: Diagram, n: int, N: int) -> tuple[Path, ...]:
     """
     if not in_O(lam, n, N):
         raise ValueError(f"{lam} is not in O({n}, {N})")
-    level: list[Path] = [(EMPTY,)]
+    # steps[k][mu]: the level-(k+1) neighbours of the level-k diagram mu,
+    # pruned backwards to those from which lam is still reachable
+    steps: list[dict[Diagram, tuple[Diagram, ...]]] = []
+    level = {EMPTY}
     for k in range(1, n + 1):
-        level = [p + (nu,) for p in level for nu in branch(p[-1], k, N)]
-    return tuple(sorted(p for p in level if p[-1] == lam))
+        steps.append({mu: branch(mu, k, N) for mu in level})
+        level = {nu for nus in steps[-1].values() for nu in nus}
+    keep = {lam}
+    for k in range(n - 1, -1, -1):
+        steps[k] = {mu: tuple(nu for nu in nus if nu in keep) for mu, nus in steps[k].items()}
+        keep = {mu for mu, nus in steps[k].items() if nus}
+    paths: list[Path] = [(EMPTY,)]
+    for k in range(n):
+        paths = [p + (nu,) for p in paths for nu in steps[k][p[-1]]]
+    return tuple(sorted(paths))
 
 
 def contents(lam: Diagram) -> list[int]:

@@ -109,13 +109,9 @@ def criterion_3_representations() -> dict:
                 built += 1
                 basis = rep.basis
                 for k in range(1, n + 1):
-                    xm = rep.matrices[f"x{k}"]
-                    for i, path in enumerate(basis.paths):
-                        expect = repform.jm_eigenvalue(path, k, basis.N)
-                        if xm.rows[i][i] != expect or any(
-                            xm.rows[i][j] and i != j for j in range(basis.dim)
-                        ):
-                            ok = False
+                    expect = [repform.jm_eigenvalue(p, k, basis.N) for p in basis.paths]
+                    if rep.matrices[f"x{k}"] != repform.RepMatrix.diagonal(expect):
+                        ok = False
                 total = repform.RepMatrix.zero(basis.dim)
                 for k in range(1, n + 1):
                     total = total + rep.matrices[f"x{k}"]

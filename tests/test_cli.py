@@ -54,6 +54,14 @@ def test_shapes(capsys):
     assert data == [{"diagram": [1], "paths": 3}, {"diagram": [3], "paths": 1}]
 
 
+@pytest.mark.parametrize("command", [["shapes"], ["paths", "--lambda", "1"]])
+def test_non_integer_N_is_usage_error_for_shapes_and_paths(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n", "3", "--N", "7/2"])
+    assert exc.value.code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_paths(capsys):
     code, out = run(capsys, "paths", "--lambda", "1", "--n", "3", "--N", "3", "--format", "json")
     assert code == 0

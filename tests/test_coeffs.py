@@ -14,7 +14,6 @@ from brauer.coeffs import (
     series_product,
     sqrt_of_rational,
     squarefree_decomposition,
-    surd_mul,
 )
 
 rationals = st.builds(
@@ -35,11 +34,37 @@ def test_squarefree_decomposition():
 
 def test_surd_mul_examples():
     root2 = surd([(2, 1)])
-    assert surd_mul(root2, root2) == SurdSum.rational(2)
+    assert root2 * root2 == SurdSum.rational(2)
     x = surd([(3, Fraction(1, 2)), (1, 5)])
-    assert surd_mul(SurdSum.one(), x) == x
+    assert SurdSum.one() * x == x
     # sqrt(6)*sqrt(10) = 2*sqrt(15)
-    assert surd_mul(surd([(6, 1)]), surd([(10, 1)])) == surd([(15, 2)])
+    assert surd([(6, 1)]) * surd([(10, 1)]) == surd([(15, 2)])
+
+
+def test_surd_mul_matches_generic_reduction():
+    # every radicand pair up to 60, squarefree or not, against the
+    # constructor's reduction of the product radicand
+    rng = random.Random(60)
+    for r1 in range(1, 61):
+        for r2 in range(1, 61):
+            c1 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+            c2 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+            a, b = SurdSum({r1: c1}), SurdSum({r2: c2})
+            assert a * b == SurdSum({r1 * r2: c1 * c2}), (r1, r2)
+    # sums: the product expands termwise and cancels to the normal form
+    for _ in range(300):
+        xs = {rng.randint(1, 60): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
+        ys = {rng.randint(1, 60): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
+        expect = SurdSum.zero()
+        for r1, c1 in xs.items():
+            for r2, c2 in ys.items():
+                expect = expect + SurdSum({r1 * r2: c1 * c2})
+        product = SurdSum(xs) * SurdSum(ys)
+        assert product == expect
+        assert all(product.terms.values())
+        assert all(squarefree_decomposition(r)[0] == 1 for r in product.terms)
+    assert SurdSum({2: 1}) * 3 == SurdSum({2: 3})
+    assert 3 * SurdSum({2: 1}) == SurdSum({2: 3})
 
 
 def test_sqrt_of_rational_examples():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from brauer.diagrams import jucys_murphy, z_element
 from brauer.repform import (
     PathBasis,
     RepMatrix,
+    Representation,
+    RepresentationError,
     build_representation,
     build_sbar_matrix,
     central_content_eigenvalue,
@@ -22,6 +25,7 @@ from brauer.repform import (
     scalar_of,
     surd_from_json,
     surd_to_json,
+    verify_representation,
     z_series,
 )
 
@@ -49,11 +53,11 @@ def test_one_dimensional_cases():
     # empty diagram, n=2: sbar = [N], s = [1]
     for Nv in (2, 3, 5):
         rep = build_representation((), 2, Nv)
-        assert rep.matrices["sbar1"].rows[0][0] == SurdSum.rational(Nv)
-        assert rep.matrices["s1"].rows[0][0] == SurdSum.one()
+        assert rep.matrices["sbar1"].entry(0, 0) == SurdSum.rational(Nv)
+        assert rep.matrices["s1"].entry(0, 0) == SurdSum.one()
     # row/column two-box diagrams: symmetrizer and antisymmetrizer signs
-    assert build_representation((2,), 2, 5).matrices["s1"].rows[0][0] == SurdSum.one()
-    assert build_representation((1, 1), 2, 5).matrices["s1"].rows[0][0] == SurdSum.rational(-1)
+    assert build_representation((2,), 2, 5).matrices["s1"].entry(0, 0) == SurdSum.one()
+    assert build_representation((1, 1), 2, 5).matrices["s1"].entry(0, 0) == SurdSum.rational(-1)
     # fully trivial representation: single row
     rep = build_representation((3,), 3, 4)
     assert rep.matrices["s1"] == RepMatrix.identity(1)
@@ -70,7 +74,7 @@ def test_rank_one_block_example():
     assert rep["trace"] == SurdSum.rational(3)
     # diagonals are the known dimension ratios 5/3, 1, 1/3
     m = build_sbar_matrix(basis, 2)
-    assert sorted(m.rows[i][i].rational_value() for i in range(3)) == [
+    assert sorted(m.entry(i, i).rational_value() for i in range(3)) == [
         F(1, 3),
         F(1),
         F(5, 3),
@@ -90,7 +94,7 @@ def test_associated_self_paired_branch():
     basis = rep.basis
     idx = [i for i, p in enumerate(basis.paths) if p[2] == (1, 1)]
     assert len(idx) == 1
-    assert rep.matrices["s2"].rows[idx[0]][idx[0]] == SurdSum.rational(F(1, 2))
+    assert rep.matrices["s2"].entry(idx[0], idx[0]) == SurdSum.rational(F(1, 2))
 
 
 def test_full_sweep_small():
@@ -202,3 +206,106 @@ def test_degenerate_N_raises():
     # a bad parameter must be rejected loudly rather than silently skipped
     with pytest.raises((ValueError, ZeroDivisionError)):
         build_representation((1,), 3, 0)
+
+
+def _stores_no_zero(m: RepMatrix) -> bool:
+    return all(v for row in m.rows for v in row.values())
+
+
+def test_built_matrices_store_no_zero():
+    cases = [(lam, n, Nv) for Nv in (2, 3, 4, 5) for n in (2, 3, 4) for lam in shapes.enumerate_O(n, Nv)]
+    cases += [((1,), 3, F(7, 2)), ((), 4, F(7, 2)), ((2,), 4, F(9, 4))]
+    for lam, n, Nv in cases:
+        rep = build_representation(lam, n, Nv)
+        for name, m in rep.matrices.items():
+            assert _stores_no_zero(m), (lam, n, Nv, name)
+        s1 = rep.matrices["s1"]
+        assert _stores_no_zero(s1 * s1)
+        assert (s1 - s1).rows == [{}] * rep.basis.dim
+
+
+def _random_surd(rng: random.Random) -> SurdSum:
+    # few radicands and small coefficients, so products often cancel
+    total = SurdSum.zero()
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        total = total + SurdSum({rng.choice((1, 2, 3, 6)): F(rng.randint(-2, 2), rng.randint(1, 2))})
+    return total
+
+
+def _random_matrix(rng: random.Random, d: int) -> RepMatrix:
+    m = RepMatrix.zero(d)
+    for i in range(d):
+        for j in range(d):
+            m.set(i, j, _random_surd(rng))
+    return m
+
+
+def _dense(m: RepMatrix) -> list[list[SurdSum]]:
+    return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def test_sparse_arithmetic_matches_dense_reference():
+    rng = random.Random(20240402)
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        a, b = _random_matrix(rng, d), _random_matrix(rng, d)
+        da, db = _dense(a), _dense(b)
+        prod = a * b
+        assert _stores_no_zero(prod)
+        for i in range(d):
+            for j in range(d):
+                expect = SurdSum.zero()
+                for k in range(d):
+                    expect = expect + da[i][k] * db[k][j]
+                assert prod.entry(i, j) == expect
+        total = a + b
+        c = _random_surd(rng)
+        scaled = a.scale(c)
+        assert _stores_no_zero(total) and _stores_no_zero(scaled)
+        assert _dense(total) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+        assert _dense(scaled) == [[x * c for x in row] for row in da]
+        assert a.trace() == sum((da[i][i] for i in range(d)), SurdSum.zero())
+        assert a.is_symmetric() == all(da[i][j] == da[j][i] for i in range(d) for j in range(d))
+        minors_vanish = all(
+            not (da[i][x] * da[j][y] - da[i][y] * da[j][x])
+            for i in range(d)
+            for j in range(d)
+            for x in range(d)
+            for y in range(d)
+        )
+        assert a.rank_at_most_one() == minors_vanish
+        assert (a == b) == (da == db)
+        # an outer product u v^T has rank at most one
+        u = [_random_surd(rng) for _ in range(d)]
+        outer = RepMatrix.zero(d)
+        for i in range(d):
+            for j in range(d):
+                outer.set(i, j, u[i] * db[0][j])
+        assert outer.rank_at_most_one()
+
+
+@pytest.mark.parametrize("lam, n, Nv", [((1,), 3, 3), ((1,), 3, 5), ((), 4, 3), ((2,), 4, 5)])
+def test_single_entry_corruption_is_caught(lam, n, Nv):
+    rep = build_representation(lam, n, Nv)
+    d = rep.basis.dim
+    for name in ("s1", "sbar1", f"s{n - 1}", f"sbar{n - 1}"):
+        good = rep.matrices[name]
+        for i in range(d):
+            for j in range(d):
+                bad = RepMatrix([dict(row) for row in good.rows])
+                bad.set(i, j, good.entry(i, j) + 1)
+                with pytest.raises(RepresentationError):
+                    verify_representation(Representation(rep.basis, {**rep.matrices, name: bad}))
+
+
+@pytest.mark.parametrize("Nv", [4, 7])
+def test_every_level_6_representation_verifies(Nv):
+    # n = 6 is beyond the acceptance sweep; build_representation checks every
+    # defining and Jucys-Murphy relation exactly and raises on a failure
+    for lam in shapes.enumerate_O(6, Nv):
+        rep = build_representation(lam, 6, Nv)
+        assert rep.basis.dim == shapes.path_counts(6, Nv)[lam]
+        total = RepMatrix.zero(rep.basis.dim)
+        for k in range(1, 7):
+            total = total + rep.matrices[f"x{k}"]
+        assert total == RepMatrix.identity(rep.basis.dim).scale(central_content_eigenvalue(lam, 6, Nv))

@@ -54,6 +54,20 @@ def test_enumerate_paths():
         enumerate_paths((2, 1), 3, 2)
 
 
+def _unpruned_paths(lam, n, Nv):
+    level = [((),)]
+    for k in range(1, n + 1):
+        level = [p + (nu,) for p in level for nu in branch(p[-1], k, Nv)]
+    return tuple(sorted(p for p in level if p[-1] == lam))
+
+
+def test_enumerate_paths_matches_unpruned():
+    for n in range(7):
+        for Nv in range(1, 6):
+            for lam in enumerate_O(n, Nv):
+                assert enumerate_paths(lam, n, Nv) == _unpruned_paths(lam, n, Nv), (lam, n, Nv)
+
+
 def test_every_path_step_in_O():
     for n, Nv in [(4, 3), (5, 2), (4, 7)]:
         for lam in enumerate_O(n, Nv):
