@@ -41,7 +41,6 @@ from .affine import (
     from_word,
     hecke_quotient,
     is_zero_via_faithfulness,
-    normal_form_multiply,
     pi_m,
     w_series,
 )

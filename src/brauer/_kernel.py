@@ -1,18 +1,13 @@
-"""Pure-Python diagram-composition kernel.
+"""Diagram-composition kernel.
 
 A diagram on 2n vertices is a fixed-point-free involution stored as a tuple
 ``p`` of length 2n: vertex v is matched with p[v].  Vertices 0..n-1 are the
 top row, n..2n-1 the bottom row.  Composition stacks the first diagram on top
 of the second (bottom of the first glued to the top of the second), removes
 closed loops and returns the reduced matching together with the loop count.
-
-The compiled twin in ``_corekernel.pyx`` implements the identical function;
-``diagrams`` picks whichever is importable at run time.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def compose_pairings(p1: tuple[int, ...], p2: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:

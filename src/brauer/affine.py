@@ -651,10 +651,6 @@ def from_word(atoms: list[Atom], n: int) -> AffineElement:
     return e
 
 
-def normal_form_multiply(a: AffineElement, b: AffineElement) -> AffineElement:
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # the central series w_k^(i)
 
@@ -807,13 +803,9 @@ def pi_word(atoms: list[Atom], n: int, m: int) -> AlgebraElement:
     return acc
 
 
-def element_weight(a: AffineElement) -> int:
-    return a.weight()
-
-
 def is_zero_via_faithfulness(a: AffineElement) -> bool:
     """Zero test through the shift homomorphism of the maximal weight."""
-    return pi_m(a, element_weight(a)).is_zero()
+    return pi_m(a, a.weight()).is_zero()
 
 
 # ---------------------------------------------------------------------------

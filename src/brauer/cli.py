@@ -1,15 +1,16 @@
 """Command-line front end: every subsystem behind one `brauer` entry point.
 
 Exit codes: 0 all checks pass / output produced, 1 a check failed, 2 usage
-error.  `--seed` (or the BRAUER_SEED environment variable) fixes every
-randomized suite, making runs reproducible from their flag set.
+error.  `--seed` fixes every randomized suite, making runs reproducible from
+their flag set.  Without it the BRAUER_SEED environment variable is used, and
+without either the library's default seed; a non-integer BRAUER_SEED is a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +35,21 @@ def _integer(text: str) -> int:
     if value.denominator != 1:
         raise argparse.ArgumentTypeError(f"N must be an integer here, got {text!r}")
     return int(value)
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _generator_word(text: str) -> list[affine.Atom]:
@@ -133,7 +149,7 @@ def cmd_central(args) -> int:
 def cmd_oracle(args) -> int:
     import random
 
-    rng = random.Random(args.seed if args.seed is not None else verify.DEFAULT_SEED)
+    rng = random.Random(args.seed)
     suites = ("hom", "rank", "casimir", "spectrum") if args.suite == "all" else (args.suite,)
     report = []
     ok = True
@@ -241,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_central)
 
     p = sub.add_parser("oracle", parents=[common], help="tensor-action oracle suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--suite", default="all", choices=("all", "hom", "rank", "casimir", "spectrum"))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("affine", help="affine algebra operations")
@@ -266,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get("BRAUER_SEED") and hasattr(args, "seed"):
-        # the environment variable overrides the flag
-        args.seed = int(os.environ["BRAUER_SEED"])
     try:
+        args.seed = verify._seed(args.seed)
         return args.fn(args)
     except (ValueError, repform.RepresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

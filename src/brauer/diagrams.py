@@ -10,30 +10,21 @@ right one, contract, and pick up one factor of the formal parameter N per
 closed loop.  Algebra elements carry NPoly coefficients so every identity in
 this module can be checked with N symbolic.
 
-The composition inner loop lives in a small kernel with two interchangeable
-implementations (compiled and pure Python); set BRAUER_PURE_PYTHON=1 to force
-the fallback.
+The composition inner loop lives in the pure-Python module ``_kernel`` and is
+always called as ``_kernel.compose_pairings``, so a profiler can wrap it there.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
+from . import _kernel
 from .coeffs import NPoly, n_minus_1_half
 
-if os.environ.get("BRAUER_PURE_PYTHON"):
-    from . import _purekernel as _kernel
-else:
-    try:
-        from . import _corekernel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _purekernel as _kernel
-
-KERNEL_BACKEND: str = _kernel.BACKEND
+KERNEL_BACKEND = "python"  # the only backend; benchmark reports print it
 
 
 @dataclass(frozen=True)

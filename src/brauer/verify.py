@@ -29,10 +29,16 @@ DEFAULT_SEED = 7_031_995
 
 
 def _seed(seed: int | None) -> int:
+    """An explicit seed wins, then the BRAUER_SEED variable, then DEFAULT_SEED."""
     if seed is not None:
         return seed
     env = os.environ.get("BRAUER_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("BRAUER_SEED must be an integer") from None
 
 
 def _result(name: str, ok: bool, t0: float, **details) -> dict:

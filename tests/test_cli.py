@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brauer import verify
 from brauer.cli import main
 from brauer.diagrams import element_from_json, jucys_murphy, element_to_json
 
@@ -124,6 +128,70 @@ def test_oracle(capsys):
     )
     assert code == 0
     assert json.loads(out)[0]["ok"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n", "0"], "argument --n: must be at least 1, got 0"),
+        (["--n", "x"], "argument --n: expected an integer, got 'x'"),
+        (["--n", "2", "--trials", "-1"], "argument --trials: must be at least 0, got -1"),
+    ],
+)
+def test_oracle_bad_sizes_are_usage_errors(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--N", "2"] + extra)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_zero_trials_is_allowed(capsys):
+    code, out = run(
+        capsys, "oracle", "--n", "2", "--N", "2", "--suite", "hom", "--trials", "0", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)[0]["ok"]
+
+
+def test_non_integer_brauer_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BRAUER_SEED", "abc")
+    code = main(["affine", "check", "--suite", "hecke"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: BRAUER_SEED must be an integer\n"
+
+
+def test_seed_flag_beats_environment(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "run_all", lambda seed=None: seen.append(seed) or [])
+    monkeypatch.setenv("BRAUER_SEED", "9")
+    assert main(["verify-all", "--seed", "5"]) == 0
+    assert main(["verify-all"]) == 0
+    monkeypatch.delenv("BRAUER_SEED")
+    assert main(["verify-all"]) == 0
+    assert seen == [5, 9, verify.DEFAULT_SEED]
+
+
+_TOKENS = st.sampled_from(
+    [head + digit for head in ("s", "sbar", "y", "w") for digit in "0123456789"]
+    + ["s", "sbar", "x1", "y-1", "w1.5", "S1", "sbars2", "1"]
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    command=st.sampled_from([["affine", "nf"], ["mult"]]),
+    n=st.integers(1, 4),
+    tokens=st.lists(_TOKENS, max_size=4),
+)
+def test_word_parsers_exit_0_or_2(command, n, tokens):
+    argv = command + ["--n", str(n), "--word", " ".join(tokens)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 2), argv
 
 
 def test_bad_partition_is_usage_error(capsys):

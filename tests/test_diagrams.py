@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from brauer import _purekernel
 from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.diagrams import (
     AlgebraElement,
@@ -172,18 +171,6 @@ def test_z_recurrence():
                 t = multiply(zs[i - j], zs[j - 1])
                 rhs = rhs + (t.scale(-1) if j % 2 else t)
             assert zs[i].scale(-2) == rhs
-
-
-def test_kernel_backends_agree():
-    rng = random.Random(777)
-    from brauer.diagrams import _kernel
-
-    for n in (1, 2, 3, 5):
-        for _ in range(50):
-            g1, g2 = random_diagram(n, rng), random_diagram(n, rng)
-            assert _kernel.compose_pairings(g1.pairing, g2.pairing, n) == (
-                _purekernel.compose_pairings(g1.pairing, g2.pairing, n)
-            )
 
 
 def test_factor_diagram_roundtrip():
