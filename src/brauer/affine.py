@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import NPoly, as_fraction
+from .coeffs import Combination, NPoly, add_term, as_fraction
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -116,28 +116,12 @@ class RegularMonomial:
         return (self.weight(), self.left, self.diagram.pairing, self.right, self.w)
 
 
-class AffineElement:
+class AffineElement(Combination):
     """Finite NPoly-linear combination of regular monomials."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[RegularMonomial, NPoly] | None = None):
-        self.n = n
-        clean: dict[RegularMonomial, NPoly] = {}
-        if terms:
-            for t, c in terms.items():
-                c = NPoly.coerce(c)
-                if not c.is_zero():
-                    if t.n != n:
-                        raise ValueError("mixed sizes")
-                    clean[t] = c
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors
-
-    @staticmethod
-    def zero(n: int) -> AffineElement:
-        return AffineElement(n)
 
     @staticmethod
     def one(n: int) -> AffineElement:
@@ -152,50 +136,10 @@ class AffineElement:
     def from_monomial(t: RegularMonomial, coeff=1) -> AffineElement:
         return AffineElement(t.n, {t: NPoly.coerce(coeff)})
 
-    # -- ring structure
-
-    def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, AffineElement):
-            raise TypeError(f"cannot add {other!r}")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        res = AffineElement.__new__(AffineElement)
-        res.n, res.terms = self.n, out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = AffineElement.__new__(AffineElement)
-        res.n = self.n
-        res.terms = {t: -c for t, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> AffineElement:
-        c = NPoly.coerce(c)
-        if c.is_zero():
-            return AffineElement.zero(self.n)
-        res = AffineElement.__new__(AffineElement)
-        res.n = self.n
-        res.terms = {t: x * c for t, x in self.terms.items()}
-        return res
+    # -- ring structure (sums and scaling come from Combination)
 
     def __mul__(self, other: AffineElement) -> AffineElement:
-        if not isinstance(other, AffineElement):
-            raise TypeError(f"cannot multiply by {other!r}")
-        if self.n != other.n:
-            raise ValueError("size mismatch")
+        self._check_compatible(other)
         out = AffineElement.zero(self.n)
         for t2, c2 in other.terms.items():
             partial = self
@@ -203,17 +147,6 @@ class AffineElement:
                 partial = _elem_times_atom(partial, atom)
             out = out + partial.scale(c2)
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(((t, c) for t, c in self.terms.items()), key=lambda p: p[0].sort_key()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def y_degree(self) -> int:
         return max((t.y_degree() for t in self.terms), default=0)
@@ -268,28 +201,13 @@ def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
             return {key: NPoly.one()}
         return dict(_odd_w_expansion(idx))
 
-    acc: dict[WTuple, NPoly] = {}
-
-    def add_in(d: dict[WTuple, NPoly], scalar: NPoly):
-        for k, v in d.items():
-            s = acc.get(k, NPoly.zero()) + v * scalar
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-
-    add_in(as_dict(i - 1), NPoly.one())
+    acc = as_dict(i - 1)
     for j in range(1, i + 1):
         a, b = as_dict(i - j), as_dict(j - 1)
-        sign = NPoly.const(Fraction((-1) ** j))
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                key = _w_merge(k1, k2)
-                s = acc.get(key, NPoly.zero()) + v1 * v2 * sign
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                v = v1 * v2
+                add_term(acc, _w_merge(k1, k2), -v if j % 2 else v)
     half = NPoly.const(Fraction(-1, 2))
     return tuple((k, v * half) for k, v in acc.items())
 
@@ -404,15 +322,6 @@ def _n_power(q: int) -> NPoly:
     return _N_POWERS[q]
 
 
-def _accumulate(out: dict[RegularMonomial, NPoly], term: RegularMonomial, coeff: NPoly):
-    s = out.get(term)
-    s = coeff if s is None else s + coeff
-    if s.is_zero():
-        out.pop(term, None)
-    else:
-        out[term] = s
-
-
 def _normalize_into(
     out: dict[RegularMonomial, NPoly],
     n: int,
@@ -482,7 +391,7 @@ def _normalize_into(
                 continue
         m += 1
     c = coeff if sign == 1 else coeff * Fraction(-1)
-    _accumulate(out, RegularMonomial(n, tuple(lft), d, tuple(rgt), w), c)
+    add_term(out, RegularMonomial(n, tuple(lft), d, tuple(rgt), w), c)
 
 
 def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff: NPoly, atom: Atom):
@@ -497,12 +406,12 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
     if kind == "w":
         if k % 2 == 0 and k > 0:
             key = tuple(1 if s == k // 2 - 1 else 0 for s in range(k // 2))
-            _accumulate(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
+            add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
         elif k == 0:
-            _accumulate(out, t, coeff * NPoly.N())
+            add_term(out, t, coeff * NPoly.N())
         else:
             for key, c in _odd_w_expansion(k):
-                _accumulate(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
+                add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
         return
     if kind == "s":
         right = list(t.right)
@@ -605,9 +514,7 @@ def _elem_times_atom(e: AffineElement, atom: Atom) -> AffineElement:
     out: dict[RegularMonomial, NPoly] = {}
     for t, c in e.terms.items():
         _mul_term_atom(out, t, c, atom)
-    res = AffineElement.__new__(AffineElement)
-    res.n, res.terms = e.n, out
-    return res
+    return AffineElement._trusted(e.n, out)
 
 
 def _term_word(t: RegularMonomial) -> list[Atom]:
@@ -812,61 +719,24 @@ def is_zero_via_faithfulness(a: AffineElement) -> bool:
 # the degenerate affine Hecke quotient
 
 
-class HeckeElement:
-    """Element of H(n): v-monomials to the left of permutations."""
+class HeckeElement(Combination):
+    """Element of H(n): v-monomials to the left of permutations.
 
-    __slots__ = ("n", "terms")
+    A basis key is (v exponents, permutation in 0-based one-line form)."""
 
-    def __init__(self, n: int, terms: dict[tuple[tuple[int, ...], tuple[int, ...]], NPoly] | None = None):
-        self.n = n
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = NPoly.coerce(c)
-                if not c.is_zero():
-                    clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
-    @staticmethod
-    def zero(n: int) -> HeckeElement:
-        return HeckeElement(n)
+    def _check_key(self, key) -> None:
+        vexp, perm = key
+        if len(vexp) != self.n or len(perm) != self.n:
+            raise ValueError(f"H({self.n}) key of the wrong size: {key}")
 
     @staticmethod
     def one(n: int) -> HeckeElement:
         return HeckeElement(n, {((0,) * n, tuple(range(n))): NPoly.one()})
 
-    def __add__(self, other: HeckeElement) -> HeckeElement:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HeckeElement(self.n, out)
-
-    def __neg__(self) -> HeckeElement:
-        return HeckeElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: HeckeElement) -> HeckeElement:
-        return self + (-other)
-
-    def scale(self, c) -> HeckeElement:
-        return HeckeElement(self.n, {k: v * NPoly.coerce(c) for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
     def __mul__(self, other: HeckeElement) -> HeckeElement:
+        self._check_compatible(other)
         out = HeckeElement.zero(self.n)
         for (vexp, perm), c in other.terms.items():
             partial = self
@@ -883,17 +753,11 @@ class HeckeElement:
         for (vexp, perm), c in self.terms.items():
             arr = list(perm)
             arr[k - 1], arr[k] = arr[k], arr[k - 1]
-            key = (vexp, tuple(arr))
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HeckeElement(self.n, out)
+            add_term(out, (vexp, tuple(arr)), c)
+        return HeckeElement._trusted(self.n, out)
 
     def times_v(self, m: int) -> HeckeElement:
-        out = HeckeElement.zero(self.n)
+        out: dict = {}
         for (vexp, perm), c in self.terms.items():
             for sign, vshift, perm2 in _hecke_push_v(perm, m):
                 if vshift is None:
@@ -902,8 +766,8 @@ class HeckeElement:
                     lst = list(vexp)
                     lst[vshift - 1] += 1
                     key = (tuple(lst), perm2)
-                out = out + HeckeElement(self.n, {key: c * Fraction(sign)})
-        return out
+                add_term(out, key, c if sign > 0 else -c)
+        return HeckeElement._trusted(self.n, out)
 
     def __repr__(self):
         if not self.terms:
@@ -947,9 +811,9 @@ def _hecke_push_v(perm: tuple[int, ...], m: int) -> tuple[tuple[int, int | None,
 
 def hecke_quotient(a: AffineElement, f: dict[int, Fraction]) -> HeckeElement:
     """The quotient map killing every sbar: s_k -> s_k, y_k -> v_k, w_i -> f_i."""
-    n = a.n
-    out = HeckeElement.zero(n)
+    out: dict = {}
     for t, c in a.terms.items():
+        # a permutation diagram has no bottom edges, so no right exponents
         if not t.diagram.is_permutation():
             continue
         coeff = c
@@ -959,12 +823,8 @@ def hecke_quotient(a: AffineElement, f: dict[int, Fraction]) -> HeckeElement:
                 if fi is None:
                     raise ValueError(f"no weight supplied for w_{2*(s+1)}")
                 coeff = coeff * as_fraction(fi) ** h
-        partial = HeckeElement(n, {(t.left, t.diagram.permutation()): coeff})
-        for m in range(n):
-            for _ in range(t.right[m]):
-                partial = partial.times_v(m + 1)
-        out = out + partial
-    return out
+        add_term(out, (t.left, t.diagram.permutation()), coeff)
+    return HeckeElement._trusted(a.n, out)
 
 
 # ---------------------------------------------------------------------------

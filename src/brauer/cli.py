@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common], help="tensor-action oracle suite")
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(1), required=True)
     p.add_argument("--suite", default="all", choices=("all", "hom", "rank", "casimir", "spectrum"))
     p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_oracle)

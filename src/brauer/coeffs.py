@@ -11,6 +11,11 @@ Four kinds of numbers appear throughout:
   * ``USeries`` -- formal series ``a*u + c_0 + c_1/u + ... + c_K/u^K``
     truncated at order K, with at most one positive power of u.
 
+``Combination`` is the common base of the algebra elements built on these
+scalars (diagram, affine and Hecke elements): a dict from basis key to
+non-zero NPoly.  ``add_term`` is the one "add, and drop the entry if it
+becomes zero" step that every sparse sum here uses.
+
 All values are immutable after construction.
 """
 
@@ -40,6 +45,20 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def add_term(terms: dict, key, value) -> None:
+    """``terms[key] += value``, storing no zero.
+
+    The one rule of every sparse sum in the package; works for any value type
+    whose truthiness is "non-zero" (Fraction, NPoly, SurdSum).
+    """
+    if key in terms:
+        value = terms[key] + value
+    if value:
+        terms[key] = value
+    else:
+        terms.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +115,6 @@ class NPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return all(e == 0 for e in self.coeffs)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return self.coeffs.get(0, Fraction(0))
-
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
@@ -116,11 +127,7 @@ class NPoly:
         other = NPoly.coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            add_term(out, e, c)
         return NPoly(out)
 
     __radd__ = __add__
@@ -139,12 +146,7 @@ class NPoly:
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                add_term(out, e1 + e2, c1 * c2)
         return NPoly(out)
 
     __rmul__ = __mul__
@@ -233,7 +235,7 @@ class NPoly:
                 exp = 0
             if neg:
                 coeff = -coeff
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
+            add_term(coeffs, exp, coeff)
         return NPoly(coeffs)
 
 
@@ -243,6 +245,97 @@ HALF = Fraction(1, 2)
 def n_minus_1_half() -> NPoly:
     """(N - 1)/2 as a symbolic polynomial; the constant term of every x_k."""
     return NPoly({1: HALF, 0: -HALF})
+
+
+# ---------------------------------------------------------------------------
+# sparse combinations over a basis
+
+
+class Combination:
+    """A finite NPoly-linear combination of basis keys of one size n.
+
+    ``terms`` maps each basis key to its non-zero coefficient; every sum keeps
+    it that way through ``add_term``.  The element classes of B(n, N),
+    A(n, N) and H(n) derive from this and add only their constructors, their
+    product and their printing, plus a key check (``_check_key``) where the
+    default one, "the key's own ``n`` is the element's", does not apply.
+    Elements are immutable after construction: ``__init__`` validates keys
+    and coefficients once, and code that already holds a clean map builds
+    through ``_trusted``.  Arithmetic combines only elements of the same class
+    and size (``_check_compatible``).
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict | None = None):
+        self.n = n
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                self._check_key(key)
+                c = NPoly.coerce(c)
+                if c:
+                    clean[key] = c
+        self.terms = clean
+
+    def _check_key(self, key) -> None:
+        if key.n != self.n:
+            raise ValueError(f"size-{key.n} basis element in a size-{self.n} {type(self).__name__}")
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict):
+        """Wrap a map whose keys fit n and whose coefficients are non-zero NPolys."""
+        element = cls.__new__(cls)
+        element.n = n
+        element.terms = terms
+        return element
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls._trusted(n, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if isinstance(other, int) and other == 0:  # the start value of sum()
+            return self
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
+        return self._trusted(self.n, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = NPoly.coerce(c)
+        if not c:
+            return self.zero(self.n)
+        return self._trusted(self.n, {key: x * c for key, x in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +385,15 @@ class SurdSum:
                 if not c:
                     continue
                 m, s = squarefree_decomposition(r)
-                acc = clean.get(s, Fraction(0)) + m * c
-                if acc:
-                    clean[s] = acc
-                else:
-                    clean.pop(s, None)
+                add_term(clean, s, m * c)
         self.terms = clean
+
+    @staticmethod
+    def _trusted(terms: dict[int, Fraction]) -> SurdSum:
+        """Wrap a map already in normal form, without re-reducing it."""
+        result = SurdSum.__new__(SurdSum)
+        result.terms = terms
+        return result
 
     @staticmethod
     def zero() -> SurdSum:
@@ -335,21 +431,13 @@ class SurdSum:
         other = SurdSum.coerce(other)
         out = dict(self.terms)
         for r, c in other.terms.items():
-            s = out.get(r, Fraction(0)) + c
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        result = SurdSum.__new__(SurdSum)
-        result.terms = out
-        return result
+            add_term(out, r, c)
+        return SurdSum._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> SurdSum:
-        result = SurdSum.__new__(SurdSum)
-        result.terms = {r: -c for r, c in self.terms.items()}
-        return result
+        return SurdSum._trusted({r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other) -> SurdSum:
         return self + (-SurdSum.coerce(other))
@@ -392,9 +480,7 @@ class SurdSum:
         q = as_fraction(q)
         if not q:
             raise ZeroDivisionError("division of a SurdSum by zero")
-        result = SurdSum.__new__(SurdSum)
-        result.terms = {r: c / q for r, c in self.terms.items()}
-        return result
+        return SurdSum._trusted({r: c / q for r, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -405,11 +491,6 @@ class SurdSum:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.terms.items())))
-
-    def __float__(self) -> float:
-        import math
-
-        return sum(float(c) * math.sqrt(r) for r, c in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -458,21 +539,6 @@ class USeries:
     @staticmethod
     def constant(value, order: int) -> USeries:
         return USeries([value] + [0] * order)
-
-    @staticmethod
-    def u_term(order: int) -> USeries:
-        """The bare series u (trusted through u^{-order})."""
-        return USeries([0] * (order + 1), u_coeff=1)
-
-    def coeff(self, i: int):
-        if i == -1:
-            return self.u_coeff
-        return self.coeffs[i]
-
-    def truncate(self, order: int) -> USeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return USeries(self.coeffs[: order + 1], self.u_coeff)
 
     def __add__(self, other) -> USeries:
         if not isinstance(other, USeries):
@@ -557,19 +623,3 @@ def linear_fraction_series(alpha, beta, order: int) -> USeries:
         power = power * beta
     return USeries(coeffs)
 
-
-def series_from_fraction(b, sign_pattern: tuple[int, int] = (1, -1), order: int = 0) -> USeries:
-    """Expansion of (u + s1*b)/(u + s2*b) for signs (s1, s2), truncated.
-
-    The default pattern gives (u+b)/(u-b) = 1 + 2*sum b^i u^{-i}, the factor
-    from which every central series in this package is assembled.
-    """
-    s1, s2 = sign_pattern
-    return linear_fraction_series(s1 * b, -s2 * b, order)
-
-
-def series_product(factors: Iterable[USeries], order: int) -> USeries:
-    result = USeries.constant(1, order)
-    for f in factors:
-        result = result * (f if f.order == order else f.truncate(order))
-    return result

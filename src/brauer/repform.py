@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import shapes
-from .coeffs import SurdSum, USeries, as_fraction, linear_fraction_series, sqrt_of_rational
+from .coeffs import SurdSum, USeries, add_term, as_fraction, linear_fraction_series, sqrt_of_rational
 from .diagrams import (
     AlgebraElement,
     factor_diagram,
@@ -120,12 +120,7 @@ class RepMatrix:
         for ra, rb in zip(self.rows, other.rows):
             row = dict(ra)
             for j, b in rb.items():
-                if j in row:
-                    b = row[j] + b
-                    if not b:
-                        del row[j]
-                        continue
-                row[j] = b
+                add_term(row, j, b)
             rows.append(row)
         return RepMatrix(rows)
 

@@ -27,6 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from . import shapes
+from .coeffs import add_term
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -281,11 +282,7 @@ def centralizer_rank(n: int, N: int) -> int:
                 pivot_row = pivots[lead]
                 factor = row[lead] / pivot_row[lead]
                 for k, v in pivot_row.items():
-                    s = row.get(k, Fraction(0)) - factor * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+                    add_term(row, k, -factor * v)
             else:
                 pivots[lead] = row
                 rank += 1

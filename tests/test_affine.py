@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer.affine import (
     AffineElement,
@@ -25,6 +26,7 @@ from brauer.affine import (
 )
 from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.diagrams import (
+    AlgebraElement,
     all_diagrams,
     jucys_murphy,
     multiply,
@@ -333,3 +335,142 @@ def test_json_output():
     e = from_word([("sbar", 1), ("y", 1), ("sbar", 1)], n)
     data = element_to_json(e)
     assert data[0]["coeff"] == "1/2*N^2 - 1/2*N"
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic shared by B(n, N), A(n, N) and H(n)
+
+
+def test_mixed_size_affine_sum_raises():
+    with pytest.raises(ValueError, match="size mismatch"):
+        AffineElement.one(2) + AffineElement.one(3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        AffineElement.one(2) - AffineElement.one(3)
+    with pytest.raises(ValueError, match="size-3 basis element"):
+        AffineElement(2, {next(iter(AffineElement.one(3).terms)): 1})
+
+
+def test_mixed_size_hecke_arithmetic_raises():
+    a, b = HeckeElement.one(2), HeckeElement.one(3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        a + b
+    with pytest.raises(ValueError, match="size mismatch"):
+        a * b
+    with pytest.raises(ValueError, match="wrong size"):
+        HeckeElement(2, {((0, 0, 0), (0, 1, 2)): 1})
+
+
+def test_mixed_type_arithmetic_raises():
+    b, a = AlgebraElement.one(2), AffineElement.one(2)
+    with pytest.raises(TypeError):
+        b + a
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a * b
+    assert AlgebraElement.zero(2) != AffineElement.zero(2)
+
+
+def test_builtin_sum_of_elements():
+    for parts in (
+        [AlgebraElement.one(2), AlgebraElement.from_diagram(random_diagram(2, random.Random(1)), 3)],
+        [AffineElement.one(3), y_elem(2, 3), s_elem(1, 3)],
+        [HeckeElement.one(2), HeckeElement(2, {((1, 0), (1, 0)): N})],
+    ):
+        total = sum(parts)
+        assert total == parts[0] + sum(parts[1:], type(parts[0]).zero(parts[0].n))
+        assert total - parts[0] == sum(parts[1:])
+    assert sum([AffineElement.one(2)]) == AffineElement.one(2)
+
+
+_DIAGRAMS = {n: list(all_diagrams(n)) for n in (1, 2, 3, 4)}
+_coefficients = st.builds(
+    lambda a, b: NPoly({0: Fraction(a), 1: Fraction(b)}),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def regular_monomials(draw, n, max_degree):
+    """A regular monomial of A(n, N) with y-degree at most max_degree."""
+    d = draw(st.sampled_from(_DIAGRAMS[n]))
+    top_bad = {b for _, b in d.top_edges()}
+    left_ok = [m for m in range(1, n + 1) if m not in top_bad]  # never empty: strand 1
+    right_ok = sorted({b for _, b in d.bottom_edges()})
+    left, right = [0] * n, [0] * n
+    for _ in range(draw(st.integers(0, max_degree))):
+        if right_ok and draw(st.booleans()):
+            right[draw(st.sampled_from(right_ok)) - 1] += 1
+        else:
+            left[draw(st.sampled_from(left_ok)) - 1] += 1
+    w = draw(st.sampled_from([(), (1,), (0, 1)]))
+    return RegularMonomial(n, tuple(left), d, tuple(right), w)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one class (diagram, affine or Hecke) and one size."""
+    kind = draw(st.sampled_from(["diagram", "affine", "hecke"]))
+    n = draw(st.integers(1, 3))
+    if kind == "diagram":
+        keys = st.sampled_from(_DIAGRAMS[n])
+        make = AlgebraElement
+    elif kind == "affine":
+        keys = regular_monomials(n, 2)
+        make = AffineElement
+    else:
+        keys = st.tuples(
+            st.tuples(*[st.integers(0, 2)] * n), st.permutations(range(n)).map(tuple)
+        )
+        make = HeckeElement
+    terms = st.dictionaries(keys, _coefficients, max_size=4)
+    return make(n, draw(terms)), make(n, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_element_sum_laws(pair):
+    a, b = pair
+    assert a + b == b + a
+    assert hash(a + b) == hash(b + a)
+    assert (a - a).is_zero()
+    assert a.scale(0).is_zero()
+    assert (a + b) - b == a
+    assert not any(c.is_zero() for c in (a + b).terms.values())
+
+
+# ---------------------------------------------------------------------------
+# widened confluence evidence (python -m pytest -m slow)
+
+
+@st.composite
+def monomial_triples(draw):
+    """Three regular monomials of one A(n, N), n <= 4, each of y-degree <= 4."""
+    n = draw(st.integers(2, 4))
+    return [AffineElement.from_monomial(draw(regular_monomials(n, 4))) for _ in range(3)]
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_triples())
+def test_associativity_hypothesis(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+def _atoms(n):
+    return st.sampled_from(
+        [("s", k) for k in range(1, n)]
+        + [("sbar", k) for k in range(1, n)]
+        + [("y", k) for k in range(1, n + 1)]
+        + [("w", i) for i in range(4)]
+    )
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(_atoms(n), max_size=6))), st.integers(0, 2))
+def test_pi_m_matches_pi_word_hypothesis(n_word, m):
+    n, word = n_word
+    assert pi_m(from_word(word, n), m) == pi_word(word, n, m)

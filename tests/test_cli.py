@@ -133,14 +133,17 @@ def test_oracle(capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--n", "0"], "argument --n: must be at least 1, got 0"),
-        (["--n", "x"], "argument --n: expected an integer, got 'x'"),
-        (["--n", "2", "--trials", "-1"], "argument --trials: must be at least 0, got -1"),
+        (["--N", "2", "--n", "0"], "argument --n: must be at least 1, got 0"),
+        (["--N", "2", "--n", "x"], "argument --n: expected an integer, got 'x'"),
+        (["--N", "2", "--n", "2", "--trials", "-1"], "argument --trials: must be at least 0, got -1"),
+        (["--n", "2", "--N", "0"], "argument --N: must be at least 1, got 0"),
+        (["--n", "2", "--N", "-1"], "argument --N: must be at least 1, got -1"),
+        (["--n", "2", "--N", "x"], "argument --N: expected an integer, got 'x'"),
     ],
 )
 def test_oracle_bad_sizes_are_usage_errors(capsys, extra, message):
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--N", "2"] + extra)
+        main(["oracle"] + extra)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 

@@ -10,8 +10,6 @@ from brauer.coeffs import (
     USeries,
     linear_fraction_series,
     n_minus_1_half,
-    series_from_fraction,
-    series_product,
     sqrt_of_rational,
     squarefree_decomposition,
 )
@@ -133,20 +131,19 @@ def test_npoly_specialization_is_homomorphism(p, q, v):
 
 
 def test_series_from_fraction_examples():
-    # b = 0 gives the constant series 1
-    s = series_from_fraction(Fraction(0), order=5)
+    # (u+b)/(u-b) = 1 + 2b/u + 2b^2/u^2 + ...; b = 0 gives the constant series 1
+    s = linear_fraction_series(Fraction(0), Fraction(0), 5)
     assert list(s.coeffs) == [1, 0, 0, 0, 0, 0]
     # symbolic b = (N-1)/2, order 2: 1 + (N-1)/u + ((N-1)^2/2)/u^2
     h = n_minus_1_half()
-    s = series_from_fraction(h, order=2)
+    s = linear_fraction_series(h, h, 2)
     N = NPoly.N()
     assert s.coeffs[0] == 1
     assert s.coeffs[1] == N - 1
     assert s.coeffs[2] == (N - 1) ** 2 * Fraction(1, 2)
     # factors at b = 1 and b = -1 cancel
-    prod = series_product(
-        [series_from_fraction(Fraction(1), order=4), series_from_fraction(Fraction(-1), order=4)],
-        4,
+    prod = linear_fraction_series(Fraction(1), Fraction(1), 4) * linear_fraction_series(
+        Fraction(-1), Fraction(-1), 4
     )
     assert prod == USeries.constant(Fraction(1), 4) or all(
         prod.coeffs[i] == (1 if i == 0 else 0) for i in range(5)
