@@ -140,13 +140,14 @@ class AffineElement(Combination):
 
     def __mul__(self, other: AffineElement) -> AffineElement:
         self._check_compatible(other)
-        out = AffineElement.zero(self.n)
+        out: dict[RegularMonomial, NPoly] = {}
         for t2, c2 in other.terms.items():
             partial = self
             for atom in _term_word(t2):
                 partial = _elem_times_atom(partial, atom)
-            out = out + partial.scale(c2)
-        return out
+            for t, x in partial.terms.items():
+                add_term(out, t, x * c2)
+        return AffineElement._trusted(self.n, out)
 
     def y_degree(self) -> int:
         return max((t.y_degree() for t in self.terms), default=0)
@@ -313,15 +314,6 @@ def _top_right_flip(d: BrauerDiagram, m: int) -> int | None:
     return None
 
 
-_N_POWERS: dict[int, NPoly] = {}
-
-
-def _n_power(q: int) -> NPoly:
-    if q not in _N_POWERS:
-        _N_POWERS[q] = NPoly.N() ** q
-    return _N_POWERS[q]
-
-
 def _normalize_into(
     out: dict[RegularMonomial, NPoly],
     n: int,
@@ -351,10 +343,8 @@ def _normalize_into(
                     lft[m - 1] -= 1
                     ends_left, pos, rsign, corrections = _route_y(d, m, False)
                     for csign, loops, dd in corrections:
-                        c2 = coeff * Fraction(sign * csign)
-                        if loops:
-                            c2 = c2 * _n_power(loops)
-                        _normalize_into(out, n, c2, tuple(lft), dd, right, w)
+                        c2 = coeff.shift(loops)
+                        _normalize_into(out, n, c2 if sign == csign else -c2, tuple(lft), dd, right, w)
                     assert ends_left and pos == l
                     lft[pos - 1] += 1
                     if rsign < 0:
@@ -378,10 +368,8 @@ def _normalize_into(
                 rgt[m - 1] -= 1
                 ends_left, pos, rsign, corrections = _route_y(d, m, True)
                 for csign, loops, dd in corrections:
-                    c2 = coeff * Fraction(sign * csign)
-                    if loops:
-                        c2 = c2 * _n_power(loops)
-                    _normalize_into(out, n, c2, tuple(lft), dd, tuple(rgt), w)
+                    c2 = coeff.shift(loops)
+                    _normalize_into(out, n, c2 if sign == csign else -c2, tuple(lft), dd, tuple(rgt), w)
                 if ends_left:
                     lft[pos - 1] += 1
                 else:
@@ -390,8 +378,7 @@ def _normalize_into(
                     sign = -sign
                 continue
         m += 1
-    c = coeff if sign == 1 else coeff * Fraction(-1)
-    add_term(out, RegularMonomial(n, tuple(lft), d, tuple(rgt), w), c)
+    add_term(out, RegularMonomial(n, tuple(lft), d, tuple(rgt), w), coeff if sign == 1 else -coeff)
 
 
 def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff: NPoly, atom: Atom):
@@ -408,7 +395,7 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
             key = tuple(1 if s == k // 2 - 1 else 0 for s in range(k // 2))
             add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
         elif k == 0:
-            add_term(out, t, coeff * NPoly.N())
+            add_term(out, t, coeff.shift(1))
         else:
             for key, c in _odd_w_expansion(k):
                 add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
@@ -424,7 +411,7 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
             for tt, cc in tmp.items():
                 _mul_term_atom(out, tt, cc, ("y", k + 1))
             _mul_term_atom(out, t2, coeff, ("sbar", k))
-            _normalize_into(out, n, coeff * Fraction(-1), t2.left, t2.diagram, t2.right, t2.w)
+            _normalize_into(out, n, -coeff, t2.left, t2.diagram, t2.right, t2.w)
             return
         if right[k] > 0:
             # y_{k+1} s_k = s_k y_k - sbar_k + 1
@@ -434,12 +421,11 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
             _mul_term_atom(tmp, t2, coeff, ("s", k))
             for tt, cc in tmp.items():
                 _mul_term_atom(out, tt, cc, ("y", k))
-            _mul_term_atom(out, t2, coeff * Fraction(-1), ("sbar", k))
+            _mul_term_atom(out, t2, -coeff, ("sbar", k))
             _normalize_into(out, n, coeff, t2.left, t2.diagram, t2.right, t2.w)
             return
         d2, loops = compose(t.diagram, s_diagram(k, n))
-        c = coeff if not loops else coeff * _n_power(loops)
-        _normalize_into(out, n, c, t.left, d2, t.right, t.w)
+        _normalize_into(out, n, coeff.shift(loops), t.left, d2, t.right, t.w)
         return
     if kind == "sbar":
         _sandwich_sbar(out, n, coeff, t.left, t.diagram, list(t.right), t.w, k)
@@ -475,16 +461,16 @@ def _sandwich_sbar(
             # right exponents below strand k)
             a, b = right[k - 1], right[k]
             c_exp = a + b
-            flip_sign = Fraction((-1) ** b)
             right[k - 1] = right[k] = 0
             wk = cap_series_coefficient(n, k, c_exp)
             base_right = tuple(right)
             for wt, wc in wk.terms.items():
                 new_right = tuple(x + y for x, y in zip(base_right, wt.left))
+                c2 = coeff * wc
                 _normalize_into(
                     out,
                     n,
-                    coeff * flip_sign * wc,
+                    -c2 if b % 2 else c2,
                     tuple(left_list),
                     d,
                     new_right,
@@ -495,19 +481,16 @@ def _sandwich_sbar(
         right[m - 1] -= 1
         ends_left, pos, rsign, corrections = _route_y(d, m, True)
         for csign, loops, dd in corrections:
-            c2 = coeff * Fraction(csign)
-            if loops:
-                c2 = c2 * _n_power(loops)
-            _sandwich_sbar(out, n, c2, tuple(left_list), dd, list(right), w, k)
+            c2 = coeff.shift(loops)
+            _sandwich_sbar(out, n, c2 if csign == 1 else -c2, tuple(left_list), dd, list(right), w, k)
         if ends_left:
             left_list[pos - 1] += 1
         else:
             right[pos - 1] += 1
         if rsign < 0:
-            coeff = coeff * Fraction(-1)
+            coeff = -coeff
     d2, loops = compose(d, sbar_diagram(k, n))
-    c = coeff if not loops else coeff * _n_power(loops)
-    _normalize_into(out, n, c, tuple(left_list), d2, tuple(right), w)
+    _normalize_into(out, n, coeff.shift(loops), tuple(left_list), d2, tuple(right), w)
 
 
 def _elem_times_atom(e: AffineElement, atom: Atom) -> AffineElement:
@@ -679,7 +662,7 @@ def pi_m(a: AffineElement, m: int) -> AlgebraElement:
     """The shift homomorphism A(n, N) -> B(m+n, N) on normal forms."""
     n = a.n
     total = m + n
-    out = AlgebraElement.zero(total)
+    out: dict[BrauerDiagram, NPoly] = {}
     for t, c in a.terms.items():
         acc = AlgebraElement.one(total)
         for s in range(n):
@@ -694,8 +677,9 @@ def pi_m(a: AffineElement, m: int) -> AlgebraElement:
                 z = z_element(m + 1, 2 * (s + 1)).embed(total)
                 for _ in range(h):
                     acc = multiply(acc, z)
-        out = out + acc.scale(c)
-    return out
+        for d, x in acc.terms.items():
+            add_term(out, d, x * c)
+    return AlgebraElement._trusted(total, out)
 
 
 def pi_word(atoms: list[Atom], n: int, m: int) -> AlgebraElement:
@@ -737,7 +721,7 @@ class HeckeElement(Combination):
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check_compatible(other)
-        out = HeckeElement.zero(self.n)
+        out: dict = {}
         for (vexp, perm), c in other.terms.items():
             partial = self
             for m in range(self.n):
@@ -745,8 +729,9 @@ class HeckeElement(Combination):
                     partial = partial.times_v(m + 1)
             for k in perm_word(perm):
                 partial = partial.times_s(k)
-            out = out + partial.scale(c)
-        return out
+            for key, x in partial.terms.items():
+                add_term(out, key, x * c)
+        return HeckeElement._trusted(self.n, out)
 
     def times_s(self, k: int) -> HeckeElement:
         out: dict = {}

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", parents=[common], help="check the defining relations symbolically")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-cases", type=int, default=None)
+    p.add_argument("--max-cases", type=_int_at_least(0), default=None)
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("shapes", parents=[common], help="list O(n, N) with path counts")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("central", parents=[common], help="central series Z and Q coefficients")
     p.add_argument("--mu", required=True)
     p.add_argument("--N", required=True, type=_rational)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_int_at_least(0), default=8)
     p.set_defaults(fn=cmd_central)
 
     p = sub.add_parser("oracle", parents=[common], help="tensor-action oracle suite")

@@ -4,7 +4,9 @@ Four kinds of numbers appear throughout:
 
   * plain rationals -- stdlib ``Fraction`` (re-exported as ``Rational``);
   * ``NPoly`` -- polynomials in the formal parameter N with rational
-    coefficients, used while N is kept symbolic;
+    coefficients, used while N is kept symbolic.  A coefficient is stored as
+    an ``int`` when integral and as a ``Fraction`` only when it is not, and
+    ``shift(q)`` multiplies by N^q by moving exponents;
   * ``SurdSum`` -- finite sums ``sum c_r * sqrt(r)`` with c_r rational and
     r squarefree, the entry type of representation matrices.  The squarefree
     normal form makes equality of values equality of the coefficient maps;
@@ -43,6 +45,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x in NPoly's coefficient normal form: an int when integral, else a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
 def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -68,47 +79,63 @@ def add_term(terms: dict, key, value) -> None:
 class NPoly:
     """Polynomial in the formal symbol N over the rationals.
 
-    Stored as a map exponent -> nonzero Fraction.  Arithmetic accepts ints and
-    Fractions on either side, so code generic over "Fraction or NPoly" scalars
-    can mix them freely.
+    Stored as a map exponent -> non-zero coefficient in one normal form: an
+    ``int`` whenever the coefficient is integral, a ``Fraction`` only for a
+    proper fraction such as the 1/2 of (N - 1)/2.  Since ints and Fractions
+    compare and hash alike, equality, hashing and printing are those of the
+    rational values.  Arithmetic accepts ints and Fractions on either side,
+    so code generic over "Fraction or NPoly" scalars can mix them freely.
+
+    ``__init__``, ``const``, ``coerce`` and ``from_string`` validate; the
+    ring operations build their results through the trusted ``_trusted``.
+    ``shift(q)`` multiplies by N^q by moving exponents.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, coeffs: dict[int, int | Fraction] | None = None):
+        clean: dict[int, int | Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = as_fraction(c)
+                c = _exact(c)
                 if c:
                     if e < 0:
                         raise ValueError("negative exponent in NPoly")
                     clean[e] = c
         self.coeffs = clean
 
+    @staticmethod
+    def _trusted(coeffs: dict[int, int | Fraction]) -> NPoly:
+        """Wrap a map already in normal form: non-negative exponents, non-zero
+        coefficients, ints for the integral ones."""
+        p = NPoly.__new__(NPoly)
+        p.coeffs = coeffs
+        return p
+
     # -- constructors
 
     @staticmethod
     def zero() -> NPoly:
-        return NPoly()
+        return NPoly._trusted({})
 
     @staticmethod
     def one() -> NPoly:
-        return NPoly({0: Fraction(1)})
+        return NPoly._trusted({0: 1})
 
     @staticmethod
     def const(c: int | Fraction) -> NPoly:
-        return NPoly({0: as_fraction(c)})
+        c = _exact(c)
+        return NPoly._trusted({0: c} if c else {})
 
     @staticmethod
     def N() -> NPoly:
-        return NPoly({1: Fraction(1)})
+        return NPoly._trusted({1: 1})
 
     @staticmethod
     def coerce(x: Scalar) -> NPoly:
         if isinstance(x, NPoly):
             return x
-        return NPoly.const(as_fraction(x))
+        return NPoly.const(x)
 
     # -- queries
 
@@ -124,16 +151,25 @@ class NPoly:
     # -- ring operations
 
     def __add__(self, other) -> NPoly:
-        other = NPoly.coerce(other)
+        if other.__class__ is not NPoly:
+            other = NPoly.coerce(other)
         out = dict(self.coeffs)
+        # add_term inlined (the hot loop), keeping integral sums as ints
         for e, c in other.coeffs.items():
-            add_term(out, e, c)
-        return NPoly(out)
+            if e in out:
+                c = out[e] + c
+                if not c:
+                    del out[e]
+                    continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
+            out[e] = c
+        return NPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> NPoly:
-        return NPoly({e: -c for e, c in self.coeffs.items()})
+        return NPoly._trusted({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> NPoly:
         return self + (-NPoly.coerce(other))
@@ -142,12 +178,24 @@ class NPoly:
         return NPoly.coerce(other) + (-self)
 
     def __mul__(self, other) -> NPoly:
-        other = NPoly.coerce(other)
-        out: dict[int, Fraction] = {}
+        if other.__class__ is not NPoly:
+            other = NPoly.coerce(other)
+        out: dict[int, int | Fraction] = {}
+        # add_term inlined; an integral Fraction product becomes an int below
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                add_term(out, e1 + e2, c1 * c2)
-        return NPoly(out)
+                e = e1 + e2
+                c = c1 * c2
+                if e in out:
+                    c += out[e]
+                    if not c:
+                        del out[e]
+                        continue
+                out[e] = c
+        for e, c in out.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                out[e] = c.numerator
+        return NPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -163,15 +211,23 @@ class NPoly:
             k >>= 1
         return result
 
+    def shift(self, q: int) -> NPoly:
+        """self * N^q for q >= 0, by moving every exponent up by q."""
+        if q == 0:
+            return self
+        if q < 0:
+            raise ValueError("negative shift of an NPoly")
+        return NPoly._trusted({e + q: c for e, c in self.coeffs.items()})
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = NPoly.const(as_fraction(other))
+            other = NPoly.const(other)
         if not isinstance(other, NPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        # a constant equals its Fraction value, so it must hash like it
+        # a constant equals its int or Fraction value, so it must hash like it
         if self.coeffs.keys() <= {0}:
             return hash(self.coeffs.get(0, 0))
         return hash(tuple(sorted(self.coeffs.items())))

@@ -265,15 +265,11 @@ class AlgebraElement(Combination):
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; each loop contributes N."""
     a._check_compatible(b)
-    n_sym = NPoly.N()
     out: dict[BrauerDiagram, NPoly] = {}
     for d1, c1 in a.terms.items():
         for d2, c2 in b.terms.items():
             d, loops = compose(d1, d2)
-            c = c1 * c2
-            if loops:
-                c = c * n_sym**loops
-            add_term(out, d, c)
+            add_term(out, d, (c1 * c2).shift(loops))
     return AlgebraElement._trusted(a.n, out)
 
 
@@ -335,14 +331,13 @@ def partial_closure(b: AlgebraElement, k: int | None = None) -> AlgebraElement:
     k = b.n
     if k < 1:
         raise ValueError("nothing to close")
-    n_sym = NPoly.N()
     out: dict[BrauerDiagram, NPoly] = {}
     for d, c in b.terms.items():
         top, bottom = k - 1, 2 * k - 1
         relabel = lambda v: v if v < k - 1 else v - 1
         pairing = [-1] * (2 * (k - 1))
         if d.pairing[top] == bottom:
-            coeff = c * n_sym
+            coeff = c.shift(1)
             for v, w in d.edges():
                 if v == top:
                     continue
@@ -509,19 +504,22 @@ def generator_element(token: tuple[str, int], n: int) -> AlgebraElement:
 
 def evaluate_side(side: Side, n: int, product: Callable | None = None) -> AlgebraElement:
     product = product or multiply
-    total = AlgebraElement.zero(n)
+    total: dict[BrauerDiagram, NPoly] = {}
     for coeff, word in side:
         acc = AlgebraElement.one(n)
         for token in word:
             acc = product(acc, generator_element(token, n))
-        total = total + acc.scale(coeff)
-    return total
+        for d, x in acc.terms.items():
+            add_term(total, d, x * coeff)
+    return AlgebraElement._trusted(n, total)
 
 
 def verify_presentation(n: int, max_cases: int | None = None, product: Callable | None = None) -> dict:
     """Check every instance of the defining relations with N symbolic."""
     if n < 2:
         raise ValueError("need n >= 2 for generators")
+    if max_cases is not None and max_cases < 0:
+        raise ValueError(f"max_cases must be at least 0, got {max_cases}")
     results = []
     for name, lhs, rhs in presentation_relations(n)[:max_cases]:
         ok = evaluate_side(lhs, n, product) == evaluate_side(rhs, n, product)

@@ -155,6 +155,29 @@ def test_oracle_zero_trials_is_allowed(capsys):
     assert code == 0 and json.loads(out)[0]["ok"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relations", "--n", "2", "--max-cases", "-1"], "argument --max-cases: must be at least 0, got -1"),
+        (["central", "--mu", "2,1", "--N", "5", "--order", "-1"], "argument --order: must be at least 0, got -1"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv, message):
+    # --max-cases -1 used to slice off the last relation and report success;
+    # --order -1 used to fail with an unrelated series message
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_counts_are_allowed(capsys):
+    code, out = run(capsys, "relations", "--n", "2", "--max-cases", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == 0
+    code, out = run(capsys, "central", "--mu", "2,1", "--N", "5", "--order", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["Z"] == ["5"]
+
+
 def test_non_integer_brauer_seed_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("BRAUER_SEED", "abc")
     code = main(["affine", "check", "--suite", "hecke"])

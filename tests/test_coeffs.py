@@ -108,26 +108,124 @@ def test_npoly_basics():
 
 
 def test_npoly_constant_hashes_like_its_value():
-    for c in (0, 1, -3, Fraction(2, 7)):
-        p = NPoly.const(c)
-        assert p == c and hash(p) == hash(c) == hash(Fraction(c))
+    half = NPoly.const(Fraction(1, 2))
+    for p, value in (
+        (NPoly.const(0), 0),
+        (NPoly.const(1), 1),
+        (NPoly.const(-3), -3),
+        (NPoly.const(Fraction(2, 7)), Fraction(2, 7)),
+        (NPoly.const(Fraction(-6, 3)), -2),
+        # constants that arithmetic produces, integral or not
+        (half * 2, 1),
+        (half + half, 1),
+        (half - half, 0),
+        (half * half, Fraction(1, 4)),
+        (-half, Fraction(-1, 2)),
+    ):
+        assert p == value and p == Fraction(value)
+        assert hash(p) == hash(value) == hash(Fraction(value))
     assert hash(NPoly.zero()) == hash(0)
-    assert len({NPoly.const(1), 1, Fraction(1)}) == 1
+    assert len({NPoly.const(1), half * 2, 1, Fraction(1)}) == 1
     assert NPoly.N() != 1
+    N = NPoly.N()
+    assert hash((N + half) * 2) == hash(2 * N + 1)
 
 
-npoly_strategy = st.builds(
-    lambda pairs: NPoly({e: c for e, c in pairs}),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=4), rationals), max_size=3),
-)
+# ints and Fractions (some of them integral) mixed, as callers pass them
+mixed_coeffs = st.one_of(st.integers(min_value=-30, max_value=30), rationals)
+raw_npoly = st.dictionaries(st.integers(min_value=0, max_value=4), mixed_coeffs, max_size=4)
+npoly_strategy = raw_npoly.map(NPoly)
 
 
 @settings(max_examples=200, deadline=None)
-@given(npoly_strategy, npoly_strategy, rationals)
+@given(npoly_strategy, npoly_strategy, mixed_coeffs)
 def test_npoly_specialization_is_homomorphism(p, q, v):
     assert (p + q).eval(v) == p.eval(v) + q.eval(v)
     assert (p * q).eval(v) == p.eval(v) * q.eval(v)
     assert (p - q).eval(v) == p.eval(v) - q.eval(v)
+
+
+# the reference: plain dict[int, Fraction] arithmetic, zeros dropped
+
+
+def ref_clean(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def assert_normal_form(p):
+    for e, c in p.coeffs.items():
+        assert type(c) in (int, Fraction) and c != 0, (e, c)
+        assert type(c) is int or c.denominator != 1, (e, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_npoly, raw_npoly, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=5))
+def test_npoly_matches_reference(da, db, k, q):
+    a, b = ref_clean(da), ref_clean(db)
+    p, r = NPoly(da), NPoly(db)
+    power = {0: Fraction(1)}
+    for _ in range(k):
+        power = ref_mul(power, a)
+    results = {
+        "+": (p + r, ref_add(a, b)),
+        "-": (p - r, ref_add(a, {e: -c for e, c in b.items()})),
+        "*": (p * r, ref_mul(a, b)),
+        "neg": (-p, {e: -c for e, c in a.items()}),
+        "**": (p**k, power),
+        "shift": (p.shift(q), {e + q: c for e, c in a.items()}),
+    }
+    for x in (3, Fraction(3), Fraction(-5, 6)):
+        results[f"p*{x}"] = (p * x, ref_mul(a, {0: Fraction(x)}))
+        results[f"{x}*p"] = (x * p, ref_mul(a, {0: Fraction(x)}))
+        results[f"p+{x}"] = (p + x, ref_add(a, {0: Fraction(x)}))
+        results[f"{x}-p"] = (x - p, ref_add({0: Fraction(x)}, {e: -c for e, c in a.items()}))
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        assert_normal_form(got)
+
+
+def test_npoly_normal_form_examples():
+    half = n_minus_1_half()
+    assert half.coeffs == {1: Fraction(1, 2), 0: Fraction(-1, 2)}
+    # integral results of Fraction arithmetic are stored as ints
+    assert (half * 2).coeffs == {1: 1, 0: -1}
+    assert (half + half).coeffs == {1: 1, 0: -1}
+    assert (half * half * 4).coeffs == {2: 1, 1: -2, 0: 1}
+    assert (half - half).coeffs == {}
+    assert NPoly({0: Fraction(4, 2), 3: Fraction(0)}).coeffs == {0: 2}
+    assert NPoly.const(True).coeffs == {0: 1}
+    assert NPoly.from_string("2/2*N - 4/2").coeffs == {1: 1, 0: -2}
+    for p in (half * 2, half + half, half * half * 4, NPoly({0: Fraction(4, 2)}), NPoly.const(True),
+              NPoly.from_string("2/2*N - 4/2")):
+        assert all(type(c) is int for c in p.coeffs.values()), p.coeffs
+    with pytest.raises(TypeError):
+        NPoly({0: 0.5})
+    with pytest.raises(ValueError):
+        NPoly({-1: 1})
+    with pytest.raises(ValueError):
+        NPoly.N().shift(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(npoly_strategy, st.integers(min_value=0, max_value=6))
+def test_npoly_shift_is_multiplication_by_n_power(p, q):
+    assert p.shift(q) == p * NPoly.N() ** q
+    assert p.shift(0) is p
 
 
 def test_series_from_fraction_examples():

@@ -85,6 +85,14 @@ def test_presentation_sweep():
         assert verify_presentation(n)["all_ok"]
 
 
+def test_presentation_max_cases():
+    total = verify_presentation(3)["checked"]
+    assert verify_presentation(3, max_cases=total - 1)["checked"] == total - 1
+    assert verify_presentation(3, max_cases=0)["checked"] == 0
+    with pytest.raises(ValueError, match="max_cases"):
+        verify_presentation(3, max_cases=-1)
+
+
 def test_presentation_mutation_sensitivity():
     # a corrupted product rule must be caught
     def corrupted(a, b):
