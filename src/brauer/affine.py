@@ -36,6 +36,12 @@ The rewriting engine moves y's by exact relation applications only:
     lowers the total y-degree or settles a y into its final block, so the
     reduction terminates.
 
+The engine builds its monomials through the trusted constructor
+`_monomial`, which skips validation; `from_word` and `AffineElement.__mul__`
+check every term of their result once with `_check_regular`, the rule
+`RegularMonomial(...)` itself applies, so no caller receives an irregular
+monomial.
+
 Confluence is not proved; it is enforced empirically by the associativity
 and shift-homomorphism consistency suites.
 """
@@ -94,17 +100,9 @@ class RegularMonomial:
     w: WTuple
 
     def __post_init__(self):
-        if len(self.left) != self.n or len(self.right) != self.n:
-            raise ValueError("exponent vectors must have length n")
         if self.w and self.w[-1] == 0:
             object.__setattr__(self, "w", _trim(self.w))
-        for a, b in self.diagram.top_edges():
-            if self.left[b - 1]:
-                raise ValueError(f"left exponent on top-edge right end {b}")
-        right_ok = {b for _, b in self.diagram.bottom_edges()}
-        for m in range(1, self.n + 1):
-            if self.right[m - 1] and m not in right_ok:
-                raise ValueError(f"right exponent on illegal strand {m}")
+        _check_regular(self)
 
     def y_degree(self) -> int:
         return sum(self.left) + sum(self.right)
@@ -114,6 +112,42 @@ class RegularMonomial:
 
     def sort_key(self) -> tuple:
         return (self.weight(), self.left, self.diagram.pairing, self.right, self.w)
+
+
+def _check_regular(t: RegularMonomial) -> None:
+    """Raise ValueError unless t is a regular monomial with trimmed w.
+
+    Top strand m is the right end of a top edge when its partner is a top
+    vertex left of it; bottom strand m is the right end of a bottom edge when
+    its partner is a bottom vertex left of it."""
+    n, left, right = t.n, t.left, t.right
+    if len(left) != n or len(right) != n:
+        raise ValueError("exponent vectors must have length n")
+    if t.w and t.w[-1] == 0:
+        raise ValueError(f"w exponents not trimmed: {t.w}")
+    p = t.diagram.pairing
+    for m in range(1, n + 1):
+        if left[m - 1] and p[m - 1] < m - 1:
+            raise ValueError(f"left exponent on top-edge right end {m}")
+    for m in range(1, n + 1):
+        if right[m - 1] and not n <= p[n + m - 1] < n + m - 1:
+            raise ValueError(f"right exponent on illegal strand {m}")
+
+
+def _monomial(n: int, left: tuple[int, ...], d: BrauerDiagram, right: tuple[int, ...], w: WTuple) -> RegularMonomial:
+    """Construct without validating; for monomials the engine builds itself.
+
+    The caller guarantees regularity and a trimmed w; `from_word` and
+    `AffineElement.__mul__` check every term of their result once."""
+    t = object.__new__(RegularMonomial)
+    # the frozen instance's own attribute dict: cheaper than five __setattr__s
+    attrs = t.__dict__
+    attrs["n"] = n
+    attrs["left"] = left
+    attrs["diagram"] = d
+    attrs["right"] = right
+    attrs["w"] = w
+    return t
 
 
 class AffineElement(Combination):
@@ -147,6 +181,8 @@ class AffineElement(Combination):
                 partial = _elem_times_atom(partial, atom)
             for t, x in partial.terms.items():
                 add_term(out, t, x * c2)
+        for t in out:
+            _check_regular(t)
         return AffineElement._trusted(self.n, out)
 
     def y_degree(self) -> int:
@@ -378,7 +414,7 @@ def _normalize_into(
                     sign = -sign
                 continue
         m += 1
-    add_term(out, RegularMonomial(n, tuple(lft), d, tuple(rgt), w), coeff if sign == 1 else -coeff)
+    add_term(out, _monomial(n, tuple(lft), d, tuple(rgt), w), coeff if sign == 1 else -coeff)
 
 
 def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff: NPoly, atom: Atom):
@@ -393,19 +429,19 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
     if kind == "w":
         if k % 2 == 0 and k > 0:
             key = tuple(1 if s == k // 2 - 1 else 0 for s in range(k // 2))
-            add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
+            add_term(out, _monomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
         elif k == 0:
             add_term(out, t, coeff.shift(1))
         else:
             for key, c in _odd_w_expansion(k):
-                add_term(out, RegularMonomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
+                add_term(out, _monomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
         return
     if kind == "s":
         right = list(t.right)
         if right[k - 1] > 0:
             # y_k s_k = s_k y_{k+1} + sbar_k - 1
             right[k - 1] -= 1
-            t2 = RegularMonomial(n, t.left, t.diagram, tuple(right), t.w)
+            t2 = _monomial(n, t.left, t.diagram, tuple(right), t.w)
             tmp: dict[RegularMonomial, NPoly] = {}
             _mul_term_atom(tmp, t2, coeff, ("s", k))
             for tt, cc in tmp.items():
@@ -416,7 +452,7 @@ def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff:
         if right[k] > 0:
             # y_{k+1} s_k = s_k y_k - sbar_k + 1
             right[k] -= 1
-            t2 = RegularMonomial(n, t.left, t.diagram, tuple(right), t.w)
+            t2 = _monomial(n, t.left, t.diagram, tuple(right), t.w)
             tmp = {}
             _mul_term_atom(tmp, t2, coeff, ("s", k))
             for tt, cc in tmp.items():
@@ -532,12 +568,14 @@ def from_word(atoms: list[Atom], n: int) -> AffineElement:
     """Normal form of a product of generator atoms.
 
     The atoms are checked against n here, once; the rewriting engine trusts
-    its input."""
+    its input, and every term of the result is checked regular once."""
     for atom in atoms:
         _check_atom(atom, n)
     e = AffineElement.one(n)
     for atom in atoms:
         e = _elem_times_atom(e, atom)
+    for t in e.terms:
+        _check_regular(t)
     return e
 
 

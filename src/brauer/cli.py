@@ -223,29 +223,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mult", parents=[common], help="multiply diagram generators")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--word", required=True, type=_generator_word, help='e.g. "s1 sbar2 s1"')
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("relations", parents=[common], help="check the defining relations symbolically")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--max-cases", type=_int_at_least(0), default=None)
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("shapes", parents=[common], help="list O(n, N) with path counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_shapes)
 
     p = sub.add_parser("paths", parents=[common], help="list up-down paths to a diagram")
     p.add_argument("--lambda", dest="lam", required=True, help='comma list, "" for empty')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("rep", parents=[common], help="build a representation in orthogonal form")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_rational, help="integer or p/q")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_rep)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("affine", help="affine algebra operations")
     asub = p.add_subparsers(dest="affine_command", required=True)
     q = asub.add_parser("nf", parents=[common], help="normal form of a generator word")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int_at_least(0), required=True)
     q.add_argument("--word", required=True, help='e.g. "s1 y1 y1 sbar1"')
     q.set_defaults(fn=cmd_affine_nf)
     q = asub.add_parser("check", parents=[common], help="run the affine property suites")

@@ -191,10 +191,12 @@ def bar_transposition(k: int, l: int, n: int) -> BrauerDiagram:
     return BrauerDiagram(n, tuple(pairing))
 
 
+@lru_cache(maxsize=None)
 def s_diagram(k: int, n: int) -> BrauerDiagram:
     return transposition(k, k + 1, n)
 
 
+@lru_cache(maxsize=None)
 def sbar_diagram(k: int, n: int) -> BrauerDiagram:
     return bar_transposition(k, k + 1, n)
 

@@ -9,6 +9,8 @@ from brauer.affine import (
     AffineElement,
     HeckeElement,
     RegularMonomial,
+    _check_regular,
+    _monomial,
     cap_series,
     cap_series_coefficient,
     element_to_json,
@@ -27,10 +29,13 @@ from brauer.affine import (
 from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.diagrams import (
     AlgebraElement,
+    BrauerDiagram,
     all_diagrams,
     jucys_murphy,
     multiply,
     random_diagram,
+    s_diagram,
+    sbar_diagram,
     z_element,
 )
 
@@ -70,14 +75,57 @@ def test_from_word_rejects_out_of_range_atoms():
 
 
 def test_regularity_enforced():
-    from brauer.diagrams import sbar_diagram
-
     with pytest.raises(ValueError):
         # left exponent on the right end of a top edge
         RegularMonomial(2, (0, 1), sbar_diagram(1, 2), (0, 0), ())
     with pytest.raises(ValueError):
         # right exponent on a strand that is not a bottom-edge right end
         RegularMonomial(2, (0, 0), sbar_diagram(1, 2), (1, 0), ())
+
+
+def _all_atoms(n):
+    return (
+        [("s", k) for k in range(1, n)]
+        + [("sbar", k) for k in range(1, n)]
+        + [("y", k) for k in range(1, n + 1)]
+        + [("w", i) for i in range(4)]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trusted_monomials_are_regular(n):
+    # the engine builds monomials without validation; every one that reaches
+    # a caller must survive the validating constructor unchanged
+    atoms = _all_atoms(n)
+    for length in range(4):
+        for word in itertools.product(atoms, repeat=length):
+            for t in from_word(list(word), n).terms:
+                assert RegularMonomial(t.n, t.left, t.diagram, t.right, t.w) == t, word
+
+
+def test_check_regular_catches_bad_trusted_monomials():
+    zero = (0, 0)
+    # left exponent on the right end of a top edge
+    with pytest.raises(ValueError, match="top-edge right end 2"):
+        _check_regular(_monomial(2, (0, 1), sbar_diagram(1, 2), zero, ()))
+    # right exponent on a strand that is not a bottom-edge right end
+    with pytest.raises(ValueError, match="illegal strand 1"):
+        _check_regular(_monomial(2, zero, sbar_diagram(1, 2), (1, 0), ()))
+    with pytest.raises(ValueError, match="illegal strand 2"):
+        _check_regular(_monomial(2, zero, s_diagram(1, 2), (0, 1), ()))
+    with pytest.raises(ValueError, match="not trimmed"):
+        _check_regular(_monomial(2, zero, s_diagram(1, 2), zero, (1, 0)))
+    _check_regular(_monomial(2, (1, 0), sbar_diagram(1, 2), (0, 1), (0, 1)))
+
+
+def test_cached_generator_diagrams_still_reject_bad_indices():
+    assert s_diagram(1, 3) is s_diagram(1, 3)
+    assert sbar_diagram(2, 3) is sbar_diagram(2, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            s_diagram(0, 3)
+        with pytest.raises(ValueError):
+            sbar_diagram(3, 3)
 
 
 def test_commuting_generators():
@@ -459,13 +507,24 @@ def test_associativity_hypothesis(triple):
     assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.slow
+def test_associativity_many_term_right_factor():
+    # b * c has 39 terms, so a * (b * c) rewrites far more monomials than
+    # (a * b) * c; the two must still agree
+    n = 4
+    zero = (0,) * n
+    da = BrauerDiagram.from_edges(n, [(0, 7), (1, 3), (2, 5), (4, 6)])
+    db = BrauerDiagram.from_edges(n, [(0, 6), (1, 4), (2, 3), (5, 7)])
+    a = AffineElement.from_monomial(RegularMonomial(n, (0, 1, 0, 0), da, zero, (1,)))
+    b = AffineElement.from_monomial(RegularMonomial(n, (0, 2, 2, 0), db, zero, (0, 1)))
+    c = b
+    left = (a * b) * c
+    assert len(left.terms) == 352
+    assert left == a * (b * c)
+
+
 def _atoms(n):
-    return st.sampled_from(
-        [("s", k) for k in range(1, n)]
-        + [("sbar", k) for k in range(1, n)]
-        + [("y", k) for k in range(1, n + 1)]
-        + [("w", i) for i in range(4)]
-    )
+    return st.sampled_from(_all_atoms(n))
 
 
 @pytest.mark.slow

@@ -148,6 +148,39 @@ def test_oracle_bad_sizes_are_usage_errors(capsys, extra, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mult", "--n", "-1", "--word", "s1"], "argument --n: must be at least 0, got -1"),
+        (["relations", "--n", "1"], "argument --n: must be at least 2, got 1"),
+        (["shapes", "--n", "-1", "--N", "3"], "argument --n: must be at least 0, got -1"),
+        (["paths", "--lambda", "1", "--n", "-1", "--N", "3"], "argument --n: must be at least 0, got -1"),
+        (["rep", "--lambda", "1", "--n", "-1", "--N", "3"], "argument --n: must be at least 0, got -1"),
+        (["affine", "nf", "--n", "-1", "--word", "y1"], "argument --n: must be at least 0, got -1"),
+    ],
+)
+def test_bad_n_is_usage_error_naming_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mult", "--n", "0", "--word", ""],
+        ["shapes", "--n", "0", "--N", "3"],
+        ["paths", "--lambda", "", "--n", "0", "--N", "3"],
+        ["rep", "--lambda", "", "--n", "0", "--N", "3"],
+        ["affine", "nf", "--n", "0", "--word", ""],
+    ],
+)
+def test_zero_n_is_allowed(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)
+
+
 def test_oracle_zero_trials_is_allowed(capsys):
     code, out = run(
         capsys, "oracle", "--n", "2", "--N", "2", "--suite", "hom", "--trials", "0", "--format", "json"
