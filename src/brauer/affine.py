@@ -32,7 +32,10 @@ The rewriting engine moves y's by exact relation applications only:
                                * ((u+y_k)^2 - 1)(u-y_k)^2
                                / ((u-y_k)^2 - 1)(u+y_k)^2
 
-    whose u^{-i} coefficient has y-degree at most i-1.  Every rewrite either
+    whose u^{-i} coefficient has y-degree at most i-1.  `cap_series` runs
+    it as a `coeffs.USeries` over A(n, N), with u coefficient the unit, and
+    takes the factor from `coeffs.box_factor`, the same one the product
+    forms of Q(mu, u) and Q_k(u) in `repform` use.  Every rewrite either
     lowers the total y-degree or settles a y into its final block, so the
     reduction terminates.
 
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import Combination, NPoly, add_term, as_fraction
+from .coeffs import Combination, NPoly, USeries, add_term, as_fraction, box_factor
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -228,7 +231,8 @@ def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
 
     -2 w_i = w_{i-1} + sum_{j=1}^{i} (-1)^j w_{i-j} w_{j-1}.
     """
-    assert i % 2 == 1
+    if i % 2 != 1:
+        raise AssertionError(f"w_{i} is not an odd generator")
 
     def as_dict(idx: int) -> dict[WTuple, NPoly]:
         if idx == 0:
@@ -381,7 +385,8 @@ def _normalize_into(
                     for csign, loops, dd in corrections:
                         c2 = coeff.shift(loops)
                         _normalize_into(out, n, c2 if sign == csign else -c2, tuple(lft), dd, right, w)
-                    assert ends_left and pos == l
+                    if not (ends_left and pos == l):
+                        raise AssertionError("y routed off a top edge did not reach its left end")
                     lft[pos - 1] += 1
                     if rsign < 0:
                         sign = -sign
@@ -586,71 +591,29 @@ def from_word(atoms: list[Atom], n: int) -> AffineElement:
 _CAP_SERIES: dict[tuple[int, int], list[AffineElement]] = {}
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    """Convolution of coefficient lists (index = power of 1/u)."""
-    out = []
-    for i in range(order + 1):
-        acc = None
-        for s in range(max(0, i - (len(b) - 1)), min(i, len(a) - 1) + 1):
-            term = a[s] * b[i - s]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _r_series(n: int, k: int, order: int) -> list[AffineElement]:
-    """((u+y_k)^2 - 1)/((u-y_k)^2 - 1) * (u-y_k)^2/(u+y_k)^2 as a series.
-
-    Equal to (1 - (u+y_k)^{-2}) / (1 - (u-y_k)^{-2}); the u^{-i} coefficient
-    is a polynomial in y_k of degree <= i - 2.
-    """
-    y = y_elem(k, n)
-    zero = AffineElement.zero(n)
-    one = AffineElement.one(n)
-    ypow = [one]
-    for _ in range(order):
-        ypow.append(ypow[-1] * y)
-    s_plus = [zero] * (order + 1)
-    s_minus = [zero] * (order + 1)
-    for s in range(order - 1):
-        s_plus[s + 2] = ypow[s].scale(Fraction((s + 1) * (-1) ** s))
-        s_minus[s + 2] = ypow[s].scale(Fraction(s + 1))
-    # geometric inverse of (1 - s_minus)
-    inv = [zero] * (order + 1)
-    inv[0] = one
-    power = [one] + [zero] * order
-    while True:
-        power = _series_mul(power, s_minus, order)
-        if all(p.is_zero() for p in power):
-            break
-        inv = [a + b for a, b in zip(inv, power)]
-    top = [one] + [zero] * order
-    top = [a - b for a, b in zip(top, s_plus)]
-    return _series_mul(top, inv, order)
-
-
 def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
     """[w_k^(0), ..., w_k^(order)]: sbar_k y_k^i sbar_k = w_k^(i) sbar_k.
 
-    w_1^(i) = w_i; higher k by the multiplicative recursion on
-    T_k(u) = W_k(u) + u - 1/2 (the u-coefficient stays 1 throughout).
+    w_1^(i) = w_i; higher k by the multiplicative recursion
+    T_k(u) = T_{k-1}(u) * box_factor(y_{k-1}) on T_k(u) = W_k(u) + u - 1/2,
+    a USeries over A(n, N) whose u coefficient stays the unit throughout.
     """
     if k < 1:
         raise ValueError("strand index must be positive")
     cached = _CAP_SERIES.get((n, k))
     if cached is not None and len(cached) > order:
         return cached[: order + 1]
-    half = NPoly.const(Fraction(1, 2))
+    one = AffineElement.one(n)
+    half = one.scale(Fraction(1, 2))
     if k == 1:
         series = [w_elem(i, n) for i in range(order + 1)]
     else:
         prev = cap_series(n, k - 1, order + 1)
-        t_prev = [prev[0] - AffineElement.one(n).scale(half)] + prev[1 : order + 2]
-        r = _r_series(n, k - 1, order + 2)
-        t_new = _series_mul(t_prev, r, order + 1)
-        # the u * R(u) contribution shifts R down by one power
-        t_new = [t_new[i] + r[i + 1] for i in range(order + 1)]
-        series = [t_new[0] + AffineElement.one(n).scale(half)] + t_new[1 : order + 1]
+        t = USeries([prev[0] - half] + prev[1:], u_coeff=one)
+        t = t * box_factor(y_elem(k - 1, n), order + 1, one)
+        if t.u_coeff != one:
+            raise AssertionError("u coefficient of T_k(u) is not the unit")
+        series = [t.coeffs[0] + half, *t.coeffs[1:]]
     for i, elem in enumerate(series):
         if elem.y_degree() > max(i - 1, 0):
             raise AssertionError("cap series degree bound violated")
@@ -662,13 +625,11 @@ def cap_series_coefficient(n: int, k: int, i: int) -> AffineElement:
     return cap_series(n, k, i)[i]
 
 
-def w_series(k: int, order: int, n: int):
+def w_series(k: int, order: int, n: int) -> USeries:
     """The generating series W_k(u) truncated at the given order.
 
     Returns a USeries whose coefficients are AffineElements of A(n, N).
     """
-    from .coeffs import USeries
-
     return USeries(cap_series(n, k, order))
 
 

@@ -577,10 +577,14 @@ def sqrt_of_rational(q: int | Fraction) -> SurdSum:
 class USeries:
     """Truncated formal series a*u + c_0 + c_1 u^{-1} + ... + c_K u^{-K}.
 
-    Coefficients may be Fractions or NPoly (anything forming a commutative
-    ring that absorbs ints).  At most one positive power of u is carried,
-    which is all the central series Z(mu, u) needs.  Multiplication of two
-    series with u-terms is rejected.
+    Coefficients may be Fractions, NPolys or AffineElements (the cap series
+    W_k(u)): any ring whose elements add to a bare ``0``.  A product of two
+    series multiplies coefficients only with each other, so a ring without
+    int products works if it passes its unit where a series needs one
+    (``u_coeff``, ``linear_fraction_series``, ``box_factor``).  At most one
+    positive power of u is carried, which is all Z(mu, u) and
+    W_k(u) + u - 1/2 need.  Multiplication of two series with u-terms is
+    rejected.
     """
 
     __slots__ = ("order", "coeffs", "u_coeff")
@@ -618,8 +622,8 @@ class USeries:
     def __mul__(self, other) -> USeries:
         if not isinstance(other, USeries):
             return USeries([c * other for c in self.coeffs], self.u_coeff * other)
-        a_u = not (self.u_coeff == 0 or (hasattr(self.u_coeff, "is_zero") and self.u_coeff.is_zero()))
-        b_u = not (other.u_coeff == 0 or (hasattr(other.u_coeff, "is_zero") and other.u_coeff.is_zero()))
+        a_u = bool(self.u_coeff)
+        b_u = bool(other.u_coeff)
         if a_u and b_u:
             raise ValueError("product of two series with u-terms leaves the carried form")
         k = min(self.order, other.order)
@@ -629,7 +633,12 @@ class USeries:
             k = min(k, self.order - 1)
         if k < 0:
             raise ValueError("series too short for a u-shifted product")
-        u_out = self.u_coeff * other.coeffs[0] + other.u_coeff * self.coeffs[0]
+        # from the u-carrying factor only: a bare 0 may not multiply a coefficient
+        u_out = 0
+        if a_u:
+            u_out = self.u_coeff * other.coeffs[0]
+        elif b_u:
+            u_out = other.u_coeff * self.coeffs[0]
         out = []
         for i in range(k + 1):
             acc = 0
@@ -669,13 +678,24 @@ class USeries:
         return f"USeries(u_coeff={self.u_coeff}, coeffs={list(self.coeffs)})"
 
 
-def linear_fraction_series(alpha, beta, order: int) -> USeries:
-    """(u + alpha)/(u - beta) = 1 + (alpha+beta) * sum_{t>=1} beta^{t-1} u^{-t}."""
+def linear_fraction_series(alpha, beta, order: int, one=1) -> USeries:
+    """(u + alpha)/(u - beta) = 1 + (alpha+beta) * sum_{t>=1} beta^{t-1} u^{-t}.
+
+    ``one`` is the unit of alpha's and beta's ring; 1 serves Fractions and NPolys."""
     top = alpha + beta
-    coeffs: list = [1]
-    power = 1
+    coeffs: list = [one]
+    power = one
     for _ in range(order):
         coeffs.append(top * power)
         power = power * beta
     return USeries(coeffs)
 
+
+def box_factor(a, order: int, one=1) -> USeries:
+    """((u+a)^2 - 1)/((u-a)^2 - 1) * (u-a)^2/(u+a)^2 as linear fractions: one
+    box of Q(mu, u) and Q_k(u), one strand of the cap-series recursion.
+    ``one`` is the unit of a's ring, as in ``linear_fraction_series``."""
+    f = linear_fraction_series(a + one, a + one, order, one)
+    f = f * linear_fraction_series(a - one, a - one, order, one)
+    g = linear_fraction_series(-a, -a, order, one)
+    return f * g * g

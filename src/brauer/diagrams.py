@@ -93,20 +93,6 @@ class BrauerDiagram:
         """True if strand k (1-based) is the straight edge {k, k-bar}."""
         return self.pairing[k - 1] == self.n + k - 1
 
-    def embed(self, n2: int) -> BrauerDiagram:
-        """Include B(n) into B(n2) by appending vertical strands."""
-        n = self.n
-        if n2 < n:
-            raise ValueError("cannot embed into a smaller algebra")
-        pairing = [-1] * (2 * n2)
-        shift = lambda v: v if v < n else v + (n2 - n)
-        for v, w in self.edges():
-            a, b = shift(v), shift(w)
-            pairing[a], pairing[b] = b, a
-        for t in range(n, n2):
-            pairing[t], pairing[n2 + t] = n2 + t, t
-        return BrauerDiagram(n2, tuple(pairing))
-
     def shift(self, m: int, n2: int) -> BrauerDiagram:
         """Place this diagram on strands m+1..m+n inside B(n2), verticals elsewhere."""
         n = self.n
@@ -246,7 +232,7 @@ class AlgebraElement(Combination):
         return multiply(self, other)
 
     def embed(self, n2: int) -> AlgebraElement:
-        return AlgebraElement(n2, {d.embed(n2): c for d, c in self.terms.items()})
+        return AlgebraElement(n2, {d.shift(0, n2): c for d, c in self.terms.items()})
 
     def power(self, k: int) -> AlgebraElement:
         # repeated multiplication in the diagram basis; desk-scale sizes

@@ -10,9 +10,12 @@ assembled fiberwise:
     1 - (x_{k+1}-x_k)^{-2}, and sbar_k vanishes;
   * on a fiber with equal endpoints mu, sbar_k is the rank-one block with
     diagonal given by residues of the central series over the corner data of
-    mu, positive square-root off-diagonal entries, and s_k is derived from it,
-    with the special self-paired branch (N odd, associated diagrams) acting
-    as +1.
+    mu and positive square-root off-diagonal entries.  s_k is read off that
+    block through s_k x_k - x_{k+1} s_k = sbar_k - 1: with b_i the x_k
+    eigenvalue, s(i, j) = (sbar(i, j) - delta_ij)/(b_i + b_j), except on the
+    self-paired branch (N odd, associated diagrams, b_i = 0), whose diagonal
+    entry follows from s_k sbar_k = sbar_k.  So `build_representation`
+    builds each sbar_k once and hands it to `build_s_matrix`.
 
 Every constructed representation is re-verified against the defining
 relations in exact surd arithmetic; a failure raises with the violated
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import shapes
-from .coeffs import SurdSum, USeries, add_term, as_fraction, linear_fraction_series, sqrt_of_rational
+from .coeffs import SurdSum, USeries, add_term, as_fraction, box_factor, linear_fraction_series, sqrt_of_rational
 from .diagrams import (
     AlgebraElement,
     factor_diagram,
@@ -116,6 +119,8 @@ class RepMatrix:
             self.rows[i].pop(j, None)
 
     def __add__(self, other: RepMatrix) -> RepMatrix:
+        if other.dim != self.dim:
+            raise ValueError(f"cannot add a {other.dim}x{other.dim} matrix to a {self.dim}x{self.dim} one")
         rows = []
         for ra, rb in zip(self.rows, other.rows):
             row = dict(ra)
@@ -137,6 +142,8 @@ class RepMatrix:
         return RepMatrix([{j: a * c for j, a in row.items()} for row in self.rows])
 
     def __mul__(self, other: RepMatrix) -> RepMatrix:
+        if other.dim != self.dim:
+            raise ValueError(f"cannot multiply a {self.dim}x{self.dim} matrix by a {other.dim}x{other.dim} one")
         orows = other.rows
         out = []
         for srow in self.rows:
@@ -282,13 +289,13 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
     return m
 
 
-def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
-    """Matrix of s_k, assembled fiber by fiber (see the module docstring)."""
+def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
+    """Matrix of s_k, assembled fiber by fiber (see the module docstring);
+    ``sbar`` is the matrix of sbar_k that `build_sbar_matrix` returned."""
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
     N = basis.N
     m = RepMatrix.zero(basis.dim)
-    integer_N = N.denominator == 1
     for fiber in basis.fibers(k):
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
@@ -315,48 +322,37 @@ def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
                 m.set(i, j, s)
                 m.set(j, i, s)
         else:
+            # s(i, j) (b_i + b_j) = sbar(i, j) - delta_ij, from the relation
+            # s_k x_k - x_{k+1} s_k = sbar_k - 1 with x_k = b, x_{k+1} = -b
             mu = p0[k - 1]
             bs = [jm_eigenvalue(basis.paths[i], k, N) for i in fiber]
-            diag = [_sbar_diagonal(mu, b, N) for b in bs]
             for a, i in enumerate(fiber):
                 for c, j in enumerate(fiber):
                     denom = bs[a] + bs[c]
-                    if a == c:
-                        sbar_entry = SurdSum.rational(diag[a])
-                        delta = SurdSum.one()
-                    else:
-                        prod = diag[a] * diag[c]
-                        if prod < 0:
-                            raise RepresentationError("negative sbar product")
-                        sbar_entry = sqrt_of_rational(prod)
-                        delta = SurdSum.zero()
                     if denom != 0:
-                        m.set(i, j, (sbar_entry - delta).divide_rational(denom))
-                    else:
-                        # x_k = 0 self-paired branch, legal only for odd
-                        # integer N with associated step diagrams.  The
-                        # diagonal value is forced by the diagonal entry of
-                        # s_k sbar_k = sbar_k on the fiber:
-                        #   s_k(L,L) = 1 - sum_{L'' != L} sbar(L'',L'')/x_k(L'')
-                        path = basis.paths[i]
-                        if not (
-                            a == c
-                            and integer_N
-                            and int(N) % 2 == 1
-                            and are_associated(path[k - 1], path[k], int(N))
-                        ):
-                            raise RepresentationError(
-                                f"zero denominator outside the guarded branch (N={N}, mu={mu})"
-                            )
-                        if any(bs[t] == 0 for t in range(len(fiber)) if t != a):
-                            raise RepresentationError(
-                                f"repeated zero eigenvalue on fiber over {mu} at N={N}"
-                            )
-                        value = Fraction(1) - sum(
-                            (diag[t] / bs[t] for t in range(len(fiber)) if t != a),
-                            Fraction(0),
+                        entry = sbar.entry(i, j)
+                        m.set(i, j, (entry - SurdSum.one() if a == c else entry).divide_rational(denom))
+                        continue
+                    # x_k = 0: the self-paired branch, legal only on the diagonal
+                    # for odd integer N with associated step diagrams, where
+                    # s_k sbar_k = sbar_k forces
+                    #   s_k(L,L) = 1 - sum_{L'' != L} sbar(L'',L'')/x_k(L'')
+                    if not (
+                        a == c
+                        and N.denominator == 1
+                        and int(N) % 2 == 1
+                        and are_associated(mu, basis.paths[i][k], int(N))
+                    ):
+                        raise RepresentationError(
+                            f"zero denominator outside the guarded branch (N={N}, mu={mu})"
                         )
-                        m.set(i, j, SurdSum.rational(value))
+                    others = [t for t in range(len(fiber)) if t != a]
+                    if any(bs[t] == 0 for t in others):
+                        raise RepresentationError(
+                            f"repeated zero eigenvalue on fiber over {mu} at N={N}"
+                        )
+                    value = 1 - sum(sbar.entry(fiber[t], fiber[t]).rational_value() / bs[t] for t in others)
+                    m.set(i, j, SurdSum.rational(value))
     return m
 
 
@@ -372,9 +368,6 @@ def x_matrix(basis: PathBasis, k: int) -> RepMatrix:
 class Representation:
     basis: PathBasis
     matrices: dict[str, RepMatrix]
-
-    def matrix(self, kind: str, k: int) -> RepMatrix:
-        return self.matrices[f"{kind}{k}"]
 
 
 def _relation_matrices(rep: Representation) -> dict[tuple[str, int], RepMatrix]:
@@ -436,8 +429,9 @@ def build_representation(
     basis = PathBasis.build(lam, n, N)
     matrices: dict[str, RepMatrix] = {}
     for k in range(1, n):
-        matrices[f"s{k}"] = build_s_matrix(basis, k)
-        matrices[f"sbar{k}"] = build_sbar_matrix(basis, k)
+        sbar = build_sbar_matrix(basis, k)
+        matrices[f"s{k}"] = build_s_matrix(basis, k, sbar)
+        matrices[f"sbar{k}"] = sbar
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
     rep = Representation(basis, matrices)
@@ -497,7 +491,8 @@ def z_series(mu: Diagram, N: int | Fraction, order: int) -> USeries:
     q = q_series(mu, N, order + 1)
     u_plus_half = USeries([Fraction(1, 2)] + [Fraction(0)] * (order + 1), u_coeff=Fraction(1))
     z = u_plus_half * q - USeries([Fraction(-1, 2)] + [Fraction(0)] * order, u_coeff=Fraction(1))
-    assert z.u_coeff == 0, "leading u terms must cancel"
+    if z.u_coeff != 0:
+        raise AssertionError("leading u terms of Z(mu, u) must cancel")
     return z
 
 
@@ -506,21 +501,13 @@ def central_series(mu: Diagram, N: int | Fraction, order: int) -> CentralSeriesP
     return CentralSeriesPair(mu, N, order, q_series(mu, N, order), z_series(mu, N, order))
 
 
-def _box_factor(a: Fraction, order: int) -> USeries:
-    """((u+a)^2 - 1)/((u-a)^2 - 1) * (u-a)^2/(u+a)^2 as linear fractions."""
-    f = linear_fraction_series(a + 1, a + 1, order)
-    f = f * linear_fraction_series(a - 1, a - 1, order)
-    g = linear_fraction_series(-a, -a, order)
-    return f * g * g
-
-
 def q_series_alt(mu: Diagram, N: int | Fraction, order: int) -> USeries:
     """The box-product form of Q(mu, u) over the contents of mu."""
     N = as_fraction(N)
     h = (N - 1) / 2
     result = linear_fraction_series(h, h, order)
     for a in shapes.a_list(mu, N):
-        result = result * _box_factor(a, order)
+        result = result * box_factor(a, order)
     return result
 
 
@@ -535,7 +522,7 @@ def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction])
         if x == 0:
             # the box factor degenerates to exactly 1
             continue
-        result = result * _box_factor(as_fraction(x), order)
+        result = result * box_factor(as_fraction(x), order)
     return result
 
 

@@ -183,7 +183,8 @@ def b_list(mu: Diagram, N) -> list:
     h = (N - 1) / 2 if not isinstance(N, NPoly) else (N - 1) * Fraction(1, 2)
     values = [h + c for c, _ in add_corners(mu)]
     values += [-h - d for d, _ in remove_corners(mu)]
-    assert len(values) == 2 * distinct_rows(mu) + 1
+    if len(values) != 2 * distinct_rows(mu) + 1:
+        raise AssertionError(f"{len(values)} corner values for {mu}, expected 2l+1")
     return sorted(values, key=_scalar_sort_key)
 
 

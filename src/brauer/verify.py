@@ -98,32 +98,38 @@ REP_SWEEP_N = (2, 3, 4, 5)
 REP_SWEEP_VALUES = (2, 3, 4, 5, 7, 9)
 
 
+def _rep_sweep():
+    """(lam, n, N) for every V(lam, n) of the criteria 3-4 sweep."""
+    for N in REP_SWEEP_VALUES:
+        for n in REP_SWEEP_N:
+            for lam in shapes.enumerate_O(n, N):
+                yield lam, n, N
+
+
 def criterion_3_representations() -> dict:
     """Every V(lam, n), n <= 5, N in {2,3,4,5,7,9}: exact relations, diagonal
     x-action with the content eigenvalues, scalar central sum."""
     t0 = time.perf_counter()
     ok = True
     built = 0
-    for N in REP_SWEEP_VALUES:
-        for n in REP_SWEEP_N:
-            for lam in shapes.enumerate_O(n, N):
-                try:
-                    rep = repform.build_representation(lam, n, N)  # verifies
-                except repform.RepresentationError:
-                    ok = False
-                    continue
-                built += 1
-                basis = rep.basis
-                for k in range(1, n + 1):
-                    expect = [repform.jm_eigenvalue(p, k, basis.N) for p in basis.paths]
-                    if rep.matrices[f"x{k}"] != repform.RepMatrix.diagonal(expect):
-                        ok = False
-                total = repform.RepMatrix.zero(basis.dim)
-                for k in range(1, n + 1):
-                    total = total + rep.matrices[f"x{k}"]
-                c = repform.central_content_eigenvalue(lam, n, basis.N)
-                if total != repform.RepMatrix.identity(basis.dim).scale(c):
-                    ok = False
+    for lam, n, N in _rep_sweep():
+        try:
+            rep = repform.build_representation(lam, n, N)  # verifies
+        except repform.RepresentationError:
+            ok = False
+            continue
+        built += 1
+        basis = rep.basis
+        for k in range(1, n + 1):
+            expect = [repform.jm_eigenvalue(p, k, basis.N) for p in basis.paths]
+            if rep.matrices[f"x{k}"] != repform.RepMatrix.diagonal(expect):
+                ok = False
+        total = repform.RepMatrix.zero(basis.dim)
+        for k in range(1, n + 1):
+            total = total + rep.matrices[f"x{k}"]
+        c = repform.central_content_eigenvalue(lam, n, basis.N)
+        if total != repform.RepMatrix.identity(basis.dim).scale(c):
+            ok = False
     return _result("representations", ok, t0, built=built)
 
 
@@ -133,21 +139,19 @@ def criterion_4_rank_trace() -> dict:
     t0 = time.perf_counter()
     ok = True
     blocks = 0
-    for N in REP_SWEEP_VALUES:
-        for n in REP_SWEEP_N:
-            for lam in shapes.enumerate_O(n, N):
-                basis = repform.PathBasis.build(lam, n, N)
-                for k in range(1, n):
-                    for rep in repform.sbar_fiber_report(basis, k):
-                        blocks += 1
-                        if not (
-                            rep["symmetric"]
-                            and rep["rank_le_1"]
-                            and rep["diag_nonneg"]
-                            and rep["trace"].is_rational()
-                            and rep["trace"].rational_value() == N
-                        ):
-                            ok = False
+    for lam, n, N in _rep_sweep():
+        basis = repform.PathBasis.build(lam, n, N)
+        for k in range(1, n):
+            for block in repform.sbar_fiber_report(basis, k):
+                blocks += 1
+                if not (
+                    block["symmetric"]
+                    and block["rank_le_1"]
+                    and block["diag_nonneg"]
+                    and block["trace"].is_rational()
+                    and block["trace"].rational_value() == N
+                ):
+                    ok = False
     return _result("rank1-traceN", ok, t0, blocks=blocks)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brauer.affine import AffineElement, y_elem
 from brauer.coeffs import (
     NPoly,
     SurdSum,
@@ -258,6 +259,18 @@ def test_useries_u_term_handling():
     assert z.coeffs[1] == Fraction(1)
     with pytest.raises(ValueError):
         upl * upl
+
+
+def test_useries_u_term_over_a_ring_without_int_products():
+    # AffineElements reject 0 * element, so the u term of
+    # (u + 1 + 1/u) * (1 + y/u + 1/u^2) may come from the u-carrying factor only
+    one = AffineElement.one(2)
+    y = y_elem(1, 2)
+    t = USeries([one, one], u_coeff=one)
+    r = USeries([one, y, one])
+    for z in (t * r, r * t):
+        assert z.u_coeff == one
+        assert z.coeffs == (one + y, y + one.scale(2))
 
 
 @settings(max_examples=100, deadline=None)

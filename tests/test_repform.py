@@ -284,6 +284,14 @@ def test_sparse_arithmetic_matches_dense_reference():
         assert outer.rank_at_most_one()
 
 
+def test_dimension_mismatch_raises():
+    for d1, d2 in ((2, 3), (3, 2)):
+        a, b = RepMatrix.identity(d1), RepMatrix.identity(d2)
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError):
+                op(b)
+
+
 @pytest.mark.parametrize("lam, n, Nv", [((1,), 3, 3), ((1,), 3, 5), ((), 4, 3), ((2,), 4, 5)])
 def test_single_entry_corruption_is_caught(lam, n, Nv):
     rep = build_representation(lam, n, Nv)
