@@ -52,6 +52,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _partition(text: str) -> shapes.Diagram:
+    """argparse type for --lambda and --mu: comma-separated parts, weakly
+    decreasing and positive; "" or "0" is the empty diagram."""
+    try:
+        return parse_partition(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _generator_word(text: str) -> list[affine.Atom]:
     """argparse type for `mult --word`: s<k> and sbar<k> tokens only."""
     try:
@@ -107,9 +116,7 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    lam = parse_partition(args.lam)
-    N = args.N
-    paths = shapes.enumerate_paths(lam, args.n, N)
+    paths = shapes.enumerate_paths(args.lam, args.n, args.N)
     data = [shapes.path_to_json(p) for p in paths]
 
     def table(rows):
@@ -121,17 +128,15 @@ def cmd_paths(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    lam = parse_partition(args.lam)
-    rep = repform.build_representation(lam, args.n, args.N, verify=not args.no_verify)
+    rep = repform.build_representation(args.lam, args.n, args.N, verify=not args.no_verify)
     _emit(repform.representation_to_json(rep), args.format)
     return 0
 
 
 def cmd_central(args) -> int:
-    mu = parse_partition(args.mu)
-    pair = repform.central_series(mu, args.N, args.order)
+    pair = repform.central_series(args.mu, args.N, args.order)
     data = {
-        "mu": list(mu),
+        "mu": list(args.mu),
         "N": format_rational(pair.N),
         "order": args.order,
         "Q": [format_rational(c) for c in pair.Q.coeffs],
@@ -238,20 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shapes)
 
     p = sub.add_parser("paths", parents=[common], help="list up-down paths to a diagram")
-    p.add_argument("--lambda", dest="lam", required=True, help='comma list, "" for empty')
+    p.add_argument("--lambda", dest="lam", required=True, type=_partition, help='comma list, "" for empty')
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("rep", parents=[common], help="build a representation in orthogonal form")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", required=True, type=_partition)
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_rational, help="integer or p/q")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_rep)
 
     p = sub.add_parser("central", parents=[common], help="central series Z and Q coefficients")
-    p.add_argument("--mu", required=True)
+    p.add_argument("--mu", required=True, type=_partition)
     p.add_argument("--N", required=True, type=_rational)
     p.add_argument("--order", type=_int_at_least(0), default=8)
     p.set_defaults(fn=cmd_central)

@@ -8,8 +8,10 @@ Four kinds of numbers appear throughout:
     an ``int`` when integral and as a ``Fraction`` only when it is not, and
     ``shift(q)`` multiplies by N^q by moving exponents;
   * ``SurdSum`` -- finite sums ``sum c_r * sqrt(r)`` with c_r rational and
-    r squarefree, the entry type of representation matrices.  The squarefree
-    normal form makes equality of values equality of the coefficient maps;
+    r squarefree, the entry type of representation matrices.  Stored as
+    integer numerators over one positive common denominator, reduced so that
+    their gcd with it is 1; that normal form is unique, so equality of values
+    is equality of numerators and denominator;
   * ``USeries`` -- formal series ``a*u + c_0 + c_1/u + ... + c_K/u^K``
     truncated at order K, with at most one positive power of u.
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -235,12 +239,29 @@ class NPoly:
     # -- specialization and printing
 
     def eval(self, value: int | Fraction) -> Fraction:
-        """Specialize N to a rational value."""
+        """Specialize N to a rational value p/q.
+
+        Horner's rule in integers: with every coefficient a_e/L over the lcm L
+        of their denominators and d the degree, the value is
+        sum_e a_e p^e q^(d-e) / (L q^d), and only that one Fraction is built.
+        """
         v = as_fraction(value)
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * v**e
-        return total
+        coeffs = self.coeffs
+        if not coeffs:
+            return Fraction(0)
+        p, q = v.numerator, v.denominator
+        L = lcm(*(c.denominator for c in coeffs.values() if c.__class__ is Fraction))
+        d = max(coeffs)
+        total = 0
+        q_power = 1
+        for e in range(d, -1, -1):
+            total *= p
+            c = coeffs.get(e)
+            if c is not None:
+                a = c * L if c.__class__ is int else c.numerator * (L // c.denominator)
+                total += a * q_power
+            q_power *= q
+        return Fraction(total, L * (q_power // q))
 
     def sort_key(self) -> tuple:
         return tuple(sorted(self.coeffs.items()))
@@ -426,14 +447,22 @@ def squarefree_decomposition(r: int) -> tuple[int, int]:
 class SurdSum:
     """Exact real number of the form sum c_r * sqrt(r), r squarefree.
 
-    The map radicand -> coefficient is the unique normal form (square roots of
-    distinct squarefree integers are linearly independent over Q), so value
-    equality is map equality.
+    Stored as integer numerators over one common denominator: ``num`` maps
+    each squarefree radicand r to a non-zero ``int`` and ``den`` is a positive
+    ``int``, so the value is sum num[r] * sqrt(r) / den.  In the normal form
+    ``gcd(den, *num.values()) == 1``; zero is ``{}`` over 1.  Square roots of
+    distinct squarefree integers are linearly independent over Q, so the
+    normal form is unique and value equality is equality of the two fields.
+
+    ``__init__``, ``rational``, ``coerce`` and ``sqrt_of_rational`` validate;
+    arithmetic builds its results through the trusted ``_trusted``, which
+    divides out the common gcd.  ``terms`` is a read-only view of the value
+    as radicand -> ``Fraction``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
+    def __init__(self, terms: dict[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         if terms:
             for r, c in terms.items():
@@ -442,58 +471,95 @@ class SurdSum:
                     continue
                 m, s = squarefree_decomposition(r)
                 add_term(clean, s, m * c)
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators have gcd 1
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.num = {r: c.numerator * (den // c.denominator) for r, c in clean.items()}
+        self.den = den
 
     @staticmethod
-    def _trusted(terms: dict[int, Fraction]) -> SurdSum:
-        """Wrap a map already in normal form, without re-reducing it."""
+    def _trusted(num: dict[int, int], den: int) -> SurdSum:
+        """Wrap non-zero int numerators on squarefree radicands over den > 0,
+        dividing out their common gcd."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {r: c // g for r, c in num.items()}
         result = SurdSum.__new__(SurdSum)
-        result.terms = terms
+        result.num = num
+        result.den = den
         return result
 
     @staticmethod
     def zero() -> SurdSum:
-        return SurdSum()
+        return SurdSum._trusted({}, 1)
 
     @staticmethod
     def one() -> SurdSum:
-        return SurdSum({1: Fraction(1)})
+        return SurdSum._trusted({1: 1}, 1)
 
     @staticmethod
     def rational(q: int | Fraction) -> SurdSum:
-        return SurdSum({1: as_fraction(q)})
+        q = as_fraction(q)
+        return SurdSum._trusted({1: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def coerce(x) -> SurdSum:
         if isinstance(x, SurdSum):
             return x
-        return SurdSum.rational(as_fraction(x))
+        return SurdSum.rational(x)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The value as radicand -> non-zero Fraction coefficient."""
+        den = self.den
+        return MappingProxyType({r: Fraction(c, den) for r, c in self.num.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_rational(self) -> bool:
-        return all(r == 1 for r in self.terms)
+        return self.num.keys() <= {1}
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.terms.get(1, Fraction(0))
+        return Fraction(self.num.get(1, 0), self.den)
 
     def __add__(self, other) -> SurdSum:
-        other = SurdSum.coerce(other)
-        out = dict(self.terms)
-        for r, c in other.terms.items():
-            add_term(out, r, c)
-        return SurdSum._trusted(out)
+        if other.__class__ is not SurdSum:
+            other = SurdSum.coerce(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.num)
+            m2 = 1
+        else:
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            out = {r: c * m1 for r, c in self.num.items()}
+            d1 *= m1
+        # add_term inlined (the hot loop)
+        for r, c in other.num.items():
+            c *= m2
+            if r in out:
+                c += out[r]
+                if not c:
+                    del out[r]
+                    continue
+            out[r] = c
+        return SurdSum._trusted(out, d1)
 
     __radd__ = __add__
 
     def __neg__(self) -> SurdSum:
-        return SurdSum._trusted({r: -c for r, c in self.terms.items()})
+        return SurdSum._trusted({r: -c for r, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> SurdSum:
         return self + (-SurdSum.coerce(other))
@@ -504,14 +570,14 @@ class SurdSum:
     def __mul__(self, other) -> SurdSum:
         if other.__class__ is not SurdSum:
             other = SurdSum.coerce(other)
-        out: dict[int, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
+        out: dict[int, int] = {}
+        for r1, c1 in self.num.items():
+            for r2, c2 in other.num.items():
                 c = c1 * c2
                 if r1 == r2:
                     s = 1
                     if r1 != 1:
-                        c = r1 * c
+                        c *= r1
                 elif r1 == 1:
                     s = r2
                 elif r2 == 1:
@@ -519,16 +585,14 @@ class SurdSum:
                 else:
                     m, s = squarefree_decomposition(r1 * r2)
                     if m != 1:
-                        c = m * c
+                        c *= m
                 if s in out:
                     c += out[s]
                     if not c:
                         del out[s]
                         continue
                 out[s] = c
-        result = SurdSum.__new__(SurdSum)
-        result.terms = out
-        return result
+        return SurdSum._trusted(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -536,24 +600,31 @@ class SurdSum:
         q = as_fraction(q)
         if not q:
             raise ZeroDivisionError("division of a SurdSum by zero")
-        return SurdSum._trusted({r: c / q for r, c in self.terms.items()})
+        # self / (a/b) = self * b / a, with the sign of a moved to the numerators
+        a, b = q.numerator, q.denominator
+        if a < 0:
+            a, b = -a, -b
+        return SurdSum._trusted({r: c * b for r, c in self.num.items()}, self.den * a)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SurdSum.rational(as_fraction(other))
-        if not isinstance(other, SurdSum):
-            return NotImplemented
-        return self.terms == other.terms
+        if other.__class__ is not SurdSum:
+            if isinstance(other, (int, Fraction)):
+                other = SurdSum.rational(other)
+            elif not isinstance(other, SurdSum):
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+        # a rational value equals its int or Fraction, so it must hash like it
+        if self.num.keys() <= {1}:
+            return hash(Fraction(self.num.get(1, 0), self.den))
+        return hash((self.den, tuple(sorted(self.num.items()))))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for r in sorted(self.terms):
-            c = self.terms[r]
+        for r, c in sorted(self.terms.items()):
             parts.append(format_rational(c) if r == 1 else f"{format_rational(c)}*sqrt({r})")
         return " + ".join(parts)
 

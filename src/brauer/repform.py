@@ -36,7 +36,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import shapes
-from .coeffs import SurdSum, USeries, add_term, as_fraction, box_factor, linear_fraction_series, sqrt_of_rational
+from .coeffs import (
+    SurdSum,
+    USeries,
+    add_term,
+    as_fraction,
+    box_factor,
+    format_rational,
+    linear_fraction_series,
+    sqrt_of_rational,
+)
 from .diagrams import (
     AlgebraElement,
     factor_diagram,
@@ -567,8 +576,6 @@ def eigenvalue_tuples(lam: Diagram, n: int, N: int | Fraction) -> list[tuple[Fra
 
 
 def surd_to_json(s: SurdSum) -> list[list]:
-    from .coeffs import format_rational
-
     return [[r, format_rational(c)] for r, c in sorted(s.terms.items())]
 
 

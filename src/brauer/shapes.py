@@ -219,4 +219,8 @@ def parse_partition(text: str) -> Diagram:
     text = text.strip()
     if text in ("", "0"):
         return EMPTY
-    return check_diagram(int(p) for p in text.split(","))
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"parts must be comma-separated integers, got {text!r}")
+    return check_diagram(parts)

@@ -254,9 +254,34 @@ def test_word_parsers_exit_0_or_2(command, n, tokens):
 
 
 def test_bad_partition_is_usage_error(capsys):
-    code = main(["paths", "--lambda", "1,2", "--n", "3", "--N", "3"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", "--lambda", "1,2", "--n", "3", "--N", "3"])
+    assert exc.value.code == 2
+    assert "argument --lambda: parts must be weakly decreasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x", "1,,1", "1,2"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rep", "--n", "3", "--N", "3", "--lambda"], "--lambda"),
+        (["paths", "--n", "3", "--N", "3", "--lambda"], "--lambda"),
+        (["central", "--N", "3", "--mu"], "--mu"),
+    ],
+)
+def test_bad_partition_names_the_flag(capsys, argv, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [text])
+    assert exc.value.code == 2
+    assert f"argument {flag}: parts must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "0"])
+def test_empty_partition_spellings(capsys, text):
+    code, out = run(capsys, "central", "--mu", text, "--N", "3", "--order", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["mu"] == []
+    code, out = run(capsys, "paths", "--lambda", text, "--n", "2", "--N", "3", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 1
 
 
 def test_unknown_subcommand_exits_2():

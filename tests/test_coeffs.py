@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from brauer.coeffs import (
     sqrt_of_rational,
     squarefree_decomposition,
 )
+from brauer.repform import surd_from_json, surd_to_json
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=20)
@@ -95,6 +97,27 @@ def test_surd_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == SurdSum.zero()
+
+
+def test_surd_rational_hashes_like_its_value():
+    assert Fraction(3, 2) in {SurdSum.rational(Fraction(3, 2))}
+    assert 0 in {SurdSum.zero()}
+    root3 = SurdSum({3: 1})
+    for x, value in (
+        (SurdSum.rational(Fraction(3, 2)), Fraction(3, 2)),
+        (SurdSum.zero(), 0),
+        (SurdSum.one(), 1),
+        (SurdSum.rational(Fraction(-6, 3)), -2),
+        (SurdSum({4: Fraction(1, 2)}), 1),
+        # rational values that arithmetic produces
+        (root3 * root3.divide_rational(6), Fraction(1, 2)),
+        (root3 - root3, 0),
+        (SurdSum.rational(Fraction(1, 2)) + Fraction(1, 2), 1),
+    ):
+        assert x == value and x == Fraction(value)
+        assert hash(x) == hash(value) == hash(Fraction(value))
+    assert len({SurdSum.rational(2), 2, Fraction(2), SurdSum({4: 1})}) == 1
+    assert root3 != 3 and hash(root3 * 2) == hash(SurdSum({12: 1}))
 
 
 def test_npoly_basics():
@@ -198,6 +221,84 @@ def test_npoly_matches_reference(da, db, k, q):
     for op, (got, want) in results.items():
         assert got.coeffs == want, op
         assert_normal_form(got)
+
+
+# the reference for SurdSum: dict[int, Fraction] on squarefree radicands
+
+
+def ref_surd(d):
+    out = {}
+    for r, c in d.items():
+        m, s = squarefree_decomposition(r)
+        out[s] = out.get(s, Fraction(0)) + m * Fraction(c)
+    return ref_clean(out)
+
+
+def ref_surd_sum(parts):
+    out = {}
+    for part in parts:
+        for r, c in ref_surd(part).items():
+            out[r] = out.get(r, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_surd_mul(a, b):
+    return ref_surd_sum([{r1 * r2: c1 * c2} for r1, c1 in a.items() for r2, c2 in b.items()])
+
+
+def assert_surd_normal_form(x):
+    assert type(x.den) is int and x.den > 0, x.den
+    assert all(type(c) is int and c != 0 for c in x.num.values()), x.num
+    assert all(r > 0 and squarefree_decomposition(r)[0] == 1 for r in x.num), x.num
+    assert gcd(x.den, *x.num.values()) == 1, (x.num, x.den)
+
+
+raw_surd = st.dictionaries(st.integers(min_value=1, max_value=60), mixed_coeffs, max_size=4)
+nonzero_rationals = st.one_of(st.integers(min_value=-30, max_value=30), rationals).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_surd, raw_surd, nonzero_rationals)
+def test_surd_matches_reference(da, db, q):
+    a, b = ref_surd(da), ref_surd(db)
+    x, y = SurdSum(da), SurdSum(db)
+    neg = lambda d: {r: -c for r, c in d.items()}
+    results = {
+        "x": (x, a),
+        "y": (y, b),
+        "+": (x + y, ref_surd_sum([a, b])),
+        "-": (x - y, ref_surd_sum([a, neg(b)])),
+        "*": (x * y, ref_surd_mul(a, b)),
+        "neg": (-x, neg(a)),
+        "/q": (x.divide_rational(q), {r: c / Fraction(q) for r, c in a.items()}),
+    }
+    for c in (3, Fraction(3), Fraction(-5, 6), q):
+        results[f"x*{c!r}"] = (x * c, ref_surd_mul(a, {1: Fraction(c)}))
+        results[f"{c!r}*x"] = (c * x, ref_surd_mul(a, {1: Fraction(c)}))
+        results[f"x+{c!r}"] = (x + c, ref_surd_sum([a, {1: Fraction(c)}]))
+        results[f"x-{c!r}"] = (x - c, ref_surd_sum([a, {1: -Fraction(c)}]))
+        results[f"{c!r}-x"] = (c - x, ref_surd_sum([{1: Fraction(c)}, neg(a)]))
+    for op, (got, want) in results.items():
+        assert dict(got.terms) == want, op
+        assert_surd_normal_form(got)
+        rebuilt = SurdSum(want)
+        assert got == rebuilt and hash(got) == hash(rebuilt), op
+        assert surd_from_json(surd_to_json(got)) == got, op
+        if want.keys() <= {1}:
+            value = want.get(1, Fraction(0))
+            assert got == value and hash(got) == hash(value), op
+        else:
+            assert got != want.get(1, Fraction(0)), op
+    assert (x == y) == (a == b)
+    assert (x - y == 0) == (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=9), mixed_coeffs, max_size=5), mixed_coeffs)
+def test_npoly_eval_matches_reference(d, v):
+    want = sum((Fraction(c) * Fraction(v) ** e for e, c in d.items()), Fraction(0))
+    got = NPoly(d).eval(v)
+    assert type(got) is Fraction and got == want
 
 
 def test_npoly_normal_form_examples():
