@@ -33,7 +33,7 @@ from .repform import (
     q_series_alt,
     z_series,
 )
-from .tensor import TensorOperator, TensorVector, act_bar, act_diagram, act_transposition
+from .tensor import TensorVector, apply_diagram, apply_element
 from .affine import (
     AffineElement,
     HeckeElement,

@@ -55,6 +55,9 @@ from .diagrams import (
 from .shapes import Diagram, Path
 
 
+_ZERO = SurdSum.zero()  # shared: a SurdSum is never changed in place
+
+
 class RepresentationError(ValueError):
     """A constructed matrix violated a defining relation or a guard."""
 
@@ -118,7 +121,7 @@ class RepMatrix:
         return m
 
     def entry(self, i: int, j: int) -> SurdSum:
-        return self.rows[i].get(j) or SurdSum.zero()
+        return self.rows[i].get(j, _ZERO)
 
     def set(self, i: int, j: int, value: SurdSum) -> None:
         """Store value at (i, j); a zero value removes the entry."""
@@ -181,7 +184,7 @@ class RepMatrix:
         return all(a == self.rows[j].get(i) for i, row in enumerate(self.rows) for j, a in row.items())
 
     def trace(self) -> SurdSum:
-        t = SurdSum.zero()
+        t = _ZERO
         for i, row in enumerate(self.rows):
             if i in row:
                 t = t + row[i]
@@ -191,13 +194,12 @@ class RepMatrix:
         """All 2x2 minors vanish; only columns where one of the two rows is
         non-zero can give a non-zero minor."""
         rows = [row for row in self.rows if row]
-        zero = SurdSum.zero()
         for t, ri in enumerate(rows):
             for rj in rows[t + 1 :]:
                 cols = sorted(ri.keys() | rj.keys())
                 for x, a in enumerate(cols):
                     for b in cols[x + 1 :]:
-                        m = ri.get(a, zero) * rj.get(b, zero) - ri.get(b, zero) * rj.get(a, zero)
+                        m = ri.get(a, _ZERO) * rj.get(b, _ZERO) - ri.get(b, _ZERO) * rj.get(a, _ZERO)
                         if m:
                             return False
         return True

@@ -6,22 +6,22 @@ space: transpositions permute factors, bar elements contract-and-expand
 product over its edges: top vertices read the output multi-index, bottom
 vertices the input one.
 
-Everything here is exact.  Vectors carry Fraction amplitudes and operators
-are applied functionally (`act_diagram` is the reference action).  The big
-homomorphism sweeps use scipy sparse matrices over int64, built by numpy
-index arithmetic (entries are 0/1 and products stay far below 2^63, so this
-is exact integer arithmetic).  numpy and scipy are required; there is no
-Fraction fallback for the sweeps.  `centralizer_rank` reads the same index
-arrays and eliminates exactly over Q with Fraction.
+Everything here is exact, and the action is defined once: `_entry_indices`
+lists the (output, input) index pairs of the ones in a diagram's 0/1 matrix
+by numpy index arithmetic.  `apply_diagram` sums Fraction amplitudes of a
+`TensorVector` along those pairs; the homomorphism sweeps use the same pairs
+as scipy sparse int64 matrices (entries are 0/1 and products stay far below
+2^63, so this is exact integer arithmetic).  numpy and scipy are required;
+there is no Fraction fallback for the sweeps.  `centralizer_rank` reads the
+same index arrays and eliminates exactly over Q with Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -31,11 +31,13 @@ from .coeffs import add_term
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
+    bar_transposition,
     compose,
     jucys_murphy,
     random_diagram,
     sbar_diagram,
     s_diagram,
+    transposition,
 )
 
 
@@ -95,108 +97,8 @@ class TensorVector:
         )
 
 
-@dataclass
-class TensorOperator:
-    """A linear map on tensor space, applied functionally."""
-
-    n: int
-    N: int
-    description: str
-    apply: Callable[[TensorVector], TensorVector] = field(repr=False)
-
-    def __call__(self, v: TensorVector) -> TensorVector:
-        if (v.n, v.N) != (self.n, self.N):
-            raise ValueError("vector shape does not match the operator")
-        return self.apply(v)
-
-
-def act_transposition(k: int, l: int, n: int, N: int) -> TensorOperator:
-    """Swap tensor positions k and l (1-based)."""
-    if not 1 <= k < l <= n:
-        raise ValueError("bad transposition indices")
-
-    def apply(v: TensorVector) -> TensorVector:
-        out = TensorVector.zero(n, N)
-        for idx, a in enumerate(v.amps):
-            if not a:
-                continue
-            t = list(index_to_tuple(idx, n, N))
-            t[k - 1], t[l - 1] = t[l - 1], t[k - 1]
-            out.amps[tuple_to_index(tuple(t), N)] += a
-        return out
-
-    return TensorOperator(n, N, f"({k},{l})", apply)
-
-
-def act_bar(k: int, l: int, n: int, N: int) -> TensorOperator:
-    """u(..i_k..i_l..) -> delta(i_k, i_l) * sum_i u(..i..i..)."""
-    if not 1 <= k < l <= n:
-        raise ValueError("bad bar indices")
-
-    def apply(v: TensorVector) -> TensorVector:
-        out = TensorVector.zero(n, N)
-        for idx, a in enumerate(v.amps):
-            if not a:
-                continue
-            t = list(index_to_tuple(idx, n, N))
-            if t[k - 1] != t[l - 1]:
-                continue
-            for i in range(N):
-                t[k - 1] = t[l - 1] = i
-                out.amps[tuple_to_index(tuple(t), N)] += a
-        return out
-
-    return TensorOperator(n, N, f"bar({k},{l})", apply)
-
-
-def act_diagram(g: BrauerDiagram, N: int) -> TensorOperator:
-    """Delta-product action of an arbitrary diagram.
-
-    The matrix entry between output tuple j and input tuple i is the product
-    over edges of the delta of the two incident indices, top vertices reading
-    j and bottom vertices reading i.
-    """
-    n = g.n
-    tops = [(a - 1, b - 1) for a, b in g.top_edges()]
-    bottoms = [(a - 1, b - 1) for a, b in g.bottom_edges()]
-    throughs = [(t - 1, b - 1) for t, b in g.through_edges()]
-
-    def apply(v: TensorVector) -> TensorVector:
-        out = TensorVector.zero(n, N)
-        for idx, amp in enumerate(v.amps):
-            if not amp:
-                continue
-            i = index_to_tuple(idx, n, N)
-            if any(i[a] != i[b] for a, b in bottoms):
-                continue
-            base = [0] * n
-            for t, b in throughs:
-                base[t] = i[b]
-            # each top edge sums over one free index
-            for assign in itertools.product(range(N), repeat=len(tops)):
-                for (a, b), val in zip(tops, assign):
-                    base[a] = base[b] = val
-                out.amps[tuple_to_index(tuple(base), N)] += amp
-        return out
-
-    return TensorOperator(n, N, f"diagram{list(g.edges())}", apply)
-
-
-def act_element(e: AlgebraElement, N: int) -> TensorOperator:
-    """Action of an algebra element with coefficients specialized at N."""
-    parts = [(act_diagram(d, N), c.eval(N)) for d, c in e.terms.items()]
-
-    def apply(v: TensorVector) -> TensorVector:
-        out = TensorVector.zero(e.n, N)
-        for op, c in parts:
-            out = out + op(v).scale(c)
-        return out
-
-    return TensorOperator(e.n, N, "element", apply)
-
-
 # ---------------------------------------------------------------------------
-# sparse exact-integer matrices
+# the action: one list of index pairs per diagram
 
 
 def _entry_indices(g: BrauerDiagram, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +134,34 @@ def diagram_matrix(g: BrauerDiagram, N: int):
     rows, cols = _entry_indices(g, N)
     data = np.ones(len(rows), dtype=np.int64)
     return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+
+
+@lru_cache(maxsize=1024)
+def _action_pairs(g: BrauerDiagram, N: int) -> tuple[tuple[int, int], ...]:
+    """The (output, input) pairs of `_entry_indices` as plain ints."""
+    out, inp = _entry_indices(g, N)
+    return tuple(zip(out.tolist(), inp.tolist()))
+
+
+def apply_diagram(g: BrauerDiagram, N: int, v: TensorVector) -> TensorVector:
+    """g acting on v: each one (o, i) of g's 0/1 matrix adds v[i] to out[o]."""
+    if (v.n, v.N) != (g.n, N):
+        raise ValueError("vector shape does not match the diagram")
+    amps = v.amps
+    out = [Fraction(0)] * len(amps)
+    for o, i in _action_pairs(g, N):
+        a = amps[i]
+        if a:
+            out[o] += a
+    return TensorVector(g.n, N, out)
+
+
+def apply_element(e: AlgebraElement, N: int, v: TensorVector) -> TensorVector:
+    """An algebra element acting on v, its coefficients specialized at N."""
+    out = TensorVector.zero(e.n, N)
+    for d, c in e.terms.items():
+        out = out + apply_diagram(d, N, v).scale(c.eval(N))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +256,8 @@ def jm_sum_apply(v: TensorVector) -> TensorVector:
     out = v.scale(Fraction(n * (N - 1), 2))
     for k in range(2, n + 1):
         for l in range(1, k):
-            out = out + act_transposition(l, k, n, N)(v)
-            out = out - act_bar(l, k, n, N)(v)
+            out = out + apply_diagram(transposition(l, k, n), N, v)
+            out = out - apply_diagram(bar_transposition(l, k, n), N, v)
     return out
 
 
@@ -359,13 +289,12 @@ def predicted_jm_spectrum(k: int, n: int, N: int) -> set[Fraction]:
 def spectrum_annihilation_check(k: int, n: int, N: int, trials: int, rng) -> dict:
     """prod over predicted eigenvalues e of (act(x_k) - e) kills the space."""
     xk = jucys_murphy(k, n)
-    op = act_element(xk, N)
     values = sorted(predicted_jm_spectrum(k, n, N))
     ok = True
     for _ in range(trials):
         v = TensorVector.random(n, N, rng)
         for e in values:
-            v = op(v) - v.scale(e)
+            v = apply_element(xk, N, v) - v.scale(e)
         if not v.is_zero():
             ok = False
             break

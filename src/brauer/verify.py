@@ -7,6 +7,7 @@ check inside is exact (no tolerances anywhere).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -237,8 +238,6 @@ def criterion_6_tensor(trials: int = 100, seed: int | None = None) -> dict:
             ok = ok and rank == expect
             # the injective regime reaches the full dimension
             if N >= n:
-                import math
-
                 ok = ok and rank == math.prod(range(1, 2 * n, 2))
     for n in (1, 2, 3):
         for N in (2, 3):

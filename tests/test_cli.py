@@ -130,6 +130,14 @@ def test_oracle(capsys):
     assert json.loads(out)[0]["ok"]
 
 
+def test_oracle_all_suites(capsys):
+    code, out = run(capsys, "oracle", "--n", "3", "--N", "2", "--suite", "all", "--trials", "3", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [e["suite"] for e in report] == ["hom", "rank", "casimir", "spectrum"]
+    assert all(e["ok"] for e in report)
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -2,14 +2,22 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from brauer import shapes
-from brauer.diagrams import all_diagrams, compose, factor_diagram, random_diagram, _token_diagram
+from brauer.diagrams import (
+    all_diagrams,
+    bar_transposition,
+    compose,
+    factor_diagram,
+    random_diagram,
+    transposition,
+    _token_diagram,
+)
 from brauer.tensor import (
     TensorVector,
-    act_bar,
-    act_diagram,
-    act_element,
-    act_transposition,
+    apply_diagram,
+    apply_element,
     casimir_apply,
     casimir_check,
     centralizer_rank,
@@ -22,6 +30,33 @@ from brauer.tensor import (
 )
 
 
+def _delta_action(g, N, v):
+    """Reference action, independent of the index arithmetic: the entry
+    between output tuple j and input tuple i is the product over edges of the
+    delta of the two incident indices, top vertices reading j and bottom
+    vertices reading i."""
+    n = g.n
+    tops = [(a - 1, b - 1) for a, b in g.top_edges()]
+    bottoms = [(a - 1, b - 1) for a, b in g.bottom_edges()]
+    throughs = [(t - 1, b - 1) for t, b in g.through_edges()]
+    out = TensorVector.zero(n, N)
+    for idx, amp in enumerate(v.amps):
+        if not amp:
+            continue
+        i = index_to_tuple(idx, n, N)
+        if any(i[a] != i[b] for a, b in bottoms):
+            continue
+        base = [0] * n
+        for t, b in throughs:
+            base[t] = i[b]
+        # each top edge sums over one free index
+        for assign in itertools.product(range(N), repeat=len(tops)):
+            for (a, b), val in zip(tops, assign):
+                base[a] = base[b] = val
+            out.amps[tuple_to_index(tuple(base), N)] += amp
+    return out
+
+
 def test_index_arithmetic():
     for t in itertools.product(range(3), repeat=3):
         assert index_to_tuple(tuple_to_index(t, 3), 3, 3) == t
@@ -29,39 +64,41 @@ def test_index_arithmetic():
 
 def test_action_examples():
     # bar(1,2) on u(1,1) -> u(1,1) + u(2,2)
+    bar, swap = bar_transposition(1, 2, 2), transposition(1, 2, 2)
     v = TensorVector.basis_vector((0, 0), 2)
-    out = act_bar(1, 2, 2, 2)(v)
+    out = apply_diagram(bar, 2, v)
     assert out == TensorVector.basis_vector((0, 0), 2) + TensorVector.basis_vector((1, 1), 2)
     # transposition swaps
     v = TensorVector.basis_vector((0, 1), 2)
-    assert act_transposition(1, 2, 2, 2)(v) == TensorVector.basis_vector((1, 0), 2)
+    assert apply_diagram(swap, 2, v) == TensorVector.basis_vector((1, 0), 2)
     # delta kills mixed indices
-    assert act_bar(1, 2, 2, 2)(v).is_zero()
+    assert apply_diagram(bar, 2, v).is_zero()
+    with pytest.raises(ValueError):
+        apply_diagram(bar, 3, v)
 
 
 def test_act_diagram_against_factorizations():
     # the delta-product rule agrees with generator factorizations on all of B(3)
     n, N = 3, 2
     for g in all_diagrams(n):
-        ops = [act_diagram(_token_diagram(t, n), N) for t in factor_diagram(g)]
-        direct = act_diagram(g, N)
+        factors = [_token_diagram(t, n) for t in factor_diagram(g)]
         for t in itertools.product(range(N), repeat=n):
             e = TensorVector.basis_vector(t, N)
             acc = e
-            for op in reversed(ops):
-                acc = op(acc)
-            assert acc == direct(e)
+            for f in reversed(factors):
+                acc = apply_diagram(f, N, acc)
+            assert acc == apply_diagram(g, N, e) == _delta_action(g, N, e)
 
 
 def test_identity_and_permutation_actions():
     from brauer.diagrams import BrauerDiagram, from_permutation
 
     v = TensorVector.random(3, 2, random.Random(0))
-    assert act_diagram(BrauerDiagram.identity(3), 2)(v) == v
+    assert apply_diagram(BrauerDiagram.identity(3), 2, v) == v
     p = (1, 2, 0)
-    op = act_diagram(from_permutation(p), 2)
+    g = from_permutation(p)
     for t in itertools.product(range(2), repeat=3):
-        out = op(TensorVector.basis_vector(t, 2))
+        out = apply_diagram(g, 2, TensorVector.basis_vector(t, 2))
         # the permutation diagram sends u(i_1,i_2,i_3) to u(i_{p^-1(k)})
         expect = tuple(t[p.index(k)] for k in range(3))
         assert out == TensorVector.basis_vector(expect, 2)
@@ -69,15 +106,15 @@ def test_identity_and_permutation_actions():
 
 def test_linearity_spot_check():
     rng = random.Random(2)
-    op = act_diagram(random_diagram(3, rng), 2)
+    g = random_diagram(3, rng)
     a, b = TensorVector.random(3, 2, rng), TensorVector.random(3, 2, rng)
-    assert op(a + b) == op(a) + op(b)
-    assert op(a.scale(Fraction(3, 7))) == op(a).scale(Fraction(3, 7))
+    assert apply_diagram(g, 2, a + b) == apply_diagram(g, 2, a) + apply_diagram(g, 2, b)
+    assert apply_diagram(g, 2, a.scale(Fraction(3, 7))) == apply_diagram(g, 2, a).scale(Fraction(3, 7))
 
 
 def test_sparse_matrix_matches_functional():
-    # the index-arithmetic matrices against the functional reference action,
-    # on every (n, N) with N^n <= 64, N = 1 and n = 1 included
+    # the index-arithmetic matrices and vector action against the functional
+    # reference action, on every (n, N) with N^n <= 64, N = 1 and n = 1 included
     import numpy as np
 
     rng = random.Random(4)
@@ -85,11 +122,11 @@ def test_sparse_matrix_matches_functional():
     for n, N in grid:
         for g in {random_diagram(n, rng) for _ in range(5)}:
             m = diagram_matrix(g, N)
-            op = act_diagram(g, N)
             dense = np.zeros((N**n, N**n), dtype=int)
             for col in range(N**n):
                 e = TensorVector.basis_vector(index_to_tuple(col, n, N), N)
-                out = op(e)
+                out = _delta_action(g, N, e)
+                assert apply_diagram(g, N, e) == out
                 for row, amp in enumerate(out.amps):
                     dense[row, col] = int(amp)
             assert m.dtype == np.int64 and m.nnz == N**n
@@ -109,10 +146,10 @@ def test_homomorphism_example_pair():
     g = sbar_diagram(1, 2)
     _, loops = compose(g, g)
     assert loops == 1
-    op = act_diagram(g, 3)
     for t in itertools.product(range(3), repeat=2):
         e = TensorVector.basis_vector(t, 3)
-        assert op(op(e)) == op(e).scale(Fraction(3))
+        once = apply_diagram(g, 3, e)
+        assert apply_diagram(g, 3, once) == once.scale(Fraction(3))
 
 
 def test_centralizer_ranks():
@@ -153,8 +190,8 @@ def test_act_element_matches_sum():
 
     rng = random.Random(19)
     v = TensorVector.random(3, 2, rng)
-    op = act_element(jucys_murphy(3, 3), 2)
     direct = v.scale(Fraction(1, 2))
-    direct = direct + act_transposition(1, 3, 3, 2)(v) - act_bar(1, 3, 3, 2)(v)
-    direct = direct + act_transposition(2, 3, 3, 2)(v) - act_bar(2, 3, 3, 2)(v)
-    assert op(v) == direct
+    for l in (1, 2):
+        direct = direct + apply_diagram(transposition(l, 3, 3), 2, v)
+        direct = direct - apply_diagram(bar_transposition(l, 3, 3), 2, v)
+    assert apply_element(jucys_murphy(3, 3), 2, v) == direct
