@@ -62,6 +62,7 @@ from .diagrams import (
     BrauerDiagram,
     compose,
     compose_chain,
+    diagram_to_json,
     factor_diagram,
     jucys_murphy,
     multiply,
@@ -845,8 +846,6 @@ def format_monomial(t: RegularMonomial) -> str:
 
 
 def monomial_to_json(t: RegularMonomial) -> dict:
-    from .diagrams import diagram_to_json
-
     return {
         "left": list(t.left),
         "diagram": diagram_to_json(t.diagram),

@@ -736,15 +736,6 @@ class USeries:
     def __hash__(self):
         return hash((self.order, self.u_coeff, self.coeffs))
 
-    def agrees_with(self, other: USeries, order: int | None = None) -> bool:
-        """Coefficientwise equality through the given (or common) order."""
-        k = min(self.order, other.order) if order is None else order
-        if k > min(self.order, other.order):
-            raise ValueError("comparison order exceeds a truncation order")
-        return self.u_coeff == other.u_coeff and all(
-            self.coeffs[i] == other.coeffs[i] for i in range(k + 1)
-        )
-
     def __repr__(self) -> str:
         return f"USeries(u_coeff={self.u_coeff}, coeffs={list(self.coeffs)})"
 

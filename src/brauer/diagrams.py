@@ -306,16 +306,13 @@ def restrict(b: AlgebraElement, m: int) -> AlgebraElement:
     return AlgebraElement(m, out)
 
 
-def partial_closure(b: AlgebraElement, k: int | None = None) -> AlgebraElement:
-    """The conditional expectation B(k) -> B(k-1): close strand k.
+def partial_closure(b: AlgebraElement) -> AlgebraElement:
+    """The conditional expectation B(k) -> B(k-1) with k = b.n: close strand k.
 
     Joining top k to bottom k-bar of each diagram either creates a loop
     (factor N) or reroutes one edge; the map commutes with multiplication by
-    B(k-1) on both sides.  An element of a larger algebra is accepted when
-    it is supported in the embedded B(k) (vertical strands beyond k).
+    B(k-1) on both sides.
     """
-    if k is not None and k != b.n:
-        b = restrict(b, k)
     k = b.n
     if k < 1:
         raise ValueError("nothing to close")

@@ -31,6 +31,7 @@ from .coeffs import add_term
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
+    all_diagrams,
     bar_transposition,
     compose,
     jucys_murphy,
@@ -39,6 +40,7 @@ from .diagrams import (
     s_diagram,
     transposition,
 )
+from .repform import jm_eigenvalue
 
 
 def tuple_to_index(t: tuple[int, ...], N: int) -> int:
@@ -77,10 +79,16 @@ class TensorVector:
     def random(n: int, N: int, rng) -> TensorVector:
         return TensorVector(n, N, [Fraction(rng.randint(-4, 4)) for _ in range(N**n)])
 
+    def _same_shape(self, other: TensorVector) -> None:
+        if (self.n, self.N) != (other.n, other.N):
+            raise ValueError("vector shapes do not match")
+
     def __add__(self, other: TensorVector) -> TensorVector:
+        self._same_shape(other)
         return TensorVector(self.n, self.N, [a + b for a, b in zip(self.amps, other.amps)])
 
     def __sub__(self, other: TensorVector) -> TensorVector:
+        self._same_shape(other)
         return TensorVector(self.n, self.N, [a - b for a, b in zip(self.amps, other.amps)])
 
     def scale(self, c: Fraction) -> TensorVector:
@@ -198,8 +206,6 @@ def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
 def centralizer_rank(n: int, N: int) -> int:
     """Rank over Q of the span of the diagram actions, by exact elimination."""
     dim = N**n
-    from .diagrams import all_diagrams
-
     pivots: dict[int, dict[int, Fraction]] = {}
     rank = 0
     for g in all_diagrams(n):
@@ -277,8 +283,6 @@ def casimir_check(n: int, N: int, trials: int, rng) -> dict:
 
 def predicted_jm_spectrum(k: int, n: int, N: int) -> set[Fraction]:
     """All +/-((N-1)/2 + content) values reachable at level k."""
-    from .repform import jm_eigenvalue
-
     values: set[Fraction] = set()
     for lam in shapes.enumerate_O(k, N):
         for path in shapes.enumerate_paths(lam, k, N):

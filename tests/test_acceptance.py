@@ -18,13 +18,13 @@ def _report(rep):
 
 def test_criterion_1_presentation():
     # the defining relations, exact polynomial identities, n <= 6
-    _report(verify.criterion_1_presentation(max_n=6))
+    _report(verify.criterion_1_presentation())
 
 
 def test_criterion_2_jucys_murphy():
     # commutativity, mixed relations, odd central power sums (i <= 5),
     # conditional-expectation recurrence (odd i <= 5, k <= 4), N symbolic
-    _report(verify.criterion_2_jucys_murphy(max_n=4))
+    _report(verify.criterion_2_jucys_murphy())
 
 
 def test_criterion_3_representations():
@@ -48,13 +48,13 @@ def test_criterion_5_series():
 def test_criterion_6_tensor_oracle():
     # homomorphism property over the full N^n <= 4096 grid, centralizer
     # ranks versus path counts, Casimir agreement
-    _report(verify.criterion_6_tensor(trials=100))
+    _report(verify.criterion_6_tensor())
 
 
 def test_criterion_7_separation():
     # eigenvalue tuples pairwise distinct when N odd or N >= 2n-1 (n <= 5),
     # plus an explicit even-N counterexample
-    rep = verify.criterion_7_separation(max_n=5)
+    rep = verify.criterion_7_separation()
     assert rep["details"]["counterexample"] is not None
     _report(rep)
 

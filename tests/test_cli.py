@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brauer import verify
+import brauer
+from brauer import affine, verify
 from brauer.cli import main
-from brauer.diagrams import element_from_json, jucys_murphy, element_to_json
+from brauer.diagrams import AlgebraElement, element_from_json, jucys_murphy, element_to_json
 
 
 def run(capsys, *argv):
@@ -301,3 +307,64 @@ def test_unknown_subcommand_exits_2():
 def test_element_json_roundtrip_through_cli_format():
     e = jucys_murphy(2, 2)
     assert element_from_json(json.loads(json.dumps(element_to_json(e))), 2) == e
+
+
+def _readme_commands():
+    """The `brauer ...` lines of the README's "Command line" block, split as a shell would."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("brauer ")]
+
+
+def test_readme_command_lines_exit_0(capsys):
+    commands = _readme_commands()
+    # verify-all's criteria run one by one in tests/test_acceptance.py
+    skipped = {argv[0] for argv in commands if argv[0] == "verify-all"}
+    assert skipped == {"verify-all"}
+    for argv in commands:
+        if argv[0] not in skipped:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_affine_check_runs_only_the_named_suite(capsys, monkeypatch):
+    monkeypatch.setattr(affine, "pi_m", lambda a, m: AlgebraElement.zero(a.n + m))
+    code, out = run(capsys, "affine", "check", "--suite", "hecke", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] and set(data) == {"ok", "seconds", "hecke_checks"}
+    code, out = run(capsys, "affine", "check", "--suite", "pi", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and not data["ok"] and set(data) == {"ok", "seconds", "words", "faithful_monomials"}
+
+
+_PROBE = """
+import sys
+import brauer
+from brauer.cli import main
+argv = sys.argv[1:]
+if argv:
+    assert main(argv) == 0, argv
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["mult", "--n", "2", "--word", "s1"], []),
+        (["rep", "--lambda", "2,1", "--n", "5", "--N", "3"], []),
+        (["central", "--mu", "1", "--N", "3", "--order", "2"], []),
+        (["affine", "nf", "--n", "2", "--word", "y1"], []),
+        (["oracle", "--n", "2", "--N", "2", "--trials", "1"], ["numpy", "scipy"]),
+    ],
+    ids=["import", "mult", "rep", "central", "affine-nf", "oracle"],
+)
+def test_numpy_and_scipy_load_only_with_the_oracle(argv, loaded):
+    src = str(pathlib.Path(brauer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)

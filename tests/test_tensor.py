@@ -77,6 +77,16 @@ def test_action_examples():
         apply_diagram(bar, 3, v)
 
 
+def test_vector_arithmetic_rejects_mismatched_shapes():
+    v = TensorVector.basis_vector((0, 1), 2)
+    for other in (TensorVector.basis_vector((1, 1, 1), 2), TensorVector.basis_vector((1, 1), 3)):
+        with pytest.raises(ValueError):
+            v + other
+        with pytest.raises(ValueError):
+            v - other
+    assert (v - v).is_zero() and (v + v) == v.scale(Fraction(2))
+
+
 def test_act_diagram_against_factorizations():
     # the delta-product rule agrees with generator factorizations on all of B(3)
     n, N = 3, 2
