@@ -80,6 +80,29 @@ def add_term(terms: dict, key, value) -> None:
 # polynomials in the formal parameter N
 
 
+def _mul_into(out: dict, a: dict, b: dict, q: int = 0) -> None:
+    """``out += a * b * N^q`` on NPoly coefficient maps, keeping ``out`` in
+    NPoly's normal form: no zeros, an int for every integral coefficient.
+
+    The one product rule of NPoly; ``multiply`` in B(n, N) sums a whole
+    product's terms into one such map per output diagram and wraps it once.
+    """
+    # add_term inlined (the hot loop)
+    for e1, c1 in a.items():
+        e1 += q
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c = c1 * c2
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[e] = c
+
+
 class NPoly:
     """Polynomial in the formal symbol N over the rationals.
 
@@ -185,20 +208,7 @@ class NPoly:
         if other.__class__ is not NPoly:
             other = NPoly.coerce(other)
         out: dict[int, int | Fraction] = {}
-        # add_term inlined; an integral Fraction product becomes an int below
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                c = c1 * c2
-                if e in out:
-                    c += out[e]
-                    if not c:
-                        del out[e]
-                        continue
-                out[e] = c
-        for e, c in out.items():
-            if c.__class__ is Fraction and c.denominator == 1:
-                out[e] = c.numerator
+        _mul_into(out, self.coeffs, other.coeffs)
         return NPoly._trusted(out)
 
     __rmul__ = __mul__

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import _kernel
-from .coeffs import Combination, NPoly, add_term, n_minus_1_half
+from .coeffs import Combination, NPoly, _mul_into, add_term, n_minus_1_half
 
 KERNEL_BACKEND = "python"  # the only backend; benchmark reports print it
 
@@ -119,7 +119,12 @@ def _trusted_diagram(n: int, pairing: tuple[int, ...]) -> BrauerDiagram:
     return d
 
 
-@lru_cache(maxsize=1 << 18)
+# Bounded on purpose: dense products at n >= 6 rarely repeat a pair, and a
+# memo that only grows adds to RSS and is walked again by every full GC pass.
+# 1 << 13 holds every (diagram, generator) pair of B(5) (945 diagrams x 8
+# generators = 7,560), the reuse the affine engine and the relation checks
+# have at n <= 5.
+@lru_cache(maxsize=1 << 13)
 def _compose_cached(p1: tuple[int, ...], p2: tuple[int, ...], n: int) -> tuple[BrauerDiagram, int]:
     pairing, loops = _kernel.compose_pairings(p1, p2, n)
     return _trusted_diagram(n, pairing), loops
@@ -236,8 +241,12 @@ class AlgebraElement(Combination):
 
     def power(self, k: int) -> AlgebraElement:
         # repeated multiplication in the diagram basis; desk-scale sizes
-        result = AlgebraElement.one(self.n)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("negative power of an AlgebraElement")
+        if k == 0:
+            return AlgebraElement.one(self.n)
+        result = self
+        for _ in range(k - 1):
             result = multiply(result, self)
         return result
 
@@ -253,12 +262,19 @@ class AlgebraElement(Combination):
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; each loop contributes N."""
     a._check_compatible(b)
-    out: dict[BrauerDiagram, NPoly] = {}
+    n = a.n
+    right = [(d2.pairing, c2.coeffs) for d2, c2 in b.terms.items()]
+    # one raw coefficient map per output diagram, wrapped once at the end
+    raw: dict[BrauerDiagram, dict] = {}
     for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
-            d, loops = compose(d1, d2)
-            add_term(out, d, (c1 * c2).shift(loops))
-    return AlgebraElement._trusted(a.n, out)
+        p1, m1 = d1.pairing, c1.coeffs
+        for p2, m2 in right:
+            d, loops = _compose_cached(p1, p2, n)
+            acc = raw.get(d)
+            if acc is None:
+                acc = raw[d] = {}
+            _mul_into(acc, m1, m2, loops)
+    return AlgebraElement._trusted(n, {d: NPoly._trusted(m) for d, m in raw.items() if m})
 
 
 def s_elem(k: int, n: int) -> AlgebraElement:

@@ -315,6 +315,20 @@ def test_npoly_normal_form_examples():
     for p in (half * 2, half + half, half * half * 4, NPoly({0: Fraction(4, 2)}), NPoly.const(True),
               NPoly.from_string("2/2*N - 4/2")):
         assert all(type(c) is int for c in p.coeffs.values()), p.coeffs
+    # a product whose Fraction terms sum to ints and to zero
+    p = NPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    for q, coeffs, text in (
+        (NPoly({0: 1, 1: 1}), {0: Fraction(1, 2), 1: 1, 2: Fraction(1, 2)}, "1/2*N^2 + N + 1/2"),
+        (NPoly({0: 2, 1: -2}), {0: 1, 2: -1}, "-N^2 + 1"),
+        (NPoly.const(2), {0: 1, 1: 1}, "N + 1"),
+    ):
+        got = p * q
+        assert got.coeffs == coeffs
+        assert all(type(c) is int for c in got.coeffs.values() if c.denominator == 1), got.coeffs
+        assert got == NPoly.from_string(text) and hash(got) == hash(NPoly.from_string(text))
+    for got, value in ((NPoly.const(Fraction(1, 2)) * 2, 1), (p * 0, 0)):
+        assert got == value and hash(got) == hash(value)
+        assert all(type(c) is int for c in got.coeffs.values())
     with pytest.raises(TypeError):
         NPoly({0: 0.5})
     with pytest.raises(ValueError):

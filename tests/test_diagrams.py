@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from brauer import _kernel
 from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.diagrams import (
     AlgebraElement,
@@ -30,6 +32,7 @@ from brauer.diagrams import (
     verify_jm_relations,
     verify_presentation,
     z_element,
+    _compose_cached,
     _token_diagram,
 )
 
@@ -60,6 +63,55 @@ def test_multiply_examples():
     assert multiply(sbar_elem(1, 2), sbar_elem(1, 2)) == sbar_elem(1, 2).scale(N)
     x2, x3 = jucys_murphy(2, 3), jucys_murphy(3, 3)
     assert multiply(x2, x3) - multiply(x3, x2) == AlgebraElement.zero(3)
+
+
+def _random_element(n: int, terms: int, rng: random.Random) -> AlgebraElement:
+    coeffs = (Fraction(-3, 2), Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
+    out = {}
+    while len(out) < terms:
+        c = NPoly({0: rng.choice(coeffs), 1: rng.choice(coeffs)})
+        if c:
+            out[random_diagram(n, rng)] = c
+    return AlgebraElement(n, out)
+
+
+def _reference_product(a: AlgebraElement, b: AlgebraElement) -> dict:
+    """The product straight from the kernel, summed in plain NPoly arithmetic."""
+    out = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            pairing, loops = _kernel.compose_pairings(d1.pairing, d2.pairing, a.n)
+            d = BrauerDiagram(a.n, pairing)
+            out[d] = out.get(d, NPoly.zero()) + c1 * c2 * N**loops
+    return {d: c for d, c in out.items() if c}
+
+
+def test_multiply_does_not_depend_on_memo_state():
+    rng = random.Random(12)
+    a, b = _random_element(6, 100, rng), _random_element(6, 100, rng)
+    want = _reference_product(a, b)
+    _compose_cached.cache_clear()
+    cold = multiply(a, b)
+    info = _compose_cached.cache_info()
+    # one product makes more compositions than the memo holds, so it evicts
+    assert info.hits + info.misses == 10_000 > info.maxsize == info.currsize
+    warm = multiply(a, b)
+    assert _compose_cached.cache_info().misses > info.misses
+    for got in (cold, warm):
+        assert got.terms == want
+        # normal form: no zero coefficient, an int wherever it is integral
+        assert all(c and type(c) is NPoly for c in got.terms.values())
+        assert all(type(x) is int for c in got.terms.values() for x in c.coeffs.values() if x.denominator == 1)
+    assert cold == warm
+
+
+def test_power():
+    x = jucys_murphy(2, 3)
+    with pytest.raises(ValueError):
+        x.power(-1)
+    assert x.power(0) == AlgebraElement.one(3)
+    assert x.power(1) == x
+    assert x.power(3) == multiply(multiply(x, x), x)
 
 
 def test_distinguished_diagrams():
