@@ -8,17 +8,22 @@ vertices the input one.
 
 Everything here is exact, and the action is defined once: `_entry_indices`
 lists the (output, input) index pairs of the ones in a diagram's 0/1 matrix
-by numpy index arithmetic.  `apply_diagram` sums Fraction amplitudes of a
-`TensorVector` along those pairs; the homomorphism sweeps use the same pairs
-as scipy sparse int64 matrices (entries are 0/1 and products stay far below
-2^63, so this is exact integer arithmetic).  numpy and scipy are required;
-there is no Fraction fallback for the sweeps.  `centralizer_rank` reads the
-same index arrays and eliminates exactly over Q with Fraction.
+by numpy index arithmetic, already in canonical CSR order (outputs
+ascending, inputs ascending within each output, no duplicates).
+`apply_diagram` sums Fraction amplitudes of a `TensorVector` along those
+pairs; `diagram_matrix` wraps the same pairs as a scipy CSR int64 matrix
+without a COO step or a sort (entries are 0/1 and products stay far below
+2^63, so this is exact integer arithmetic).  The homomorphism sweep compares
+the structure of a product with that of the composite's matrix.  numpy and
+scipy are required; there is no Fraction fallback for the sweeps.
+`centralizer_rank` reads the same index arrays and eliminates integer rows,
+which gives the rank over Q.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,30 +123,54 @@ def _entry_indices(g: BrauerDiagram, N: int) -> tuple[np.ndarray, np.ndarray]:
     stride[t] and stride[b], a top edge (a, b) has stride[a] + stride[b] and
     0, a bottom edge 0 and stride[a] + stride[b].  Distinct label
     assignments give distinct (out, in) pairs, so there are exactly N**n.
+
+    The label axes are ordered so that `np.indices` lists the pairs in
+    canonical CSR order: through and top edges first, by their leftmost top
+    vertex, then bottom edges, by their leftmost bottom vertex.  Every top
+    position takes the label of one edge of the first group, so the output
+    digits read left to right are those labels in axis order and the outputs
+    ascend; for a fixed output the inputs ascend the same way with the
+    bottom edges' labels.
     """
-    n = g.n
+    n, pairing = g.n, g.pairing
     stride = [N ** (n - 1 - p) for p in range(n)]
     w_out, w_in = [], []
-    for t, b in g.through_edges():
-        w_out.append(stride[t - 1])
-        w_in.append(stride[b - 1])
-    for a, b in g.top_edges():
-        w_out.append(stride[a - 1] + stride[b - 1])
-        w_in.append(0)
-    for a, b in g.bottom_edges():
-        w_out.append(0)
-        w_in.append(stride[a - 1] + stride[b - 1])
-    labels = np.indices((N,) * len(w_out), dtype=np.int64).reshape(len(w_out), -1)
+    for v in range(n):
+        w = pairing[v]
+        if w >= n:  # through edge
+            w_out.append(stride[v])
+            w_in.append(stride[w - n])
+        elif w > v:  # top edge
+            w_out.append(stride[v] + stride[w])
+            w_in.append(0)
+    for v in range(n, 2 * n):
+        w = pairing[v]
+        if w > v:  # bottom edge
+            w_out.append(0)
+            w_in.append(stride[v - n] + stride[w - n])
+    labels = np.indices((N,) * n, dtype=np.int64).reshape(n, -1)
     return np.array(w_out, dtype=np.int64) @ labels, np.array(w_in, dtype=np.int64) @ labels
 
 
-@lru_cache(maxsize=4096)
+# One (n, N) point of the homomorphism sweep uses far fewer matrices than
+# this, and a sweep never returns to an earlier point, so a larger memo only
+# holds dead matrices.
+@lru_cache(maxsize=1 << 10)
 def diagram_matrix(g: BrauerDiagram, N: int):
-    """scipy CSR int64 matrix of the diagram action (exact integers)."""
+    """scipy CSR int64 matrix of the diagram action (exact integers).
+
+    `_entry_indices` lists the ones in canonical CSR order, so the row
+    pointers are the cumulative row counts and no COO step or sort is needed.
+    """
     dim = N**g.n
     rows, cols = _entry_indices(g, N)
-    data = np.ones(len(rows), dtype=np.int64)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+    # scipy's own choice for this shape and nnz = dim; given up front, it
+    # spares the constructor a scan of both arrays
+    idx = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    data = np.ones(dim, dtype=np.int64)
+    return sparse.csr_matrix((data, cols.astype(idx), indptr), shape=(dim, dim))
 
 
 @lru_cache(maxsize=1024)
@@ -151,16 +180,21 @@ def _action_pairs(g: BrauerDiagram, N: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(out.tolist(), inp.tolist()))
 
 
-def apply_diagram(g: BrauerDiagram, N: int, v: TensorVector) -> TensorVector:
-    """g acting on v: each one (o, i) of g's 0/1 matrix adds v[i] to out[o]."""
-    if (v.n, v.N) != (g.n, N):
-        raise ValueError("vector shape does not match the diagram")
-    amps = v.amps
-    out = [Fraction(0)] * len(amps)
+def _act_into(out: list[Fraction], g: BrauerDiagram, N: int, amps: list[Fraction], sign: int = 1) -> None:
+    """out += sign * (g acting on amps): each one (o, i) of g's 0/1 matrix
+    adds amps[i] to out[o]."""
     for o, i in _action_pairs(g, N):
         a = amps[i]
         if a:
-            out[o] += a
+            out[o] += a if sign > 0 else -a
+
+
+def apply_diagram(g: BrauerDiagram, N: int, v: TensorVector) -> TensorVector:
+    """g acting on v, along the ones of g's 0/1 matrix."""
+    if (v.n, v.N) != (g.n, N):
+        raise ValueError("vector shape does not match the diagram")
+    out = [Fraction(0)] * len(v.amps)
+    _act_into(out, g, N, v.amps)
     return TensorVector(g.n, N, out)
 
 
@@ -177,10 +211,22 @@ def apply_element(e: AlgebraElement, N: int, v: TensorVector) -> TensorVector:
 
 
 def _homomorphism_pair_ok(g1: BrauerDiagram, g2: BrauerDiagram, N: int) -> bool:
-    """act(g1) . act(g2) == N^q act(g1 o g2), exactly."""
+    """act(g1) . act(g2) == N^q act(g1 o g2), exactly.
+
+    Compared by structure: the product, summed to canonical form, must have
+    the composite's canonical row pointers and column indices, and every
+    entry must be N^q.  Entries are positive, so a product has no cancelled
+    zeros and this is the matrix identity.
+    """
     prod, loops = compose(g1, g2)
-    diff = diagram_matrix(g1, N) @ diagram_matrix(g2, N) - N**loops * diagram_matrix(prod, N)
-    return not diff.data.any()
+    p = diagram_matrix(g1, N) @ diagram_matrix(g2, N)
+    p.sum_duplicates()
+    c = diagram_matrix(prod, N)
+    return (
+        np.array_equal(p.indptr, c.indptr)
+        and np.array_equal(p.indices, c.indices)
+        and bool((p.data == N**loops).all())
+    )
 
 
 def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
@@ -204,67 +250,74 @@ def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
 
 
 def centralizer_rank(n: int, N: int) -> int:
-    """Rank over Q of the span of the diagram actions, by exact elimination."""
+    """Rank over Q of the span of the diagram actions, by integer elimination.
+
+    Against a pivot p with lead entry a, a row r becomes a*r - r[lead]*p and
+    is divided by its content (the gcd of its entries); a != 0, so the span
+    over Q, hence the rank, is unchanged.
+    """
     dim = N**n
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
+    pivots: dict[int, dict[int, int]] = {}
     for g in all_diagrams(n):
         out, inp = _entry_indices(g, N)
-        row = {key: Fraction(1) for key in (out * dim + inp).tolist()}
-        # eliminate against existing pivots
+        row = dict.fromkeys((out * dim + inp).tolist(), 1)
         while row:
             lead = min(row)
-            if lead in pivots:
-                pivot_row = pivots[lead]
-                factor = row[lead] / pivot_row[lead]
-                for k, v in pivot_row.items():
-                    add_term(row, k, -factor * v)
-            else:
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
-                rank += 1
                 break
-    return rank
+            a, b = pivot[lead], row[lead]
+            row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                add_term(row, k, -b * v)
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
+    return len(pivots)
 
 
-def _asym_generator_action(i: int, j: int, v: TensorVector) -> TensorVector:
-    """(E_ij - E_ji) acting as a derivation across the tensor factors."""
-    n, N = v.n, v.N
-    out = TensorVector.zero(n, N)
-    for idx, a in enumerate(v.amps):
+def _asym_generator_action(i: int, j: int, amps: list[Fraction], n: int, N: int, out: list[Fraction]) -> None:
+    """out += (E_ij - E_ji) acting on amps as a derivation across the tensor
+    factors."""
+    for idx, a in enumerate(amps):
         if not a:
             continue
         t = index_to_tuple(idx, n, N)
         for pos in range(n):
             if t[pos] == j:
                 s = t[:pos] + (i,) + t[pos + 1 :]
-                out.amps[tuple_to_index(s, N)] += a
+                out[tuple_to_index(s, N)] += a
             if t[pos] == i:
                 s = t[:pos] + (j,) + t[pos + 1 :]
-                out.amps[tuple_to_index(s, N)] -= a
-    return out
+                out[tuple_to_index(s, N)] -= a
 
 
 def casimir_apply(v: TensorVector) -> TensorVector:
-    """-(1/4) sum_{i,j} (E_ij - E_ji)^2 acting on the tensor power."""
-    N = v.N
-    out = TensorVector.zero(v.n, v.N)
+    """-(1/2) sum_{i<j} (E_ij - E_ji)^2 acting on the tensor power.
+
+    This is the usual -(1/4) sum over all i != j, because
+    (E_ij - E_ji)^2 = (E_ji - E_ij)^2.
+    """
+    n, N = v.n, v.N
+    out = [Fraction(0)] * len(v.amps)
     for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            out = out + _asym_generator_action(i, j, _asym_generator_action(i, j, v))
-    return out.scale(Fraction(-1, 4))
+        for j in range(i + 1, N):
+            once = [Fraction(0)] * len(v.amps)
+            _asym_generator_action(i, j, v.amps, n, N, once)
+            _asym_generator_action(i, j, once, n, N, out)
+    return TensorVector(n, N, out).scale(Fraction(-1, 2))
 
 
 def jm_sum_apply(v: TensorVector) -> TensorVector:
     """x_1 + ... + x_n through the diagram action."""
     n, N = v.n, v.N
-    out = v.scale(Fraction(n * (N - 1), 2))
+    out = v.scale(Fraction(n * (N - 1), 2)).amps
     for k in range(2, n + 1):
         for l in range(1, k):
-            out = out + apply_diagram(transposition(l, k, n), N, v)
-            out = out - apply_diagram(bar_transposition(l, k, n), N, v)
-    return out
+            _act_into(out, transposition(l, k, n), N, v.amps)
+            _act_into(out, bar_transposition(l, k, n), N, v.amps, sign=-1)
+    return TensorVector(n, N, out)
 
 
 def casimir_check(n: int, N: int, trials: int, rng) -> dict:

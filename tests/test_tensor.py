@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from brauer import shapes
+from brauer import shapes, tensor
 from brauer.diagrams import (
     all_diagrams,
     bar_transposition,
@@ -125,8 +127,6 @@ def test_linearity_spot_check():
 def test_sparse_matrix_matches_functional():
     # the index-arithmetic matrices and vector action against the functional
     # reference action, on every (n, N) with N^n <= 64, N = 1 and n = 1 included
-    import numpy as np
-
     rng = random.Random(4)
     grid = [(n, N) for n in range(1, 7) for N in range(1, 65) if N**n <= 64]
     for n, N in grid:
@@ -141,6 +141,68 @@ def test_sparse_matrix_matches_functional():
                     dense[row, col] = int(amp)
             assert m.dtype == np.int64 and m.nnz == N**n
             assert (m.toarray() == dense).all()
+
+
+def _coo_matrix(g, N):
+    """Reference CSR of the action, built through scipy's COO path, which
+    sorts the pairs itself."""
+    rows, cols = tensor._entry_indices(g, N)
+    dim = N**g.n
+    data = np.ones(len(rows), dtype=np.int64)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+
+
+def _assert_same_csr(m, ref):
+    assert m.format == "csr" and m.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(m, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # rows sorted, no duplicates: canonical by construction
+    dim = m.shape[0]
+    rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(m.indptr))
+    assert (np.diff(rows * dim + m.indices) > 0).all()
+    assert m.has_canonical_format
+
+
+def test_diagram_matrix_is_canonical_csr():
+    # every diagram with n <= 4 and N <= 3, N = 1 included
+    for n in range(1, 5):
+        for g in all_diagrams(n):
+            for N in (1, 2, 3):
+                _assert_same_csr(diagram_matrix(g, N), _coo_matrix(g, N))
+    # random draws across the homomorphism grid, N^n <= 4096
+    rng = random.Random(23)
+    grid = [(n, N) for n in range(1, 13) for N in range(1, 65) if N**n <= 4096]
+    for n, N in grid:
+        for _ in range(3):
+            g = random_diagram(n, rng)
+            _assert_same_csr(diagram_matrix(g, N), _coo_matrix(g, N))
+
+
+def test_homomorphism_pair_check_catches_wrong_composites(monkeypatch):
+    # the structural check must see a wrong composite and a wrong loop count
+    rng = random.Random(29)
+    pairs = [
+        (random_diagram(n, rng), random_diagram(n, rng), N)
+        for n, N in [(2, 2), (3, 3), (4, 4), (3, 5)]
+        for _ in range(10)
+    ]
+    assert all(tensor._homomorphism_pair_ok(g1, g2, N) for g1, g2, N in pairs)
+
+    def wrong_diagram(g1, g2):
+        prod, loops = compose(g1, g2)
+        other = next(d for d in all_diagrams(g1.n) if d != prod)
+        return other, loops
+
+    monkeypatch.setattr(tensor, "compose", wrong_diagram)
+    assert not any(tensor._homomorphism_pair_ok(g1, g2, N) for g1, g2, N in pairs)
+
+    def wrong_loops(g1, g2):
+        prod, loops = compose(g1, g2)
+        return prod, loops + 1
+
+    monkeypatch.setattr(tensor, "compose", wrong_loops)
+    assert not any(tensor._homomorphism_pair_ok(g1, g2, N) for g1, g2, N in pairs)
 
 
 def test_homomorphism():
@@ -169,8 +231,10 @@ def test_centralizer_ranks():
     assert centralizer_rank(3, 2) == 10 < 15
     assert centralizer_rank(3, 3) == 15
     assert centralizer_rank(3, 4) == 15
+    # faithful once N >= n: (2n - 1)!! = 7 * 5 * 3
+    assert centralizer_rank(4, 4) == 105
     # rank of the span of the diagram actions = dim of the centralizer
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for N in (1, 2, 3, 4):
             expect = sum(c * c for c in shapes.path_counts(n, N).values())
             assert centralizer_rank(n, N) == expect
