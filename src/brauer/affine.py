@@ -39,11 +39,29 @@ The rewriting engine moves y's by exact relation applications only:
     lowers the total y-degree or settles a y into its final block, so the
     reduction terminates.
 
-The engine builds its monomials through the trusted constructor
-`_monomial`, which skips validation; `from_word` and `AffineElement.__mul__`
-check every term of their result once with `_check_regular`, the rule
+The engine works on raw data.  A term travels down the recursion as the
+incoming NPoly's exponent map, an int sign and an int N-shift: a correction
+term multiplies the sign by its own and adds its loops to the shift, and only
+the two real products, by a cap-series coefficient in the sbar collapse and
+by an odd w's expansion, build a new map (`coeffs._mul_into`).  Results are
+summed into `{(left, diagram, right, w): {exponent: coefficient}}`, keyed by
+plain tuples and kept in NPoly's normal form, and partial products stay in
+that form across a whole atom word.  `from_word` and `AffineElement.__mul__`
+wrap each result term once, through the trusted constructors `_monomial` and
+`NPoly._trusted`, and check it with `_check_regular`, the rule
 `RegularMonomial(...)` itself applies, so no caller receives an irregular
 monomial.
+
+`AffineElement.__mul__` multiplies a by each term c * t of the right factor
+as ((a * x_1) * x_2) ... * x_L, where x_1 ... x_L is the atom word of t
+(`_term_word`), and then scales by c.  It visits the words in sorted order
+and keeps the partial products of the previous word on a stack, so a word
+that shares its first j atoms with the previous one starts from that
+word's partial after j atoms.  The sharing is exact: the partial after j
+atoms is a function of a and those j atoms alone, so the stored one is the
+very map that recomputing it would produce, rewrite for rewrite.  Only the
+order in which the scaled partials are summed changes, and exact sums do
+not depend on it.  Nothing here assumes confluence.
 
 Confluence is not proved; it is enforced empirically by the associativity
 and shift-homomorphism consistency suites.
@@ -55,8 +73,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from .coeffs import Combination, NPoly, USeries, add_term, as_fraction, box_factor
+from .coeffs import Combination, NPoly, USeries, _mul_into, add_term, as_fraction, box_factor
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -75,6 +94,10 @@ from .diagrams import (
 
 Atom = tuple[str, int]
 WTuple = tuple[int, ...]  # exponents of w_2, w_4, ...; trailing zeros trimmed
+# the engine's regular monomial y^left b(diagram) y^right w, as a plain tuple
+Key = tuple[tuple[int, ...], BrauerDiagram, tuple[int, ...], WTuple]
+# the engine's element: Key -> raw NPoly coefficient map {exponent: coefficient}
+Raw = dict[Key, dict[int, "int | Fraction"]]
 
 
 def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -87,6 +110,11 @@ def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
 def _w_merge(a: WTuple, b: WTuple) -> WTuple:
     size = max(len(a), len(b))
     return _trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(size)))
+
+
+def _w_unit(i: int) -> WTuple:
+    """The w tuple of the even generator w_i, i >= 2."""
+    return tuple(1 if t == i // 2 - 1 else 0 for t in range(i // 2))
 
 
 def w_weight(w: WTuple) -> int:
@@ -178,16 +206,28 @@ class AffineElement(Combination):
 
     def __mul__(self, other: AffineElement) -> AffineElement:
         self._check_compatible(other)
-        out: dict[RegularMonomial, NPoly] = {}
-        for t2, c2 in other.terms.items():
-            partial = self
-            for atom in _term_word(t2):
-                partial = _elem_times_atom(partial, atom)
-            for t, x in partial.terms.items():
-                add_term(out, t, x * c2)
-        for t in out:
-            _check_regular(t)
-        return AffineElement._trusted(self.n, out)
+        n = self.n
+        words = sorted(((_term_word(t), c.coeffs) for t, c in other.terms.items()), key=itemgetter(0))
+        # stack[j] is self times the first j atoms of the previous word; the
+        # words are sorted, so each one shares its longest prefix with it
+        stack = [_raw(self)]
+        prev: tuple[Atom, ...] = ()
+        out: Raw = {}
+        for word, c2 in words:
+            j = 0
+            while j < len(prev) and j < len(word) and prev[j] == word[j]:
+                j += 1
+            del stack[j + 1 :]
+            for atom in word[j:]:
+                stack.append(_times_atom(stack[-1], n, atom))
+            prev = word
+            for key, c in stack[-1].items():
+                if c:
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = acc = {}
+                    _mul_into(acc, c, c2)
+        return _element(n, out)
 
     def y_degree(self) -> int:
         return max((t.y_degree() for t in self.terms), default=0)
@@ -239,8 +279,7 @@ def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
         if idx == 0:
             return {(): NPoly.N()}
         if idx % 2 == 0:
-            key = tuple(1 if t == idx // 2 - 1 else 0 for t in range(idx // 2))
-            return {key: NPoly.one()}
+            return {_w_unit(idx): NPoly.one()}
         return dict(_odd_w_expansion(idx))
 
     acc = as_dict(i - 1)
@@ -263,8 +302,7 @@ def w_elem(i: int, n: int) -> AffineElement:
     if i == 0:
         return AffineElement.one(n).scale(NPoly.N())
     if i % 2 == 0:
-        key = tuple(1 if t == i // 2 - 1 else 0 for t in range(i // 2))
-        return AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, key))
+        return AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, _w_unit(i)))
     out = AffineElement.zero(n)
     for key, c in _odd_w_expansion(i):
         out = out + AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, key), c)
@@ -355,17 +393,40 @@ def _top_right_flip(d: BrauerDiagram, m: int) -> int | None:
     return None
 
 
+def _add_raw(out: Raw, key: Key, c: dict, sign: int, q: int) -> None:
+    """``out[key] += sign * N^q * c`` on raw coefficient maps, in NPoly's
+    normal form: the engine's one leaf step.  ``c`` is only read."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = {e + q: x for e, x in c.items()} if sign > 0 else {e + q: -x for e, x in c.items()}
+        return
+    # add_term inlined (the hot loop), keeping integral sums as ints
+    for e, x in c.items():
+        e += q
+        if e in acc:
+            x = acc[e] + x if sign > 0 else acc[e] - x
+            if not x:
+                del acc[e]
+                continue
+            if x.__class__ is Fraction and x.denominator == 1:
+                x = x.numerator
+        elif sign < 0:
+            x = -x
+        acc[e] = x
+
+
 def _normalize_into(
-    out: dict[RegularMonomial, NPoly],
+    out: Raw,
     n: int,
-    coeff: NPoly,
+    c: dict,
+    sign: int,
+    q: int,
     left: tuple[int, ...],
     d: BrauerDiagram,
     right: tuple[int, ...],
     w: WTuple,
 ):
-    """Normalize y^left b(d) y^right w^w into regular monomials, into `out`."""
-    sign = 1
+    """Normalize sign * N^q * c * y^left b(d) y^right w^w into `out`."""
     lft = list(left)
     m = 1
     while m <= n:
@@ -384,8 +445,7 @@ def _normalize_into(
                     lft[m - 1] -= 1
                     ends_left, pos, rsign, corrections = _route_y(d, m, False)
                     for csign, loops, dd in corrections:
-                        c2 = coeff.shift(loops)
-                        _normalize_into(out, n, c2 if sign == csign else -c2, tuple(lft), dd, right, w)
+                        _normalize_into(out, n, c, sign * csign, q + loops, tuple(lft), dd, right, w)
                     if not (ends_left and pos == l):
                         raise AssertionError("y routed off a top edge did not reach its left end")
                     lft[pos - 1] += 1
@@ -410,8 +470,7 @@ def _normalize_into(
                 rgt[m - 1] -= 1
                 ends_left, pos, rsign, corrections = _route_y(d, m, True)
                 for csign, loops, dd in corrections:
-                    c2 = coeff.shift(loops)
-                    _normalize_into(out, n, c2 if sign == csign else -c2, tuple(lft), dd, tuple(rgt), w)
+                    _normalize_into(out, n, c, sign * csign, q + loops, tuple(lft), dd, tuple(rgt), w)
                 if ends_left:
                     lft[pos - 1] += 1
                 else:
@@ -420,72 +479,68 @@ def _normalize_into(
                     sign = -sign
                 continue
         m += 1
-    add_term(out, _monomial(n, tuple(lft), d, tuple(rgt), w), coeff if sign == 1 else -coeff)
+    _add_raw(out, (tuple(lft), d, tuple(rgt), w), c, sign, q)
 
 
-def _mul_term_atom(out: dict[RegularMonomial, NPoly], t: RegularMonomial, coeff: NPoly, atom: Atom):
-    """Accumulate (coeff * t) * atom into out, in normal form."""
-    n = t.n
+def _mul_term_atom(out: Raw, n: int, key: Key, c: dict, sign: int, q: int, atom: Atom):
+    """Accumulate (sign * N^q * c * key) * atom into out, in normal form."""
+    left, d, right, w = key
     kind, k = atom
     if kind == "y":
-        right = list(t.right)
-        right[k - 1] += 1
-        _normalize_into(out, n, coeff, t.left, t.diagram, tuple(right), t.w)
+        rgt = list(right)
+        rgt[k - 1] += 1
+        _normalize_into(out, n, c, sign, q, left, d, tuple(rgt), w)
         return
     if kind == "w":
-        if k % 2 == 0 and k > 0:
-            key = tuple(1 if s == k // 2 - 1 else 0 for s in range(k // 2))
-            add_term(out, _monomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff)
-        elif k == 0:
-            add_term(out, t, coeff.shift(1))
+        if k == 0:
+            _add_raw(out, key, c, sign, q + 1)
+        elif k % 2 == 0:
+            _add_raw(out, (left, d, right, _w_merge(w, _w_unit(k))), c, sign, q)
         else:
-            for key, c in _odd_w_expansion(k):
-                add_term(out, _monomial(n, t.left, t.diagram, t.right, _w_merge(t.w, key)), coeff * c)
+            for wkey, v in _odd_w_expansion(k):
+                prod: dict = {}
+                _mul_into(prod, c, v.coeffs, q)
+                _add_raw(out, (left, d, right, _w_merge(w, wkey)), prod, sign, 0)
         return
     if kind == "s":
-        right = list(t.right)
-        if right[k - 1] > 0:
-            # y_k s_k = s_k y_{k+1} + sbar_k - 1
-            right[k - 1] -= 1
-            t2 = _monomial(n, t.left, t.diagram, tuple(right), t.w)
-            tmp: dict[RegularMonomial, NPoly] = {}
-            _mul_term_atom(tmp, t2, coeff, ("s", k))
-            for tt, cc in tmp.items():
-                _mul_term_atom(out, tt, cc, ("y", k + 1))
-            _mul_term_atom(out, t2, coeff, ("sbar", k))
-            _normalize_into(out, n, -coeff, t2.left, t2.diagram, t2.right, t2.w)
+        rgt = list(right)
+        if rgt[k - 1] or rgt[k]:
+            # y_k s_k = s_k y_{k+1} + sbar_k - 1 and
+            # y_{k+1} s_k = s_k y_k - sbar_k + 1: the sbar term has sign f
+            f, moved, to = (1, k - 1, k + 1) if rgt[k - 1] else (-1, k, k)
+            rgt[moved] -= 1
+            key2 = (left, d, tuple(rgt), w)
+            tmp: Raw = {}
+            _mul_term_atom(tmp, n, key2, c, sign, q, ("s", k))
+            for kk, cc in tmp.items():
+                if cc:
+                    _mul_term_atom(out, n, kk, cc, 1, 0, ("y", to))
+            _mul_term_atom(out, n, key2, c, f * sign, q, ("sbar", k))
+            _normalize_into(out, n, c, -f * sign, q, *key2)
             return
-        if right[k] > 0:
-            # y_{k+1} s_k = s_k y_k - sbar_k + 1
-            right[k] -= 1
-            t2 = _monomial(n, t.left, t.diagram, tuple(right), t.w)
-            tmp = {}
-            _mul_term_atom(tmp, t2, coeff, ("s", k))
-            for tt, cc in tmp.items():
-                _mul_term_atom(out, tt, cc, ("y", k))
-            _mul_term_atom(out, t2, -coeff, ("sbar", k))
-            _normalize_into(out, n, coeff, t2.left, t2.diagram, t2.right, t2.w)
-            return
-        d2, loops = compose(t.diagram, s_diagram(k, n))
-        _normalize_into(out, n, coeff.shift(loops), t.left, d2, t.right, t.w)
+        d2, loops = compose(d, s_diagram(k, n))
+        _normalize_into(out, n, c, sign, q + loops, left, d2, right, w)
         return
     if kind == "sbar":
-        _sandwich_sbar(out, n, coeff, t.left, t.diagram, list(t.right), t.w, k)
+        _sandwich_sbar(out, n, c, sign, q, left, d, list(right), w, k)
         return
     raise ValueError(f"unknown atom {atom}")
 
 
 def _sandwich_sbar(
-    out: dict[RegularMonomial, NPoly],
+    out: Raw,
     n: int,
-    coeff: NPoly,
+    c: dict,
+    sign: int,
+    q: int,
     left: tuple[int, ...],
     d: BrauerDiagram,
     right: list[int],
     w: WTuple,
     k: int,
 ):
-    """Reduce y^left b(d) y^right sbar_k w^w; `right` may be mid-rewrite state.
+    """Reduce sign * N^q * c * y^left b(d) y^right sbar_k w^w; `right` may be
+    mid-rewrite state.
 
     Y's away from strands k, k+1 commute past the bar.  A y trapped against
     the cap either collapses through the w_k series (when d carries the
@@ -502,57 +557,67 @@ def _sandwich_sbar(
             # the w_k^(c) coefficients commute past the bar and reattach as
             # right exponents below strand k)
             a, b = right[k - 1], right[k]
-            c_exp = a + b
             right[k - 1] = right[k] = 0
-            wk = cap_series_coefficient(n, k, c_exp)
+            if b % 2:
+                sign = -sign
+            wk = cap_series_coefficient(n, k, a + b)
             base_right = tuple(right)
             for wt, wc in wk.terms.items():
+                prod: dict = {}
+                _mul_into(prod, c, wc.coeffs, q)
                 new_right = tuple(x + y for x, y in zip(base_right, wt.left))
-                c2 = coeff * wc
-                _normalize_into(
-                    out,
-                    n,
-                    -c2 if b % 2 else c2,
-                    tuple(left_list),
-                    d,
-                    new_right,
-                    _w_merge(w, wt.w),
-                )
+                _normalize_into(out, n, prod, sign, 0, tuple(left_list), d, new_right, _w_merge(w, wt.w))
             return
         m = k if right[k - 1] else k + 1
         right[m - 1] -= 1
         ends_left, pos, rsign, corrections = _route_y(d, m, True)
         for csign, loops, dd in corrections:
-            c2 = coeff.shift(loops)
-            _sandwich_sbar(out, n, c2 if csign == 1 else -c2, tuple(left_list), dd, list(right), w, k)
+            _sandwich_sbar(out, n, c, sign * csign, q + loops, tuple(left_list), dd, list(right), w, k)
         if ends_left:
             left_list[pos - 1] += 1
         else:
             right[pos - 1] += 1
         if rsign < 0:
-            coeff = -coeff
+            sign = -sign
     d2, loops = compose(d, sbar_diagram(k, n))
-    _normalize_into(out, n, coeff.shift(loops), tuple(left_list), d2, tuple(right), w)
+    _normalize_into(out, n, c, sign, q + loops, tuple(left_list), d2, tuple(right), w)
 
 
-def _elem_times_atom(e: AffineElement, atom: Atom) -> AffineElement:
-    out: dict[RegularMonomial, NPoly] = {}
-    for t, c in e.terms.items():
-        _mul_term_atom(out, t, c, atom)
-    return AffineElement._trusted(e.n, out)
+def _raw(e: AffineElement) -> Raw:
+    """The engine's view of an element; the maps are shared, never written."""
+    return {(t.left, t.diagram, t.right, t.w): c.coeffs for t, c in e.terms.items()}
 
 
-def _term_word(t: RegularMonomial) -> list[Atom]:
+def _times_atom(partial: Raw, n: int, atom: Atom) -> Raw:
+    out: Raw = {}
+    for key, c in partial.items():
+        if c:
+            _mul_term_atom(out, n, key, c, 1, 0, atom)
+    return out
+
+
+def _element(n: int, raw: Raw) -> AffineElement:
+    """Wrap an engine result once, checking every term regular."""
+    terms = {}
+    for key, c in raw.items():
+        if c:
+            t = _monomial(n, *key)
+            _check_regular(t)
+            terms[t] = NPoly._trusted(c)
+    return AffineElement._trusted(n, terms)
+
+
+def _term_word(t: RegularMonomial) -> tuple[Atom, ...]:
     """An atom word whose product is the monomial (coefficient excluded)."""
     word: list[Atom] = []
     for m in range(t.n):
         word += [("y", m + 1)] * t.left[m]
-    word += list(factor_diagram(t.diagram))
+    word += factor_diagram(t.diagram)
     for m in range(t.n):
         word += [("y", m + 1)] * t.right[m]
     for s, h in enumerate(t.w):
         word += [("w", 2 * (s + 1))] * h
-    return word
+    return tuple(word)
 
 
 def _check_atom(atom: Atom, n: int) -> None:
@@ -577,12 +642,10 @@ def from_word(atoms: list[Atom], n: int) -> AffineElement:
     its input, and every term of the result is checked regular once."""
     for atom in atoms:
         _check_atom(atom, n)
-    e = AffineElement.one(n)
+    partial = _raw(AffineElement.one(n))
     for atom in atoms:
-        e = _elem_times_atom(e, atom)
-    for t in e.terms:
-        _check_regular(t)
-    return e
+        partial = _times_atom(partial, n, atom)
+    return _element(n, partial)
 
 
 # ---------------------------------------------------------------------------

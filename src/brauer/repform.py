@@ -32,7 +32,7 @@ divide by eigenvalue differences); all symbolic-N checks live in `diagrams`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import shapes
@@ -221,6 +221,10 @@ class PathBasis:
     n: int
     N: Fraction
     paths: tuple[Path, ...]
+    # level k -> its fibers, grouped once per basis; not part of the value
+    _fibers: dict[int, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @staticmethod
     def build(lam: Diagram, n: int, N: int | Fraction) -> PathBasis:
@@ -240,13 +244,16 @@ class PathBasis:
     def dim(self) -> int:
         return len(self.paths)
 
-    def fibers(self, k: int) -> list[list[int]]:
+    def fibers(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Group path indices by everything away from level k."""
-        groups: dict[tuple, list[int]] = {}
-        for idx, p in enumerate(self.paths):
-            key = (p[:k], p[k + 1 :])
-            groups.setdefault(key, []).append(idx)
-        return list(groups.values())
+        cached = self._fibers.get(k)
+        if cached is None:
+            groups: dict[tuple, list[int]] = {}
+            for idx, p in enumerate(self.paths):
+                key = (p[:k], p[k + 1 :])
+                groups.setdefault(key, []).append(idx)
+            cached = self._fibers[k] = tuple(map(tuple, groups.values()))
+        return cached
 
 
 def _sbar_diagonal(mu: Diagram, b: Fraction, N: Fraction) -> Fraction:

@@ -200,6 +200,56 @@ def test_associativity_random():
             assert (a * b) * c == a * (b * c)
 
 
+def _assert_npoly_normal_form(e):
+    """Every coefficient of e: non-empty, no zero, non-negative exponents, an
+    int wherever integral; returns how many proper fractions it holds."""
+    fractions = 0
+    for t, c in e.terms.items():
+        assert c.coeffs, t
+        for exp, x in c.coeffs.items():
+            assert exp >= 0 and x, (t, c.coeffs)
+            if type(x) is Fraction:
+                assert x.denominator != 1, (t, c.coeffs)
+                fractions += 1
+            else:
+                assert type(x) is int, (t, c.coeffs)
+    return fractions
+
+
+def test_engine_results_in_npoly_normal_form():
+    # the odd w's and the sbar collapses bring in halves; sums of halves that
+    # become integral must come back as ints (e.g. s1 y1 w1 sbar1 at n = 2)
+    fractions = 0
+    for n, length in ((2, 4), (3, 2)):
+        atoms = [a for a in _all_atoms(n) if a[0] != "w"] + [("w", 1), ("w", 3)]
+        for word in itertools.product(atoms, repeat=length):
+            fractions += _assert_npoly_normal_form(from_word(list(word), n))
+    collapses = [from_word([("sbar", k)] + [("y", k)] * i + [("sbar", k)], 3) for k in (1, 2) for i in range(1, 5)]
+    for e in collapses:
+        fractions += _assert_npoly_normal_form(e)
+    odd = [w_elem(1, 3), w_elem(3, 3), from_word([("s", 1), ("y", 1), ("w", 1), ("sbar", 1)], 3)]
+    for a in odd + collapses[:3]:
+        for b in collapses[3:] + odd:
+            fractions += _assert_npoly_normal_form(a * b)
+    assert fractions > 0
+
+
+def test_prefix_sharing_matches_termwise_products():
+    # __mul__ shares partial products between terms of the right factor whose
+    # atom words agree in a prefix; summing one-term products shares nothing
+    rng = random.Random(20261018)
+    for n in (2, 3):
+        for _ in range(4):
+            a = random_monomial(n, rng).scale(NPoly({0: Fraction(rng.randint(-3, 3) or 1, 2), 1: 1}))
+            b = random_monomial(n, rng, 3) * random_monomial(n, rng, 3)
+            for _ in range(6):
+                word = [rng.choice(_all_atoms(n)) for _ in range(rng.randint(3, 6))]
+                b = b + from_word(word, n).scale(NPoly({0: rng.randint(1, 3), 1: rng.randint(-1, 1)}))
+            assert len(b.terms) >= 6
+            expect = sum(a * AffineElement.from_monomial(t, c) for t, c in b.terms.items())
+            assert a * b == expect
+
+
 def test_pi_m_consistency():
     rng = random.Random(515151)
     pool = lambda n: (
