@@ -44,13 +44,14 @@ incoming NPoly's exponent map, an int sign and an int N-shift: a correction
 term multiplies the sign by its own and adds its loops to the shift, and only
 the two real products, by a cap-series coefficient in the sbar collapse and
 by an odd w's expansion, build a new map (`coeffs._mul_into`).  Results are
-summed into `{(left, diagram, right, w): {exponent: coefficient}}`, keyed by
-plain tuples and kept in NPoly's normal form, and partial products stay in
-that form across a whole atom word.  `from_word` and `AffineElement.__mul__`
-wrap each result term once, through the trusted constructors `_monomial` and
-`NPoly._trusted`, and check it with `_check_regular`, the rule
-`RegularMonomial(...)` itself applies, so no caller receives an irregular
-monomial.
+summed into `{(left, diagram, right, w): {exponent: coefficient}}`, kept in
+NPoly's normal form, and partial products stay in that form across a whole
+atom word.  A `RegularMonomial` is the tuple (left, diagram, right, w), so a
+plain key equals and hashes like its monomial.  `from_word` and
+`AffineElement.__mul__` check each result term once with `_check_regular`,
+the rule `RegularMonomial(...)` itself applies, and wrap it through the
+trusted constructors `RegularMonomial._make` and `NPoly._trusted`, so no
+caller receives an irregular monomial.
 
 `AffineElement.__mul__` multiplies a by each term c * t of the right factor
 as ((a * x_1) * x_2) ... * x_L, where x_1 ... x_L is the atom word of t
@@ -70,10 +71,10 @@ and shift-homomorphism consistency suites.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .coeffs import Combination, NPoly, USeries, _mul_into, add_term, as_fraction, box_factor
 from .diagrams import (
@@ -121,20 +122,32 @@ def w_weight(w: WTuple) -> int:
     return sum(2 * (t + 1) * h for t, h in enumerate(w))
 
 
-@dataclass(frozen=True)
-class RegularMonomial:
-    """y^left * b(diagram) * y^right * (even w's); the basis of A(n, N)."""
-
-    n: int
+class _MonomialFields(NamedTuple):
     left: tuple[int, ...]
     diagram: BrauerDiagram
     right: tuple[int, ...]
     w: WTuple
 
-    def __post_init__(self):
-        if self.w and self.w[-1] == 0:
-            object.__setattr__(self, "w", _trim(self.w))
-        _check_regular(self)
+
+class RegularMonomial(_MonomialFields):
+    """y^left * b(diagram) * y^right * (even w's); the basis of A(n, N).
+
+    ``RegularMonomial(n, left, diagram, right, w)`` trims w and validates;
+    ``RegularMonomial._make((left, diagram, right, w))`` trusts its input."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, left: tuple[int, ...], diagram: BrauerDiagram, right: tuple[int, ...], w: WTuple):
+        t = tuple.__new__(cls, (left, diagram, right, _trim(w)))
+        _check_regular(n, t)
+        return t
+
+    def __getnewargs__(self):
+        return (self.n, *self)
+
+    @property
+    def n(self) -> int:
+        return self.diagram.n
 
     def y_degree(self) -> int:
         return sum(self.left) + sum(self.right)
@@ -143,43 +156,29 @@ class RegularMonomial:
         return self.y_degree() + w_weight(self.w)
 
     def sort_key(self) -> tuple:
-        return (self.weight(), self.left, self.diagram.pairing, self.right, self.w)
+        return (self.weight(), self)
 
 
-def _check_regular(t: RegularMonomial) -> None:
-    """Raise ValueError unless t is a regular monomial with trimmed w.
+def _check_regular(n: int, t: Key) -> None:
+    """Raise ValueError unless t = (left, diagram, right, w) is regular in A(n, N).
 
     Top strand m is the right end of a top edge when its partner is a top
     vertex left of it; bottom strand m is the right end of a bottom edge when
     its partner is a bottom vertex left of it."""
-    n, left, right = t.n, t.left, t.right
+    left, d, right, w = t
+    if d.n != n:
+        raise ValueError(f"size-{d.n} diagram in a size-{n} monomial")
     if len(left) != n or len(right) != n:
         raise ValueError("exponent vectors must have length n")
-    if t.w and t.w[-1] == 0:
-        raise ValueError(f"w exponents not trimmed: {t.w}")
-    p = t.diagram.pairing
+    if w and w[-1] == 0:
+        raise ValueError(f"w exponents not trimmed: {w}")
+    p = d.pairing
     for m in range(1, n + 1):
         if left[m - 1] and p[m - 1] < m - 1:
             raise ValueError(f"left exponent on top-edge right end {m}")
     for m in range(1, n + 1):
         if right[m - 1] and not n <= p[n + m - 1] < n + m - 1:
             raise ValueError(f"right exponent on illegal strand {m}")
-
-
-def _monomial(n: int, left: tuple[int, ...], d: BrauerDiagram, right: tuple[int, ...], w: WTuple) -> RegularMonomial:
-    """Construct without validating; for monomials the engine builds itself.
-
-    The caller guarantees regularity and a trimmed w; `from_word` and
-    `AffineElement.__mul__` check every term of their result once."""
-    t = object.__new__(RegularMonomial)
-    # the frozen instance's own attribute dict: cheaper than five __setattr__s
-    attrs = t.__dict__
-    attrs["n"] = n
-    attrs["left"] = left
-    attrs["diagram"] = d
-    attrs["right"] = right
-    attrs["w"] = w
-    return t
 
 
 class AffineElement(Combination):
@@ -585,7 +584,7 @@ def _sandwich_sbar(
 
 def _raw(e: AffineElement) -> Raw:
     """The engine's view of an element; the maps are shared, never written."""
-    return {(t.left, t.diagram, t.right, t.w): c.coeffs for t, c in e.terms.items()}
+    return {t: c.coeffs for t, c in e.terms.items()}
 
 
 def _times_atom(partial: Raw, n: int, atom: Atom) -> Raw:
@@ -601,9 +600,8 @@ def _element(n: int, raw: Raw) -> AffineElement:
     terms = {}
     for key, c in raw.items():
         if c:
-            t = _monomial(n, *key)
-            _check_regular(t)
-            terms[t] = NPoly._trusted(c)
+            _check_regular(n, key)
+            terms[RegularMonomial._make(key)] = NPoly._trusted(c)
     return AffineElement._trusted(n, terms)
 
 

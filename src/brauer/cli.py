@@ -38,10 +38,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _integer(text: str) -> int:
-    """argparse type for --N where only an integer level makes sense."""
+    """argparse type for --N where only a positive integer level makes sense."""
     value = _rational(text)
     if value.denominator != 1:
         raise argparse.ArgumentTypeError(f"N must be an integer here, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return int(value)
 
 
@@ -156,11 +158,14 @@ def cmd_central(args) -> int:
     return 0
 
 
+ORACLE_SUITES = ("hom", "rank", "casimir", "spectrum")
+
+
 def cmd_oracle(args) -> int:
     from . import tensor  # numpy and scipy load only where the oracle runs
 
     rng = random.Random(args.seed)
-    suites = ("hom", "rank", "casimir", "spectrum") if args.suite == "all" else (args.suite,)
+    suites = ORACLE_SUITES if args.suite == "all" else (args.suite,)
     report = []
     ok = True
     for suite in suites:
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common], help="tensor-action oracle suite")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--N", type=_int_at_least(1), required=True)
-    p.add_argument("--suite", default="all", choices=("all", "hom", "rank", "casimir", "spectrum"))
+    p.add_argument("--suite", default="all", choices=("all", *ORACLE_SUITES))
     p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_oracle)
 
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--word", required=True, help='e.g. "s1 y1 y1 sbar1"')
     q.set_defaults(fn=cmd_affine_nf)
     q = asub.add_parser("check", parents=[common], help="run the affine property suites")
-    q.add_argument("--suite", default="all", choices=("all", "assoc", "pi", "hecke"))
+    q.add_argument("--suite", default="all", choices=("all", *verify.AFFINE_SUITES))
     q.set_defaults(fn=cmd_affine_check)
 
     p = sub.add_parser("verify-all", parents=[common], help="run every acceptance criterion")

@@ -3,7 +3,9 @@
 A basis diagram is a perfect matching of 2n points: strands 1..n appear twice,
 as a top row and a bottom row.  Vertices are numbered 0..2n-1 with top strand
 k at vertex k-1 and bottom strand k at vertex n+k-1.  The matching is stored
-as a fixed-point-free involution ``pairing`` of 0..2n-1.
+as a fixed-point-free involution ``pairing`` of 0..2n-1.  A diagram is the
+tuple ``(n, pairing)``: it hashes, compares and, within one n, sorts as that
+tuple.  ``BrauerDiagram(n, pairing)`` validates; ``_make`` trusts its input.
 
 Products follow the diagram calculus: stack the left factor on top of the
 right one, contract, and pick up one factor of the formal parameter N per
@@ -16,9 +18,8 @@ always called as ``_kernel.compose_pairings``, so a profiler can wrap it there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import _kernel
 from .coeffs import Combination, NPoly, _mul_into, add_term, n_minus_1_half
@@ -26,20 +27,23 @@ from .coeffs import Combination, NPoly, _mul_into, add_term, n_minus_1_half
 KERNEL_BACKEND = "python"  # the only backend; benchmark reports print it
 
 
-@dataclass(frozen=True)
-class BrauerDiagram:
-    """A perfect matching on 2n labelled vertices."""
-
+class _DiagramFields(NamedTuple):
     n: int
     pairing: tuple[int, ...]
 
-    def __post_init__(self):
-        p = self.pairing
-        if len(p) != 2 * self.n:
+
+class BrauerDiagram(_DiagramFields):
+    """A perfect matching on 2n labelled vertices."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, pairing: tuple[int, ...]) -> BrauerDiagram:
+        if len(pairing) != 2 * n:
             raise ValueError("pairing length must be 2n")
-        for v, w in enumerate(p):
-            if w == v or not 0 <= w < 2 * self.n or p[w] != v:
-                raise ValueError(f"not a fixed-point-free involution: {p}")
+        for v, w in enumerate(pairing):
+            if w == v or not 0 <= w < 2 * n or pairing[w] != v:
+                raise ValueError(f"not a fixed-point-free involution: {pairing}")
+        return tuple.__new__(cls, (n, pairing))
 
     # -- constructors
 
@@ -58,9 +62,6 @@ class BrauerDiagram:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((v, w) for v, w in enumerate(self.pairing) if v < w))
-
-    def sort_key(self) -> tuple:
-        return self.pairing
 
     def top_edges(self) -> list[tuple[int, int]]:
         """Horizontal edges in the top row, as 1-based strand pairs (a < b)."""
@@ -111,30 +112,23 @@ class BrauerDiagram:
         return f"BrauerDiagram({self.n}, edges={list(self.edges())})"
 
 
-def _trusted_diagram(n: int, pairing: tuple[int, ...]) -> BrauerDiagram:
-    """Construct without re-validating; for kernel output only."""
-    d = object.__new__(BrauerDiagram)
-    object.__setattr__(d, "n", n)
-    object.__setattr__(d, "pairing", pairing)
-    return d
-
-
 # Bounded on purpose: dense products at n >= 6 rarely repeat a pair, and a
 # memo that only grows adds to RSS and is walked again by every full GC pass.
 # 1 << 13 holds every (diagram, generator) pair of B(5) (945 diagrams x 8
 # generators = 7,560), the reuse the affine engine and the relation checks
 # have at n <= 5.
 @lru_cache(maxsize=1 << 13)
-def _compose_cached(p1: tuple[int, ...], p2: tuple[int, ...], n: int) -> tuple[BrauerDiagram, int]:
-    pairing, loops = _kernel.compose_pairings(p1, p2, n)
-    return _trusted_diagram(n, pairing), loops
+def _compose_cached(g: BrauerDiagram, g2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
+    n = g.n
+    pairing, loops = _kernel.compose_pairings(g.pairing, g2.pairing, n)
+    return BrauerDiagram._make((n, pairing)), loops
 
 
 def compose(g: BrauerDiagram, g2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Diagram product: returns (reduced matching, number of removed loops)."""
     if g.n != g2.n:
         raise ValueError(f"size mismatch: {g.n} vs {g2.n}")
-    return _compose_cached(g.pairing, g2.pairing, g.n)
+    return _compose_cached(g, g2)
 
 
 def compose_chain(diagrams: list[BrauerDiagram], n: int) -> tuple[BrauerDiagram, int]:
@@ -254,7 +248,7 @@ class AlgebraElement(Combination):
         if not self.terms:
             return "0"
         bits = []
-        for d in sorted(self.terms, key=BrauerDiagram.sort_key):
+        for d in sorted(self.terms):
             bits.append(f"({self.terms[d].to_string()})*{list(d.edges())}")
         return " + ".join(bits)
 
@@ -263,13 +257,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; each loop contributes N."""
     a._check_compatible(b)
     n = a.n
-    right = [(d2.pairing, c2.coeffs) for d2, c2 in b.terms.items()]
+    right = [(d2, c2.coeffs) for d2, c2 in b.terms.items()]
     # one raw coefficient map per output diagram, wrapped once at the end
     raw: dict[BrauerDiagram, dict] = {}
     for d1, c1 in a.terms.items():
-        p1, m1 = d1.pairing, c1.coeffs
-        for p2, m2 in right:
-            d, loops = _compose_cached(p1, p2, n)
+        m1 = c1.coeffs
+        for d2, m2 in right:
+            d, loops = _compose_cached(d1, d2)
             acc = raw.get(d)
             if acc is None:
                 acc = raw[d] = {}
@@ -570,7 +564,7 @@ def diagram_from_json(data: dict) -> BrauerDiagram:
 
 def element_to_json(e: AlgebraElement) -> list[dict]:
     out = []
-    for d in sorted(e.terms, key=BrauerDiagram.sort_key):
+    for d in sorted(e.terms):
         out.append({"coeff": e.terms[d].to_string(), "diagram": diagram_to_json(d)})
     return out
 

@@ -229,15 +229,16 @@ class PathBasis:
     @staticmethod
     def build(lam: Diagram, n: int, N: int | Fraction) -> PathBasis:
         N = as_fraction(N)
-        if N.denominator == 1 and not shapes.in_O(lam, n, int(N)):
-            raise ValueError(f"{lam} not in O({n}, {N})")
-        level = int(N) if N.denominator == 1 else None
-        if level is None:
+        if N.denominator != 1:
             # formal specialization: no column bound can be applied through a
             # non-integer N, so take the unconstrained (large-N) path set
             paths = shapes.enumerate_paths(lam, n, 2 * n + sum(lam))
+        elif N < 1:
+            raise ValueError(f"an integer N must be at least 1, got {N}")
+        elif not shapes.in_O(lam, n, int(N)):
+            raise ValueError(f"{lam} not in O({n}, {N})")
         else:
-            paths = shapes.enumerate_paths(lam, n, level)
+            paths = shapes.enumerate_paths(lam, n, int(N))
         return PathBasis(lam, n, N, paths)
 
     @property

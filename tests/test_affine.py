@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ from brauer.affine import (
     HeckeElement,
     RegularMonomial,
     _check_regular,
-    _monomial,
+    _raw,
+    _times_atom,
     cap_series,
     cap_series_coefficient,
     element_to_json,
@@ -104,18 +106,45 @@ def test_trusted_monomials_are_regular(n):
 
 
 def test_check_regular_catches_bad_trusted_monomials():
+    # the engine's keys are plain (left, diagram, right, w) tuples
     zero = (0, 0)
     # left exponent on the right end of a top edge
     with pytest.raises(ValueError, match="top-edge right end 2"):
-        _check_regular(_monomial(2, (0, 1), sbar_diagram(1, 2), zero, ()))
+        _check_regular(2, ((0, 1), sbar_diagram(1, 2), zero, ()))
     # right exponent on a strand that is not a bottom-edge right end
     with pytest.raises(ValueError, match="illegal strand 1"):
-        _check_regular(_monomial(2, zero, sbar_diagram(1, 2), (1, 0), ()))
+        _check_regular(2, (zero, sbar_diagram(1, 2), (1, 0), ()))
     with pytest.raises(ValueError, match="illegal strand 2"):
-        _check_regular(_monomial(2, zero, s_diagram(1, 2), (0, 1), ()))
+        _check_regular(2, (zero, s_diagram(1, 2), (0, 1), ()))
     with pytest.raises(ValueError, match="not trimmed"):
-        _check_regular(_monomial(2, zero, s_diagram(1, 2), zero, (1, 0)))
-    _check_regular(_monomial(2, (1, 0), sbar_diagram(1, 2), (0, 1), (0, 1)))
+        _check_regular(2, (zero, s_diagram(1, 2), zero, (1, 0)))
+    _check_regular(2, ((1, 0), sbar_diagram(1, 2), (0, 1), (0, 1)))
+
+
+def test_monomial_rejects_a_diagram_of_another_size():
+    with pytest.raises(ValueError, match="size-2 diagram in a size-1 monomial"):
+        RegularMonomial(1, (0,), BrauerDiagram.identity(2), (0,), ())
+    with pytest.raises(ValueError, match="size-2 diagram in a size-3 monomial"):
+        RegularMonomial(3, (0, 0, 0), BrauerDiagram.identity(2), (0, 0, 0), ())
+
+
+def test_engine_keys_are_their_monomials():
+    # a raw engine key equals, and hashes like, the RegularMonomial it stands for
+    atoms = parse_word("y1 s1 sbar2 y3 y3 w2 s2")
+    partial = _raw(AffineElement.one(3))
+    for atom in atoms:
+        partial = _times_atom(partial, 3, atom)
+    nf = from_word(atoms, 3)
+    assert len(partial) == len(nf.terms) > 1
+    for key, c in partial.items():
+        t = RegularMonomial(3, *key)
+        assert type(key) is tuple and key == t and hash(key) == hash(t)
+        assert nf.terms[key].coeffs == c
+    # the validating constructor trims w; the tuple holds the trimmed one
+    t = RegularMonomial(2, (1, 0), sbar_diagram(1, 2), (0, 1), (0, 1, 0))
+    assert tuple(t) == ((1, 0), sbar_diagram(1, 2), (0, 1), (0, 1)) and t.n == 2
+    # copies go back through the validating constructor, which takes n first
+    assert copy.deepcopy(t) == t and type(copy.copy(t)) is RegularMonomial
 
 
 def test_cached_generator_diagrams_still_reject_bad_indices():

@@ -72,6 +72,25 @@ def test_non_integer_N_is_usage_error_for_shapes_and_paths(capsys, command):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", ["0", "-1", "0/3"])
+@pytest.mark.parametrize("command", [["shapes"], ["paths", "--lambda", ""]])
+def test_N_below_1_is_usage_error_for_shapes_and_paths(capsys, command, N):
+    # N = 0 used to list () as a member of O(2, 0) with 0 paths and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n", "2", "--N", N])
+    assert exc.value.code == 2
+    assert "argument --N: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+def test_rep_N_below_1_is_usage_error(capsys, N):
+    # N = 0 used to print a 0-dimensional representation and exit 0
+    code = main(["rep", "--lambda", "", "--n", "2", "--N", N])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"integer N must be at least 1, got {N}" in captured.err
+
+
 def test_paths(capsys):
     code, out = run(capsys, "paths", "--lambda", "1", "--n", "3", "--N", "3", "--format", "json")
     assert code == 0
@@ -335,6 +354,10 @@ def test_affine_check_runs_only_the_named_suite(capsys, monkeypatch):
     code, out = run(capsys, "affine", "check", "--suite", "pi", "--format", "json")
     data = json.loads(out)
     assert code == 1 and not data["ok"] and set(data) == {"ok", "seconds", "words", "faithful_monomials"}
+    # every suite of verify.AFFINE_SUITES is a --suite choice
+    code, out = run(capsys, "affine", "check", "--suite", "series", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] and set(data) == {"ok", "seconds", "series_checks"}
 
 
 _PROBE = """
@@ -368,3 +391,15 @@ def test_numpy_and_scipy_load_only_with_the_oracle(argv, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # diagrams and regular monomials are tuples, so neither the package nor
+    # the affine engine needs the dataclasses machinery
+    src = str(pathlib.Path(brauer.__file__).resolve().parents[1])
+    probe = "import sys, brauer, brauer.affine; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

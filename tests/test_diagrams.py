@@ -57,6 +57,16 @@ def test_compose_size_mismatch():
         compose(BrauerDiagram.identity(2), BrauerDiagram.identity(3))
 
 
+def test_kernel_diagrams_are_their_tuples():
+    # compose wraps kernel output without validation; the result must still
+    # equal, and hash like, the validated diagram and the plain (n, pairing)
+    for g in all_diagrams(3):
+        d, _ = compose(g, sbar_diagram(1, 3))
+        assert type(d) is BrauerDiagram and d.n == 3
+        for same in (BrauerDiagram(3, d.pairing), (3, d.pairing)):
+            assert d == same and hash(d) == hash(same)
+
+
 def test_multiply_examples():
     one = AlgebraElement.one(2)
     assert multiply(s_elem(1, 2), s_elem(1, 2)) == one

@@ -206,6 +206,11 @@ def test_degenerate_N_raises():
     # a bad parameter must be rejected loudly rather than silently skipped
     with pytest.raises((ValueError, ZeroDivisionError)):
         build_representation((1,), 3, 0)
+    # the empty diagram passes the O(n, N) test at N = 0, so only the level
+    # check stops a 0-dimensional basis
+    for Nv in (0, -1, F(-2)):
+        with pytest.raises(ValueError, match="integer N must be at least 1"):
+            PathBasis.build((), 2, Nv)
 
 
 def _stores_no_zero(m: RepMatrix) -> bool:
