@@ -8,10 +8,12 @@ Four kinds of numbers appear throughout:
     an ``int`` when integral and as a ``Fraction`` only when it is not, and
     ``shift(q)`` multiplies by N^q by moving exponents;
   * ``SurdSum`` -- finite sums ``sum c_r * sqrt(r)`` with c_r rational and
-    r squarefree, the entry type of representation matrices.  Stored as
-    integer numerators over one positive common denominator, reduced so that
-    their gcd with it is 1; that normal form is unique, so equality of values
-    is equality of numerators and denominator;
+    r squarefree, the entry type of the orthogonal-form matrices that
+    `repform` builds and prints (their relation checks and actions run on
+    integer matrices in a diagonal gauge instead).  Stored as integer
+    numerators over one positive common denominator, reduced so that their
+    gcd with it is 1; that normal form is unique, so equality of values is
+    equality of numerators and denominator;
   * ``USeries`` -- formal series ``a*u + c_0 + c_1/u + ... + c_K/u^K``
     truncated at order K, with at most one positive power of u.
 

@@ -14,17 +14,33 @@ assembled fiberwise:
     block through s_k x_k - x_{k+1} s_k = sbar_k - 1: with b_i the x_k
     eigenvalue, s(i, j) = (sbar(i, j) - delta_ij)/(b_i + b_j), except on the
     self-paired branch (N odd, associated diagrams, b_i = 0), whose diagonal
-    entry follows from s_k sbar_k = sbar_k.  So `build_representation`
-    builds each sbar_k once and hands it to `build_s_matrix`.
-
-Every constructed representation is re-verified against the defining
-relations in exact surd arithmetic; a failure raises with the violated
-relation named.
+    entry follows from s_k sbar_k = sbar_k.  So each sbar_k is built once
+    per basis and handed to `build_s_matrix`.
 
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
-non-zero entry; ``entry(i, j)`` reads any entry).  s_k and sbar_k are
-block-diagonal over the level-k fibers and x_k is diagonal, so products and
-the relation checks cost time in proportion to the non-zeros.
+non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
+sbar_k are block-diagonal over the level-k fibers and x_k is diagonal.
+
+Every constructed representation is re-verified against the defining and
+Jucys-Murphy relations, exactly; a failure raises with the violated relation
+named.  The check runs in a diagonal gauge (a seminormal form, as in Leduc
+and Ram, Adv. Math. 125 (1997)), not on the surds themselves.  Each path
+index i gets a squarefree class c_i: walking the non-zero entries of every
+s_k and sbar_k, an entry a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
+With D = diag(sqrt(c_i)), the entry of D^-1 M D at (i, j) is
+a*sqrt(r*c_i*c_j)/(e*c_i), rational because r*c_i*c_j is a square.  So every
+gauged generator is an `IntMatrix`: integer rows over one denominator.  An
+entry with two surd terms, or a class that clashes, raises; there is no
+fallback to surd arithmetic.
+
+Why the gauge is exact: M -> D^-1 M D is linear, multiplicative
+(D^-1 A D D^-1 B D = D^-1 AB D), fixes the identity and is invertible.  A
+relation is a polynomial identity in the generators with scalar (N-valued)
+coefficients, so it holds for the gauged matrices exactly when it holds for
+the orthogonal ones.  Symmetry of s_k and sbar_k is the one checked property
+the gauge does not preserve, so it is checked on the orthogonal matrices.
+`representation_action` also works in the gauge and maps its result back
+once: entry q at (i, j) becomes q*sqrt(c_i*c_j)/c_j.
 
 N is specialized to a rational before any matrix is built (the formulas
 divide by eigenvalue differences); all symbolic-N checks live in `diagrams`.
@@ -34,9 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import shapes
 from .coeffs import (
+    NPoly,
     SurdSum,
     USeries,
     add_term,
@@ -45,6 +64,7 @@ from .coeffs import (
     format_rational,
     linear_fraction_series,
     sqrt_of_rational,
+    squarefree_decomposition,
 )
 from .diagrams import (
     AlgebraElement,
@@ -153,22 +173,6 @@ class RepMatrix:
             return RepMatrix.zero(self.dim)
         return RepMatrix([{j: a * c for j, a in row.items()} for row in self.rows])
 
-    def __mul__(self, other: RepMatrix) -> RepMatrix:
-        if other.dim != self.dim:
-            raise ValueError(f"cannot multiply a {self.dim}x{self.dim} matrix by a {other.dim}x{other.dim} one")
-        orows = other.rows
-        out = []
-        for srow in self.rows:
-            acc: dict[int, SurdSum] = {}
-            for k, a in srow.items():
-                for j, b in orows[k].items():
-                    if j in acc:
-                        acc[j] = acc[j] + a * b
-                    else:
-                        acc[j] = a * b
-            out.append({j: v for j, v in acc.items() if v})
-        return RepMatrix(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepMatrix):
             return NotImplemented
@@ -209,6 +213,65 @@ class RepMatrix:
         return "RepMatrix([" + ",\n           ".join(str(r) for r in dense) + "])"
 
 
+class IntMatrix:
+    """Square matrix rows/den over the rationals: ``rows[i]`` maps a column to
+    a non-zero ``int`` and ``den`` is a positive ``int``.
+
+    The matrices of the diagonal gauge.  A product multiplies the rows as
+    plain ints and the two denominators, with no gcd per entry, so a value
+    has many forms; ``==`` compares values by cross-multiplying the
+    denominators.  Treated as immutable, like `RepMatrix`.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: list[dict[int, int]], den: int = 1):
+        self.rows = rows
+        self.den = den
+
+    @staticmethod
+    def identity(d: int) -> IntMatrix:
+        return IntMatrix([{i: 1} for i in range(d)])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def __mul__(self, other: IntMatrix) -> IntMatrix:
+        orows = other.rows
+        if len(orows) != len(self.rows):
+            raise ValueError(f"cannot multiply a {self.dim}x{self.dim} matrix by a {other.dim}x{other.dim} one")
+        out = []
+        for srow in self.rows:
+            acc: dict[int, int] = {}
+            for k, a in srow.items():
+                for j, b in orows[k].items():
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix(out, self.den * other.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if len(self.rows) != len(other.rows):
+            return False
+        da, db = self.den, other.den
+        if da == db:
+            return self.rows == other.rows
+        for ra, rb in zip(self.rows, other.rows):
+            if ra.keys() != rb.keys() or any(a * db != rb[j] * da for j, a in ra.items()):
+                return False
+        return True
+
+    __hash__ = None  # equal values may store different rows
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows!r}, {self.den})"
+
+
 # ---------------------------------------------------------------------------
 # path basis and fibers
 
@@ -221,18 +284,24 @@ class PathBasis:
     n: int
     N: Fraction
     paths: tuple[Path, ...]
-    # level k -> its fibers, grouped once per basis; not part of the value
+    # level k -> its fibers, and k -> the matrix of sbar_k, each built once
+    # per basis; not part of the value
     _fibers: dict[int, tuple[tuple[int, ...], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+    _sbar: dict[int, RepMatrix] = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     @staticmethod
     def build(lam: Diagram, n: int, N: int | Fraction) -> PathBasis:
         N = as_fraction(N)
         if N.denominator != 1:
             # formal specialization: no column bound can be applied through a
-            # non-integer N, so take the unconstrained (large-N) path set
-            paths = shapes.enumerate_paths(lam, n, 2 * n + sum(lam))
+            # non-integer N, so only reachability is checked and the paths are
+            # the unconstrained (large-N) set
+            size = sum(lam)
+            if size > n or (n - size) % 2:
+                raise ValueError(f"{lam} not in O({n}, {N})")
+            paths = shapes.enumerate_paths(lam, n, 2 * n + size)
         elif N < 1:
             raise ValueError(f"an integer N must be at least 1, got {N}")
         elif not shapes.in_O(lam, n, int(N)):
@@ -283,7 +352,11 @@ def _sbar_diagonal(mu: Diagram, b: Fraction, N: Fraction) -> Fraction:
 
 def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
     """Matrix of sbar_k; nonzero only on fibers whose endpoints at levels
-    k-1 and k+1 coincide, where it is the positive rank-one block."""
+    k-1 and k+1 coincide, where it is the positive rank-one block.  Built
+    once per basis: later calls return the same matrix."""
+    cached = basis._sbar.get(k)
+    if cached is not None:
+        return cached
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
     m = RepMatrix.zero(basis.dim)
@@ -305,6 +378,7 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
                 s = sqrt_of_rational(prod)
                 m.set(i, j, s)
                 m.set(j, i, s)
+    basis._sbar[k] = m
     return m
 
 
@@ -387,6 +461,9 @@ def x_matrix(basis: PathBasis, k: int) -> RepMatrix:
 class Representation:
     basis: PathBasis
     matrices: dict[str, RepMatrix]
+    # holds (gauge classes, gauged generators) once `_gauge_of` has built
+    # them; not part of the value
+    _gauge: list = field(default_factory=list, init=False, repr=False, compare=False, hash=False)
 
 
 def _relation_matrices(rep: Representation) -> dict[tuple[str, int], RepMatrix]:
@@ -400,42 +477,127 @@ def _relation_matrices(rep: Representation) -> dict[tuple[str, int], RepMatrix]:
     return out
 
 
-def _combination(terms, gens: dict[tuple[str, int], RepMatrix], N: Fraction, d: int) -> RepMatrix:
-    """Sum of coeff(N) * (product of the word's generator matrices) over
-    (coeff, word) terms.
+def _gauge_error(rep: Representation, token: tuple[str, int], i: int, j: int, why: str) -> RepresentationError:
+    basis = rep.basis
+    return RepresentationError(
+        f"entry ({i}, {j}) of {token[0]}{token[1]} on V({basis.lam}, {basis.n}) at N={basis.N} {why}"
+    )
+
+
+def _single_term(rep: Representation, token: tuple[str, int], i: int, j: int, value: SurdSum) -> tuple[int, int]:
+    """(radicand, numerator) of an entry a*sqrt(r)/den; raises on a sum of surds."""
+    if len(value.num) != 1:
+        raise _gauge_error(rep, token, i, j, f"is {value}, not a single surd term")
+    return next(iter(value.num.items()))
+
+
+def _gauge_of(rep: Representation) -> tuple[list[int], dict[tuple[str, int], IntMatrix]]:
+    """The squarefree classes c_i and the gauged generators D^-1 M D (see the
+    module docstring), built once per representation."""
+    if rep._gauge:
+        return rep._gauge[0]
+    named = _relation_matrices(rep)
+    walked = [(token, m.rows) for token, m in named.items() if token[0] != "x"]
+    classes = [0] * rep.basis.dim  # 0: not reached yet
+    for start in range(len(classes)):
+        if classes[start]:
+            continue
+        classes[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for token, rows in walked:
+                for j, value in rows[i].items():
+                    if not classes[j]:
+                        r, _ = _single_term(rep, token, i, j, value)
+                        classes[j] = squarefree_decomposition(classes[i] * r)[1]
+                        stack.append(j)
+    gens = {}
+    for token, m in named.items():
+        entries = []
+        for i, row in enumerate(m.rows):
+            ci = classes[i]
+            for j, value in row.items():
+                r, a = _single_term(rep, token, i, j, value)
+                root, s = squarefree_decomposition(ci * r)
+                if s != classes[j]:
+                    raise _gauge_error(rep, token, i, j, "does not fit a diagonal gauge")
+                # a*sqrt(r)/den at (i, j) gauges to a*sqrt(r*c_i*c_j)/(den*c_i)
+                num, den = a * root * s, value.den * ci
+                g = gcd(num, den)
+                entries.append((i, j, num // g, den // g))
+        den = lcm(*(e[3] for e in entries))
+        rows: list[dict[int, int]] = [{} for _ in classes]
+        for i, j, num, d in entries:
+            rows[i][j] = num * (den // d)
+        gens[token] = IntMatrix(rows, den)
+    rep._gauge.append((classes, gens))
+    return classes, gens
+
+
+@lru_cache(maxsize=8)
+def _relations(n: int) -> tuple:
+    """Every relation of `presentation_relations(n)` and `jm_relations(n)` as
+    (name, lhs, rhs), each side a tuple of (coefficient, word).  A
+    coefficient that does not depend on N is stored as its value; `_at`
+    evaluates the others.  One entry per n serves every N, which keeps the
+    cache small."""
+
+    def side(terms):
+        return tuple((coeff.coeffs[0] if coeff.coeffs.keys() == {0} else coeff, word) for coeff, word in terms)
+
+    return tuple((name, side(lhs), side(rhs)) for name, lhs, rhs in presentation_relations(n) + jm_relations(n))
+
+
+def _at(side: tuple, N: Fraction) -> list:
+    """The (coefficient at N, word) terms of a `_relations` side, zeros dropped."""
+    return [(c, word) for coeff, word in side if (c := coeff.eval(N) if coeff.__class__ is NPoly else coeff)]
+
+
+def _combination(terms, gens: dict[tuple[str, int], IntMatrix], d: int) -> IntMatrix:
+    """Sum of c * (product of the word's gauged generators) over (c, word)
+    terms with c != 0 an int or a Fraction, over the lcm of the terms'
+    denominators.
 
     A product starts from its first generator, so only the empty word uses
-    the identity; coefficients 0, 1 and -1 skip the scaling.
+    the identity; a lone term with coefficient 1 is returned as it is.
     """
-    total = None
-    for coeff, word in terms:
-        c = coeff.eval(N)
-        if not c:
-            continue
+    parts = []
+    for c, word in terms:
         if word:
             acc = gens[word[0]]
             for token in word[1:]:
                 acc = acc * gens[token]
         else:
-            acc = RepMatrix.identity(d)
-        if c == -1:
-            acc = -acc
-        elif c != 1:
-            acc = acc.scale(c)
-        total = acc if total is None else total + acc
-    return RepMatrix.zero(d) if total is None else total
+            acc = IntMatrix.identity(d)
+        parts.append((c, acc))
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    den = lcm(*(c.denominator * m.den for c, m in parts))
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    for c, m in parts:
+        f = c.numerator * (den // (c.denominator * m.den))
+        for row, mrow in zip(rows, m.rows):
+            for j, v in mrow.items():
+                add_term(row, j, f * v)
+    return IntMatrix(rows, den)
 
 
 def verify_representation(rep: Representation) -> None:
-    """Check every defining and Jucys-Murphy relation on the matrices.
+    """Check that every s_k and sbar_k is symmetric, then every defining and
+    Jucys-Murphy relation, in the diagonal gauge.
 
-    Raises RepresentationError naming the first violated relation.
+    Raises RepresentationError naming the first violated check.
     """
     basis = rep.basis
     n, N, d = basis.n, basis.N, basis.dim
-    gens = _relation_matrices(rep)
-    for name, lhs, rhs in presentation_relations(n) + jm_relations(n):
-        if _combination(lhs, gens, N, d) != _combination(rhs, gens, N, d):
+    for k in range(1, n):
+        for name in (f"s{k}", f"sbar{k}"):
+            if not rep.matrices[name].is_symmetric():
+                raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
+    gens = _gauge_of(rep)[1]
+    for name, lhs, rhs in _relations(n):
+        if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
             raise RepresentationError(
                 f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
             )
@@ -463,13 +625,26 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
     """Apply the representation to an arbitrary algebra element.
 
     Diagrams act through their generator factorization; coefficients are
-    specialized at the basis parameter N.
+    specialized at the basis parameter N.  The sum is taken in the diagonal
+    gauge and mapped back to the orthogonal form once.
     """
     basis = rep.basis
     if element.n != basis.n:
         raise ValueError("element size does not match the representation")
-    terms = ((coeff, factor_diagram(d)) for d, coeff in element.terms.items())
-    return _combination(terms, _relation_matrices(rep), basis.N, basis.dim)
+    classes, gens = _gauge_of(rep)
+    terms = [(c, factor_diagram(d)) for d, coeff in element.terms.items() if (c := coeff.eval(basis.N))]
+    gauged = _combination(terms, gens, basis.dim)
+    # entry q at (i, j) is q*sqrt(c_i*c_j)/c_j in the orthogonal form
+    rows = []
+    for i, row in enumerate(gauged.rows):
+        ci = classes[i]
+        out = {}
+        for j, q in row.items():
+            cj = classes[j]
+            root, s = squarefree_decomposition(ci * cj)
+            out[j] = SurdSum._trusted({s: q * root}, gauged.den * cj)
+        rows.append(out)
+    return RepMatrix(rows)
 
 
 def scalar_of(matrix: RepMatrix) -> Fraction:

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -508,7 +509,12 @@ def test_builtin_sum_of_elements():
     assert sum([AffineElement.one(2)]) == AffineElement.one(2)
 
 
-_DIAGRAMS = {n: list(all_diagrams(n)) for n in (1, 2, 3, 4)}
+@functools.cache
+def _diagrams(n):
+    """Every diagram of B(n), listed on first use (10,395 at n = 6)."""
+    return list(all_diagrams(n))
+
+
 _coefficients = st.builds(
     lambda a, b: NPoly({0: Fraction(a), 1: Fraction(b)}),
     st.integers(-3, 3),
@@ -519,7 +525,7 @@ _coefficients = st.builds(
 @st.composite
 def regular_monomials(draw, n, max_degree):
     """A regular monomial of A(n, N) with y-degree at most max_degree."""
-    d = draw(st.sampled_from(_DIAGRAMS[n]))
+    d = draw(st.sampled_from(_diagrams(n)))
     top_bad = {b for _, b in d.top_edges()}
     left_ok = [m for m in range(1, n + 1) if m not in top_bad]  # never empty: strand 1
     right_ok = sorted({b for _, b in d.bottom_edges()})
@@ -539,7 +545,7 @@ def element_pairs(draw):
     kind = draw(st.sampled_from(["diagram", "affine", "hecke"]))
     n = draw(st.integers(1, 3))
     if kind == "diagram":
-        keys = st.sampled_from(_DIAGRAMS[n])
+        keys = st.sampled_from(_diagrams(n))
         make = AlgebraElement
     elif kind == "affine":
         keys = regular_monomials(n, 2)
@@ -584,6 +590,21 @@ def test_associativity_hypothesis(triple):
     assert (a * b) * c == a * (b * c)
 
 
+@st.composite
+def monomial_triples_n6(draw):
+    """Three regular monomials of A(6, N), each of y-degree <= 3."""
+    return [AffineElement.from_monomial(draw(regular_monomials(6, 3))) for _ in range(3)]
+
+
+# measured: 60 examples take about 13 s and 200 about 56 s on a 2-vCPU VM
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(monomial_triples_n6())
+def test_associativity_n6_hypothesis(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
 @pytest.mark.slow
 def test_associativity_many_term_right_factor():
     # b * c has 39 terms, so a * (b * c) rewrites far more monomials than
@@ -610,3 +631,11 @@ def _atoms(n):
 def test_pi_m_matches_pi_word_hypothesis(n_word, m):
     n, word = n_word
     assert pi_m(from_word(word, n), m) == pi_word(word, n, m)
+
+
+# measured: 500 examples take about 5 s on a 2-vCPU VM
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_atoms(5), max_size=6), st.integers(0, 2))
+def test_pi_m_matches_pi_word_n5_hypothesis(word, m):
+    assert pi_m(from_word(word, 5), m) == pi_word(word, 5, m)

@@ -121,6 +121,15 @@ def test_rep_rational_N(capsys):
     assert json.loads(out)["N"] == "7/2"
 
 
+@pytest.mark.parametrize("lam", ["1", "3"])
+def test_rep_unreachable_diagram_names_the_given_N(capsys, lam):
+    # the message used to name the internal path bound: O(2, 5) or O(2, 7)
+    code = main(["rep", "--lambda", lam, "--n", "2", "--N", "7/2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"({lam},) not in O(2, 7/2)" in captured.err
+
+
 def test_affine_nf(capsys):
     code, out = run(
         capsys, "affine", "nf", "--n", "2", "--word", "sbar1 y1 sbar1", "--format", "json"

@@ -4,9 +4,18 @@ from fractions import Fraction
 import pytest
 
 from brauer import shapes
-from brauer.coeffs import SurdSum, sqrt_of_rational
-from brauer.diagrams import jucys_murphy, z_element
+from brauer.coeffs import NPoly, SurdSum, sqrt_of_rational
+from brauer.diagrams import (
+    AlgebraElement,
+    factor_diagram,
+    jucys_murphy,
+    random_diagram,
+    s_elem,
+    sbar_elem,
+    z_element,
+)
 from brauer.repform import (
+    IntMatrix,
     PathBasis,
     RepMatrix,
     Representation,
@@ -25,6 +34,7 @@ from brauer.repform import (
     scalar_of,
     surd_from_json,
     surd_to_json,
+    _gauge_of,
     verify_representation,
     z_series,
 )
@@ -116,7 +126,8 @@ def test_matrices_symmetric_and_involutive():
         s = rep.matrices[f"s{k}"]
         sb = rep.matrices[f"sbar{k}"]
         assert s.is_symmetric() and sb.is_symmetric()
-        assert s * s == RepMatrix.identity(rep.basis.dim)
+        gs = _gauge_of(rep)[1][("s", k)]
+        assert gs * gs == IntMatrix.identity(rep.basis.dim)
 
 
 def test_non_integer_N_is_relations_checked():
@@ -213,7 +224,7 @@ def test_degenerate_N_raises():
             PathBasis.build((), 2, Nv)
 
 
-def _stores_no_zero(m: RepMatrix) -> bool:
+def _stores_no_zero(m: RepMatrix | IntMatrix) -> bool:
     return all(v for row in m.rows for v in row.values())
 
 
@@ -225,7 +236,8 @@ def test_built_matrices_store_no_zero():
         for name, m in rep.matrices.items():
             assert _stores_no_zero(m), (lam, n, Nv, name)
         s1 = rep.matrices["s1"]
-        assert _stores_no_zero(s1 * s1)
+        gs1 = _gauge_of(rep)[1][("s", 1)]
+        assert _stores_no_zero(gs1 * gs1)
         assert (s1 - s1).rows == [{}] * rep.basis.dim
 
 
@@ -249,20 +261,40 @@ def _dense(m: RepMatrix) -> list[list[SurdSum]]:
     return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
 
 
+def _random_int_matrix(rng: random.Random, d: int) -> IntMatrix:
+    # small entries, half of them zero, so products often cancel
+    rows = [{j: v for j in range(d) if (v := rng.choice((0, 0, 0, 1, -1, 2, -3)))} for _ in range(d)]
+    return IntMatrix(rows, rng.randint(1, 4))
+
+
+def _int_dense(m: IntMatrix) -> list[list[Fraction]]:
+    return [[F(m.rows[i].get(j, 0), m.den) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def test_int_product_matches_dense_reference():
+    rng = random.Random(20240402)
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        a, b = _random_int_matrix(rng, d), _random_int_matrix(rng, d)
+        da, db = _int_dense(a), _int_dense(b)
+        prod = a * b
+        assert _stores_no_zero(prod) and prod.den == a.den * b.den
+        assert _int_dense(prod) == [
+            [sum(da[i][k] * db[k][j] for k in range(d)) for j in range(d)] for i in range(d)
+        ]
+        # equality compares values, whatever the denominators
+        f = rng.randint(2, 5)
+        assert a == IntMatrix([{j: v * f for j, v in row.items()} for row in a.rows], a.den * f)
+        assert (a == b) == (da == db)
+        assert a * IntMatrix.identity(d) == a == IntMatrix.identity(d) * a
+
+
 def test_sparse_arithmetic_matches_dense_reference():
     rng = random.Random(20240402)
     for _ in range(150):
         d = rng.randint(1, 5)
         a, b = _random_matrix(rng, d), _random_matrix(rng, d)
         da, db = _dense(a), _dense(b)
-        prod = a * b
-        assert _stores_no_zero(prod)
-        for i in range(d):
-            for j in range(d):
-                expect = SurdSum.zero()
-                for k in range(d):
-                    expect = expect + da[i][k] * db[k][j]
-                assert prod.entry(i, j) == expect
         total = a + b
         c = _random_surd(rng)
         scaled = a.scale(c)
@@ -292,23 +324,146 @@ def test_sparse_arithmetic_matches_dense_reference():
 def test_dimension_mismatch_raises():
     for d1, d2 in ((2, 3), (3, 2)):
         a, b = RepMatrix.identity(d1), RepMatrix.identity(d2)
-        for op in (a.__add__, a.__sub__, a.__mul__):
+        for op in (a.__add__, a.__sub__):
             with pytest.raises(ValueError):
                 op(b)
+        with pytest.raises(ValueError):
+            IntMatrix.identity(d1) * IntMatrix.identity(d2)
+        assert IntMatrix.identity(d1) != IntMatrix.identity(d2)
 
 
-@pytest.mark.parametrize("lam, n, Nv", [((1,), 3, 3), ((1,), 3, 5), ((), 4, 3), ((2,), 4, 5)])
+def _perturbations(value: SurdSum) -> list[SurdSum]:
+    """One entry moved by a rational, by a surd, and onto another radicand."""
+    moved = value * sqrt_of_rational(3) if value else sqrt_of_rational(5)
+    return [value + 1, value + F(-2, 3), value + sqrt_of_rational(2), moved]
+
+
+@pytest.mark.parametrize(
+    "lam, n, Nv", [((1,), 3, 3), ((1,), 3, 5), ((), 4, 3), ((2,), 4, 5), ((1,), 3, F(7, 2)), ((2,), 4, F(9, 4))]
+)
 def test_single_entry_corruption_is_caught(lam, n, Nv):
+    # every entry of every generator, zero or not; an off-diagonal entry of
+    # s_k or sbar_k is also moved together with its mirror, so that the
+    # symmetry check passes and the gauge or a relation must catch it
     rep = build_representation(lam, n, Nv)
     d = rep.basis.dim
-    for name in ("s1", "sbar1", f"s{n - 1}", f"sbar{n - 1}"):
-        good = rep.matrices[name]
+    for name, good in rep.matrices.items():
         for i in range(d):
             for j in range(d):
-                bad = RepMatrix([dict(row) for row in good.rows])
-                bad.set(i, j, good.entry(i, j) + 1)
-                with pytest.raises(RepresentationError):
-                    verify_representation(Representation(rep.basis, {**rep.matrices, name: bad}))
+                for value in _perturbations(good.entry(i, j)):
+                    mirrored = [False] if i == j or name.startswith("x") else [False, True]
+                    for mirror in mirrored:
+                        bad = RepMatrix([dict(row) for row in good.rows])
+                        bad.set(i, j, value)
+                        if mirror:
+                            bad.set(j, i, value)
+                        with pytest.raises(RepresentationError):
+                            verify_representation(Representation(rep.basis, {**rep.matrices, name: bad}))
+
+
+def _with_entry(rep: Representation, name: str, cells, value: SurdSum) -> Representation:
+    bad = RepMatrix([dict(row) for row in rep.matrices[name].rows])
+    for i, j in cells:
+        bad.set(i, j, value)
+    return Representation(rep.basis, {**rep.matrices, name: bad})
+
+
+def test_two_term_entry_and_asymmetry_raise():
+    rep = build_representation((1,), 3, 5)
+    s2 = rep.matrices["s2"]
+    # an irrational off-diagonal entry: it joins two paths of different classes
+    i, j = next((i, j) for i, row in enumerate(s2.rows) for j, v in row.items() if not v.is_rational())
+    two_terms = sqrt_of_rational(2) + sqrt_of_rational(3)
+    with pytest.raises(RepresentationError, match="not a single surd term"):
+        verify_representation(_with_entry(rep, "s2", [(i, j), (j, i)], two_terms))
+    with pytest.raises(RepresentationError, match="not a single surd term"):
+        representation_action(_with_entry(rep, "x2", [(i, i)], two_terms), s_elem(1, 3))
+    with pytest.raises(RepresentationError, match="s2 is not symmetric"):
+        verify_representation(_with_entry(rep, "s2", [(i, j)], s2.entry(i, j) + 1))
+    with pytest.raises(RepresentationError, match="sbar1 is not symmetric"):
+        verify_representation(_with_entry(rep, "sbar1", [(i, j)], SurdSum.one()))
+    with pytest.raises(RepresentationError, match="does not fit a diagonal gauge"):
+        verify_representation(_with_entry(rep, "s2", [(i, j), (j, i)], SurdSum.rational(F(1, 3))))
+
+
+def test_gauge_exists_at_rational_N():
+    # every representation at n <= 4 builds and verifies in the gauge
+    for Nv in (F(5, 2), F(7, 2), F(9, 4), F(11, 3), F(17, 4), F(31, 7)):
+        built = 0
+        for n in (2, 3, 4):
+            for size in range(n % 2, n + 1, 2):
+                for lam in shapes.partitions(size):
+                    rep = build_representation(lam, n, Nv)
+                    classes, gens = _gauge_of(rep)
+                    assert len(classes) == rep.basis.dim and all(c >= 1 for c in classes)
+                    assert all(m.den >= 1 for m in gens.values())
+                    built += 1
+        assert built == 15
+
+
+def _dense_product(a: list[list[SurdSum]], b: list[list[SurdSum]]) -> list[list[SurdSum]]:
+    d = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(d)), SurdSum.zero()) for j in range(d)] for i in range(d)]
+
+
+def _reference_action(rep: Representation, element: AlgebraElement) -> list[list[SurdSum]]:
+    """Sum of coeff(N) * (product of the orthogonal-form generator matrices
+    along the diagram's factorization), in dense SurdSum arithmetic."""
+    d = rep.basis.dim
+    total = [[SurdSum.zero()] * d for _ in range(d)]
+    for diagram, coeff in element.terms.items():
+        acc = _dense(RepMatrix.identity(d))
+        for kind, k in factor_diagram(diagram):
+            acc = _dense_product(acc, _dense(rep.matrices[f"{kind}{k}"]))
+        c = coeff.eval(rep.basis.N)
+        total = [[t + c * x for t, x in zip(rt, rx)] for rt, rx in zip(total, acc)]
+    return total
+
+
+@pytest.mark.parametrize("Nv", [3, 5, F(7, 2), F(9, 4)])
+def test_representation_action_matches_dense_reference(Nv):
+    rng = random.Random(20261018)
+    for n in (2, 3, 4):
+        for lam in shapes.enumerate_O(n, Nv) if F(Nv).denominator == 1 else [(), (1,), (2,), (1, 1)]:
+            if (n - sum(lam)) % 2 or sum(lam) > n:
+                continue
+            rep = build_representation(lam, n, Nv)
+            for _ in range(3):
+                terms = {
+                    random_diagram(n, rng): NPoly({0: F(rng.randint(-3, 3), rng.randint(1, 3)), 1: rng.randint(-2, 2)})
+                    for _ in range(rng.randint(0, 4))
+                }
+                element = AlgebraElement(n, terms)
+                acted = representation_action(rep, element)
+                assert _stores_no_zero(acted)
+                assert _dense(acted) == _reference_action(rep, element), (lam, n, Nv, element)
+
+
+def test_action_of_a_generator_is_its_matrix():
+    # the gauge and its inverse round-trip every generator exactly
+    for lam, n, Nv in [((1,), 3, 5), ((2,), 4, F(9, 4)), ((1,), 5, 4)]:
+        rep = build_representation(lam, n, Nv)
+        for k in range(1, n):
+            assert representation_action(rep, s_elem(k, n)) == rep.matrices[f"s{k}"]
+            assert representation_action(rep, sbar_elem(k, n)) == rep.matrices[f"sbar{k}"]
+        for k in range(1, n + 1):
+            assert representation_action(rep, jucys_murphy(k, n)) == rep.matrices[f"x{k}"]
+        assert representation_action(rep, AlgebraElement(n)).is_zero()
+
+
+def test_sbar_is_built_once_per_basis():
+    rep = build_representation((1,), 3, 3)
+    for k in (1, 2):
+        assert build_sbar_matrix(rep.basis, k) is rep.matrices[f"sbar{k}"]
+    reports = sbar_fiber_report(rep.basis, 2)
+    assert reports == sbar_fiber_report(PathBasis.build((1,), 3, 3), 2)
+
+
+def test_unreachable_diagram_at_rational_N_names_that_N():
+    for lam in [(1,), (3,)]:
+        with pytest.raises(ValueError, match=r"not in O\(2, 7/2\)"):
+            PathBasis.build(lam, 2, F(7, 2))
+    assert PathBasis.build((2,), 2, F(7, 2)).dim == 1
 
 
 @pytest.mark.parametrize("Nv", [4, 7])
