@@ -12,7 +12,13 @@ right one, contract, and pick up one factor of the formal parameter N per
 closed loop.  Algebra elements carry NPoly coefficients so every identity in
 this module can be checked with N symbolic.
 
-The composition inner loop lives in the pure-Python module ``_kernel`` and is
+A product by one generator takes a local rule instead of the kernel.
+``d * s_k`` swaps the bottom vertices of strands k and k+1 of d.  ``d * sbar_k``
+caps them: a loop if d already pairs them, otherwise their two partners are
+joined and the cap {k-bar, (k+1)-bar} is added.  ``s_k * d`` and ``sbar_k * d``
+do the same on the top row.  ``multiply`` takes this rule whenever one factor
+is a single generator diagram.  Every other product runs the composition
+inner loop.  That loop lives in the pure-Python module ``_kernel`` and is
 always called as ``_kernel.compose_pairings``, so a profiler can wrap it there.
 """
 
@@ -253,10 +259,86 @@ class AlgebraElement(Combination):
         return " + ".join(bits)
 
 
+def _generator_of(d: BrauerDiagram) -> tuple[bool, int] | None:
+    """``(bar, k)`` if d is s_k (bar False) or sbar_k (bar True), else None."""
+    n, p = d
+    # k is the first top strand that is not vertical; if strands 1..n-1 all
+    # are, strand n is too and d is the identity
+    for k in range(1, n):
+        if p[k - 1] != n + k - 1:
+            break
+    else:
+        return None
+    if p == s_diagram(k, n).pairing:
+        return False, k
+    if p == sbar_diagram(k, n).pairing:
+        return True, k
+    return None
+
+
+def _swap(d: BrauerDiagram, u: int) -> BrauerDiagram:
+    """d with vertices u and u + 1 exchanged: d * s_k on the bottom row, s_k * d
+    on the top row."""
+    p = d.pairing
+    w = u + 1
+    x, y = p[u], p[w]
+    if x == w:
+        return d
+    q = list(p)
+    q[u], q[w], q[x], q[y] = y, x, w, u
+    return BrauerDiagram._make((d.n, tuple(q)))
+
+
+def _cap(d: BrauerDiagram, u: int) -> tuple[BrauerDiagram, int]:
+    """d with vertices u and u + 1 capped, and its loop count: d * sbar_k on
+    the bottom row, sbar_k * d on the top row."""
+    p = d.pairing
+    w = u + 1
+    x, y = p[u], p[w]
+    if x == w:
+        return d, 1
+    q = list(p)
+    q[x], q[y], q[u], q[w] = y, x, w, u
+    return BrauerDiagram._make((d.n, tuple(q))), 0
+
+
+def _generator_product(e: AlgebraElement, g: tuple[bool, int], c: NPoly, left: bool) -> AlgebraElement:
+    """c g e if left, else e g c, for g = (bar, k): one local rewrite per term
+    of e, on the row of e that g touches."""
+    n = e.n
+    bar, k = g
+    u = k - 1 if left else n + k - 1
+    if not bar:
+        # d -> d s_k is a bijection with no loops: each image is one term
+        if c.coeffs == {0: 1}:
+            return AlgebraElement._trusted(n, {_swap(d, u): x for d, x in e.terms.items()})
+        return AlgebraElement._trusted(n, {_swap(d, u): x * c for d, x in e.terms.items()})
+    m = c.coeffs
+    raw: dict[BrauerDiagram, dict] = {}
+    for d, x in e.terms.items():
+        d2, loops = _cap(d, u)
+        acc = raw.get(d2)
+        if acc is None:
+            acc = raw[d2] = {}
+        _mul_into(acc, x.coeffs, m, loops)
+    return AlgebraElement._trusted(n, {d: NPoly._trusted(acc) for d, acc in raw.items() if acc})
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; each loop contributes N."""
     a._check_compatible(b)
     n = a.n
+    # a one-term factor that is a generator takes the local rule
+    if len(b.terms) == 1:
+        ((d, c),) = b.terms.items()
+        g = _generator_of(d)
+        if g is not None:
+            return _generator_product(a, g, c, False)
+    if len(a.terms) == 1:
+        ((d, c),) = a.terms.items()
+        g = _generator_of(d)
+        if g is not None:
+            return _generator_product(b, g, c, True)
     right = [(d2, c2.coeffs) for d2, c2 in b.terms.items()]
     # one raw coefficient map per output diagram, wrapped once at the end
     raw: dict[BrauerDiagram, dict] = {}

@@ -284,9 +284,12 @@ class PathBasis:
     n: int
     N: Fraction
     paths: tuple[Path, ...]
-    # level k -> its fibers, and k -> the matrix of sbar_k, each built once
-    # per basis; not part of the value
+    # level k -> its fibers, k -> the eigenvalues of x_k, and k -> the matrix
+    # of sbar_k, each built once per basis; not part of the value
     _fibers: dict[int, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+    _eigenvalues: dict[int, tuple[Fraction, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     _sbar: dict[int, RepMatrix] = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
@@ -325,6 +328,13 @@ class PathBasis:
             cached = self._fibers[k] = tuple(map(tuple, groups.values()))
         return cached
 
+    def eigenvalues(self, k: int) -> tuple[Fraction, ...]:
+        """The eigenvalue of x_k on each path, in path order."""
+        cached = self._eigenvalues.get(k)
+        if cached is None:
+            cached = self._eigenvalues[k] = tuple(jm_eigenvalue(p, k, self.N) for p in self.paths)
+        return cached
+
 
 def _sbar_diagonal(mu: Diagram, b: Fraction, N: Fraction) -> Fraction:
     """Diagonal entry of sbar on a fiber over mu at eigenvalue b.
@@ -360,12 +370,13 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
     m = RepMatrix.zero(basis.dim)
+    eig = basis.eigenvalues(k)
     for fiber in basis.fibers(k):
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
         mu = p0[k - 1]
-        diag = [_sbar_diagonal(mu, jm_eigenvalue(basis.paths[i], k, basis.N), basis.N) for i in fiber]
+        diag = [_sbar_diagonal(mu, eig[i], basis.N) for i in fiber]
         for a, i in enumerate(fiber):
             m.set(i, i, SurdSum.rational(diag[a]))
             for b in range(a + 1, len(fiber)):
@@ -389,6 +400,7 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
         raise ValueError(f"generator index {k} out of range")
     N = basis.N
     m = RepMatrix.zero(basis.dim)
+    eig, eig1 = basis.eigenvalues(k), basis.eigenvalues(k + 1)
     for fiber in basis.fibers(k):
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
@@ -396,8 +408,7 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
                 raise RepresentationError("fiber with distinct endpoints has dimension > 2")
             deltas = []
             for i in fiber:
-                path = basis.paths[i]
-                delta = jm_eigenvalue(path, k + 1, N) - jm_eigenvalue(path, k, N)
+                delta = eig1[i] - eig[i]
                 if delta == 0:
                     raise RepresentationError(
                         f"x_k = x_(k+1) on a split fiber at N={N}; construction breaks"
@@ -418,7 +429,7 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
             # s(i, j) (b_i + b_j) = sbar(i, j) - delta_ij, from the relation
             # s_k x_k - x_{k+1} s_k = sbar_k - 1 with x_k = b, x_{k+1} = -b
             mu = p0[k - 1]
-            bs = [jm_eigenvalue(basis.paths[i], k, N) for i in fiber]
+            bs = [eig[i] for i in fiber]
             for a, i in enumerate(fiber):
                 for c, j in enumerate(fiber):
                     denom = bs[a] + bs[c]
@@ -450,7 +461,7 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
 
 
 def x_matrix(basis: PathBasis, k: int) -> RepMatrix:
-    return RepMatrix.diagonal([jm_eigenvalue(p, k, basis.N) for p in basis.paths])
+    return RepMatrix.diagonal(list(basis.eigenvalues(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +765,8 @@ def sbar_fiber_report(basis: PathBasis, k: int) -> list[dict]:
 
 def eigenvalue_tuples(lam: Diagram, n: int, N: int | Fraction) -> list[tuple[Fraction, ...]]:
     basis = PathBasis.build(lam, n, N)
-    return [tuple(jm_eigenvalue(p, k, basis.N) for k in range(1, n + 1)) for p in basis.paths]
+    tables = [basis.eigenvalues(k) for k in range(1, n + 1)]
+    return [tuple(t[i] for t in tables) for i in range(basis.dim)]
 
 
 # -- JSON forms

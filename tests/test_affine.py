@@ -605,6 +605,23 @@ def test_associativity_n6_hypothesis(triple):
     assert (a * b) * c == a * (b * c)
 
 
+@st.composite
+def monomial_triples_n5(draw):
+    """Three regular monomials of A(5, N), each of y-degree <= 4."""
+    return [AffineElement.from_monomial(draw(regular_monomials(5, 4))) for _ in range(3)]
+
+
+# measured over six runs of 100 examples on a 2-vCPU VM: a median example
+# takes 2-3 ms, but the y-degree tail costs up to 44 s for one triple, so 100
+# examples took 13-120 s (0.7 s an example on average) and 40 are kept
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(monomial_triples_n5())
+def test_associativity_n5_hypothesis(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
 @pytest.mark.slow
 def test_associativity_many_term_right_factor():
     # b * c has 39 terms, so a * (b * c) rewrites far more monomials than

@@ -33,6 +33,8 @@ from brauer.diagrams import (
     verify_presentation,
     z_element,
     _compose_cached,
+    _generator_of,
+    _generator_product,
     _token_diagram,
 )
 
@@ -109,10 +111,63 @@ def test_multiply_does_not_depend_on_memo_state():
     assert _compose_cached.cache_info().misses > info.misses
     for got in (cold, warm):
         assert got.terms == want
-        # normal form: no zero coefficient, an int wherever it is integral
-        assert all(c and type(c) is NPoly for c in got.terms.values())
-        assert all(type(x) is int for c in got.terms.values() for x in c.coeffs.values() if x.denominator == 1)
+        _assert_normal_form(got)
     assert cold == warm
+
+
+def _assert_normal_form(e: AlgebraElement) -> None:
+    # no zero coefficient, an int wherever it is integral
+    assert all(c and type(c) is NPoly for c in e.terms.values())
+    assert all(type(x) is int for c in e.terms.values() for x in c.coeffs.values() if x.denominator == 1)
+
+
+def _generators(n: int) -> dict[tuple[bool, int], BrauerDiagram]:
+    """(bar, k) -> the diagram of sbar_k (bar True) or s_k, for B(n)."""
+    return {(bar, k): sbar_diagram(k, n) if bar else s_diagram(k, n) for bar in (False, True) for k in range(1, n)}
+
+
+def test_generator_products_match_kernel():
+    # the local two-vertex rule, on both sides, against the composition
+    # kernel: same diagram, same loop count, for every diagram of B(n <= 5)
+    for n in range(1, 6):
+        for g, gd in _generators(n).items():
+            for d in all_diagrams(n):
+                e = AlgebraElement.from_diagram(d)
+                for left in (False, True):
+                    top, bottom = (gd, d) if left else (d, gd)
+                    pairing, loops = _kernel.compose_pairings(top.pairing, bottom.pairing, n)
+                    got = _generator_product(e, g, NPoly.one(), left)
+                    assert got.terms == {BrauerDiagram(n, pairing): N**loops}, (g, d, left)
+
+
+def test_generator_of_recognises_exactly_the_generators():
+    for n in range(0, 6):
+        found = {d: g for d in all_diagrams(n) if (g := _generator_of(d)) is not None}
+        want = {gd: g for g, gd in _generators(n).items()}
+        assert found == want
+    # the identity and the non-adjacent terms of a Jucys-Murphy element
+    assert _generator_of(BrauerDiagram.identity(4)) is None
+    assert _generator_of(transposition(1, 3, 4)) is None
+    assert _generator_of(bar_transposition(2, 4, 4)) is None
+
+
+def test_multiply_by_one_term_factor_matches_reference():
+    # a one-term factor on either side, generator or not, against the
+    # product straight from the kernel
+    rng = random.Random(17)
+    n = 6
+    coeffs = (NPoly.one(), NPoly.const(-2), N, n_minus_1_half())
+    others = [_random_element(n, terms, rng) for terms in (1, 7, 100)]
+    diagrams = list(_generators(n).values())
+    diagrams += [BrauerDiagram.identity(n), transposition(2, 5, n), random_diagram(n, rng)]
+    for d in diagrams:
+        for c in coeffs:
+            g = AlgebraElement.from_diagram(d, c)
+            for e in others:
+                for a, b in ((e, g), (g, e)):
+                    got = multiply(a, b)
+                    assert got.terms == _reference_product(a, b), (d, c, a.n)
+                    _assert_normal_form(got)
 
 
 def test_power():
