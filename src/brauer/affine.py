@@ -64,6 +64,38 @@ very map that recomputing it would produce, rewrite for rewrite.  Only the
 order in which the scaled partials are summed changes, and exact sums do
 not depend on it.  Nothing here assumes confluence.
 
+Four passes are skipped because their output is known before they run.  Each
+shortcut adds the very map the pass would build, so no rewrite is reordered
+and, again, nothing assumes confluence:
+
+  * A term with no y.  Both loops of `_normalize_into` find nothing to move,
+    and the pass ends in `_add_raw` of the same key; it goes there at once.
+  * s_k on a term with no right y on strands k, k+1.  y_j commutes with s_k
+    for j not in {k, k+1}, so the product is y^left b(d s_k) y^right w, and
+    that monomial is already regular.  d s_k is d with its bottom vertices
+    k, k+1 swapped (`diagrams._swap`).  The swap closes no loop and keeps
+    every top edge, so the left exponents stay legal.  A right y sits on a
+    strand j outside {k, k+1}, at the right end of a bottom edge {i, j} with
+    i < j.  The swap moves i only when i is k or k+1, then j >= k+2, and it
+    moves i only to the other one, so i < j still holds.  The pass it replaces,
+    compose and then `_normalize_into`, moves nothing in a regular term and
+    adds this one key with the same coefficient and shift.
+  * The even w's of a right-factor term.  The engine's atom w_i (i even)
+    only relabels each key's w and keeps its coefficient map.  Relabelling
+    by a fixed w is injective, so after t's w atoms the partial is the one
+    before them with every key relabelled.  `__mul__` therefore spells t
+    without its w's and merges t's w into each key as it scales by c.  Terms
+    that differ only in w then have equal words and share their whole
+    partial.
+  * A unit right coefficient {0: 1}.  Scaling by it is `_add_raw` with sign 1
+    and shift 0, which sums the same values as `_mul_into`.  A key new to the
+    result takes a copy (`dict(c)`), because c belongs to a stored partial
+    or to a factor.
+
+`pi_m` starts each term's image from its first factor.  A product by the
+identity diagram returns the other factor's terms unchanged, so the start
+from 1 that it replaces only added a product.
+
 Confluence is not proved; it is enforced empirically by the associativity
 and shift-homomorphism consistency suites.
 """
@@ -90,6 +122,7 @@ from .diagrams import (
     s_diagram,
     sbar_diagram,
     z_element,
+    _swap,
     _token_diagram,
 )
 
@@ -206,13 +239,13 @@ class AffineElement(Combination):
     def __mul__(self, other: AffineElement) -> AffineElement:
         self._check_compatible(other)
         n = self.n
-        words = sorted(((_term_word(t), c.coeffs) for t, c in other.terms.items()), key=itemgetter(0))
+        words = sorted(((_term_word(t), t.w, c.coeffs) for t, c in other.terms.items()), key=itemgetter(0))
         # stack[j] is self times the first j atoms of the previous word; the
         # words are sorted, so each one shares its longest prefix with it
         stack = [_raw(self)]
         prev: tuple[Atom, ...] = ()
         out: Raw = {}
-        for word, c2 in words:
+        for word, w2, c2 in words:
             j = 0
             while j < len(prev) and j < len(word) and prev[j] == word[j]:
                 j += 1
@@ -220,12 +253,20 @@ class AffineElement(Combination):
             for atom in word[j:]:
                 stack.append(_times_atom(stack[-1], n, atom))
             prev = word
+            unit = c2 == {0: 1}
             for key, c in stack[-1].items():
-                if c:
-                    acc = out.get(key)
-                    if acc is None:
-                        out[key] = acc = {}
-                    _mul_into(acc, c, c2)
+                if not c:
+                    continue
+                if w2:
+                    left, d, right, w = key
+                    key = (left, d, right, _w_merge(w, w2))
+                if unit:
+                    _add_raw(out, key, c, 1, 0)
+                    continue
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = acc = {}
+                _mul_into(acc, c, c2)
         return _element(n, out)
 
     def y_degree(self) -> int:
@@ -397,7 +438,10 @@ def _add_raw(out: Raw, key: Key, c: dict, sign: int, q: int) -> None:
     normal form: the engine's one leaf step.  ``c`` is only read."""
     acc = out.get(key)
     if acc is None:
-        out[key] = {e + q: x for e, x in c.items()} if sign > 0 else {e + q: -x for e, x in c.items()}
+        if sign < 0:
+            out[key] = {e + q: -x for e, x in c.items()}
+        else:
+            out[key] = {e + q: x for e, x in c.items()} if q else dict(c)
         return
     # add_term inlined (the hot loop), keeping integral sums as ints
     for e, x in c.items():
@@ -426,6 +470,9 @@ def _normalize_into(
     w: WTuple,
 ):
     """Normalize sign * N^q * c * y^left b(d) y^right w^w into `out`."""
+    if not (any(left) or any(right)):
+        _add_raw(out, (left, d, right, w), c, sign, q)
+        return
     lft = list(left)
     m = 1
     while m <= n:
@@ -517,8 +564,8 @@ def _mul_term_atom(out: Raw, n: int, key: Key, c: dict, sign: int, q: int, atom:
             _mul_term_atom(out, n, key2, c, f * sign, q, ("sbar", k))
             _normalize_into(out, n, c, -f * sign, q, *key2)
             return
-        d2, loops = compose(d, s_diagram(k, n))
-        _normalize_into(out, n, c, sign, q + loops, left, d2, right, w)
+        # no y on strands k, k+1: the term is already regular with d s_k
+        _add_raw(out, (left, _swap(d, n + k - 1), right, w), c, sign, q)
         return
     if kind == "sbar":
         _sandwich_sbar(out, n, c, sign, q, left, d, list(right), w, k)
@@ -606,15 +653,14 @@ def _element(n: int, raw: Raw) -> AffineElement:
 
 
 def _term_word(t: RegularMonomial) -> tuple[Atom, ...]:
-    """An atom word whose product is the monomial (coefficient excluded)."""
+    """An atom word whose product is the monomial's y's and diagram; its w's
+    and coefficient are left out."""
     word: list[Atom] = []
     for m in range(t.n):
         word += [("y", m + 1)] * t.left[m]
     word += factor_diagram(t.diagram)
     for m in range(t.n):
         word += [("y", m + 1)] * t.right[m]
-    for s, h in enumerate(t.w):
-        word += [("w", 2 * (s + 1))] * h
     return tuple(word)
 
 
@@ -723,24 +769,23 @@ def pi_m(a: AffineElement, m: int) -> AlgebraElement:
     """The shift homomorphism A(n, N) -> B(m+n, N) on normal forms."""
     n = a.n
     total = m + n
-    out: dict[BrauerDiagram, NPoly] = {}
+    raw: dict[BrauerDiagram, dict] = {}
     for t, c in a.terms.items():
-        acc = AlgebraElement.one(total)
-        for s in range(n):
-            if t.left[s]:
-                acc = multiply(acc, _jm_power(m + s + 1, total, t.left[s]))
-        acc = multiply(acc, AlgebraElement.from_diagram(t.diagram.shift(m, total)))
-        for s in range(n):
-            if t.right[s]:
-                acc = multiply(acc, _jm_power(m + s + 1, total, t.right[s]))
+        factors = [_jm_power(m + s + 1, total, e) for s, e in enumerate(t.left) if e]
+        factors.append(AlgebraElement.from_diagram(t.diagram.shift(m, total)))
+        factors += [_jm_power(m + s + 1, total, e) for s, e in enumerate(t.right) if e]
         for s, h in enumerate(t.w):
             if h:
-                z = z_element(m + 1, 2 * (s + 1)).embed(total)
-                for _ in range(h):
-                    acc = multiply(acc, z)
+                factors += [z_element(m + 1, 2 * (s + 1)).embed(total)] * h
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = multiply(acc, f)
         for d, x in acc.terms.items():
-            add_term(out, d, x * c)
-    return AlgebraElement._trusted(total, out)
+            r = raw.get(d)
+            if r is None:
+                r = raw[d] = {}
+            _mul_into(r, x.coeffs, c.coeffs)
+    return AlgebraElement._trusted(total, {d: NPoly._trusted(r) for d, r in raw.items() if r})
 
 
 def pi_word(atoms: list[Atom], n: int, m: int) -> AlgebraElement:

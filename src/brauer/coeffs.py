@@ -2,7 +2,7 @@
 
 Four kinds of numbers appear throughout:
 
-  * plain rationals -- stdlib ``Fraction`` (re-exported as ``Rational``);
+  * plain rationals -- stdlib ``Fraction``;
   * ``NPoly`` -- polynomials in the formal parameter N with rational
     coefficients, used while N is kept symbolic.  A coefficient is stored as
     an ``int`` when integral and as a ``Fraction`` only when it is not, and
@@ -32,8 +32,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "NPoly"]
 

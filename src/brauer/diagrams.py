@@ -20,11 +20,16 @@ do the same on the top row.  ``multiply`` takes this rule whenever one factor
 is a single generator diagram.  Every other product runs the composition
 inner loop.  That loop lives in the pure-Python module ``_kernel`` and is
 always called as ``_kernel.compose_pairings``, so a profiler can wrap it there.
+When a factor has a non-integral coefficient, such as the (N-1)/2 of x_k, the
+loop multiplies its maps scaled by the lcm of its denominators, in ints, and
+divides each output coefficient once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterator, NamedTuple
 
 from . import _kernel
@@ -339,18 +344,32 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         g = _generator_of(d)
         if g is not None:
             return _generator_product(b, g, c, True)
-    right = [(d2, c2.coeffs) for d2, c2 in b.terms.items()]
+    left, da = _numerators(a)
+    right, db = _numerators(b)
+    right = list(right)
     # one raw coefficient map per output diagram, wrapped once at the end
     raw: dict[BrauerDiagram, dict] = {}
-    for d1, c1 in a.terms.items():
-        m1 = c1.coeffs
+    for d1, m1 in left:
         for d2, m2 in right:
             d, loops = _compose_cached(d1, d2)
             acc = raw.get(d)
             if acc is None:
                 acc = raw[d] = {}
             _mul_into(acc, m1, m2, loops)
+    if (den := da * db) > 1:
+        for m in raw.values():
+            for e, x in m.items():
+                m[e] = x // den if x % den == 0 else Fraction(x, den)
     return AlgebraElement._trusted(n, {d: NPoly._trusted(m) for d, m in raw.items() if m})
+
+
+def _numerators(e: AlgebraElement) -> tuple[Iterator, int]:
+    """e's terms with their coefficient maps scaled to ints, one map at a
+    time, by the lcm of e's denominators; and that lcm."""
+    den = lcm(*{x.denominator for c in e.terms.values() for x in c.coeffs.values()})
+    if den == 1:
+        return ((d, c.coeffs) for d, c in e.terms.items()), 1
+    return ((d, {k: x.numerator * (den // x.denominator) for k, x in c.coeffs.items()}) for d, c in e.terms.items()), den
 
 
 def s_elem(k: int, n: int) -> AlgebraElement:

@@ -170,6 +170,37 @@ def test_multiply_by_one_term_factor_matches_reference():
                     _assert_normal_form(got)
 
 
+def test_multiply_with_fractional_coefficients_matches_reference():
+    # the general path multiplies integer numerators and divides once per
+    # output coefficient; sums that become integral or cancel must come out
+    # in NPoly's normal form
+    rng = random.Random(18)
+    fractional = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), 1, -2)
+    integral = (1, -2, 3)
+
+    def element(n, terms, choices):
+        out = {}
+        while len(out) < terms:
+            c = NPoly({0: rng.choice(choices), 1: rng.choice(choices), 2: rng.choice((0, *choices))})
+            out[random_diagram(n, rng)] = c
+        return AlgebraElement(n, out)
+
+    for n in (4, 5):
+        for terms in (2, 6, 30):
+            a = element(n, terms, fractional)
+            b = element(n, terms, fractional)
+            c = element(n, terms, integral)
+            halves = a.scale(6)  # integral, with the same diagrams as a
+            for x, y in ((a, b), (b, a), (a, a), (a, c), (c, a), (c, c), (halves, a), (a, -a)):
+                got = multiply(x, y)
+                assert got.terms == _reference_product(x, y)
+                _assert_normal_form(got)
+    # (1 - s_1)/2 * (1 + s_1) = 0: every output coefficient cancels
+    one, s1 = BrauerDiagram.identity(3), s_diagram(1, 3)
+    half = NPoly.const(Fraction(1, 2))
+    assert multiply(AlgebraElement(3, {one: half, s1: -half}), AlgebraElement(3, {one: 1, s1: 1})).terms == {}
+
+
 def test_power():
     x = jucys_murphy(2, 3)
     with pytest.raises(ValueError):
