@@ -4,29 +4,35 @@ For integer N the algebra acts on the n-th tensor power of an N-dimensional
 space: transpositions permute factors, bar elements contract-and-expand
 (Kronecker delta in, full sum out).  A general diagram acts by the delta
 product over its edges: top vertices read the output multi-index, bottom
-vertices the input one.
+vertices the input one.  A multi-index (i_1, ..., i_n) is flattened in mixed
+radix N, i_1 most significant.
 
-Everything here is exact, and the action is defined once: `_entry_indices`
-lists the (output, input) index pairs of the ones in a diagram's 0/1 matrix
-by numpy index arithmetic, already in canonical CSR order (outputs
-ascending, inputs ascending within each output, no duplicates).
-`apply_diagram` sums Fraction amplitudes of a `TensorVector` along those
-pairs; `diagram_matrix` wraps the same pairs as a scipy CSR int64 matrix
-without a COO step or a sort (entries are 0/1 and products stay far below
-2^63, so this is exact integer arithmetic).  The homomorphism sweep compares
-the structure of a product with that of the composite's matrix.  numpy and
-scipy are required; there is no Fraction fallback for the sweeps.
+Everything here is exact integer arithmetic on scipy sparse int64 matrices,
+and the action is defined once: `_entry_indices` lists the (output, input)
+index pairs of the ones in a diagram's 0/1 matrix by numpy index arithmetic,
+already in canonical CSR order (outputs ascending, inputs ascending within
+each output, no duplicates).  `diagram_matrix` wraps those pairs as a CSR
+matrix without a COO step or a sort, and the homomorphism sweep compares the
+structure of a product with that of the composite's matrix.
 `centralizer_rank` reads the same index arrays and eliminates integer rows,
 which gives the rank over Q.
+
+The Casimir and spectrum checks are full matrix identities, with both sides
+doubled to clear the halves in x_k = (N-1)/2 + sum_{l<k} (s_lk - sbar_lk):
+`_doubled_action` builds 2 act(b) of an algebra element b in one CSR
+construction from the same index pairs, and `_casimir_matrix` builds the
+other side of the Schur-Weyl duality, 2C = -sum_{i<j} (E_ij - E_ji)^2, by
+index arithmetic on the multi-indices, without diagrams.  Every product of
+integer matrices goes through `_matmul`, which refuses one that could pass
+int64 rather than let it wrap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,77 +43,28 @@ from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
     all_diagrams,
-    bar_transposition,
     compose,
     jucys_murphy,
     random_diagram,
     sbar_diagram,
     s_diagram,
-    transposition,
 )
 from .repform import jm_eigenvalue
 
 
-def tuple_to_index(t: tuple[int, ...], N: int) -> int:
-    """Mixed-radix flattening, most significant digit first; digits 0..N-1."""
-    idx = 0
-    for d in t:
-        idx = idx * N + d
-    return idx
+class TensorVector(NamedTuple):
+    """A vector of the n-th tensor power of an N-dimensional space, by its
+    exact amplitudes in the flattened basis."""
 
-
-def index_to_tuple(idx: int, n: int, N: int) -> tuple[int, ...]:
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        out[pos] = idx % N
-        idx //= N
-    return tuple(out)
-
-
-@dataclass
-class TensorVector:
     n: int
     N: int
     amps: list[Fraction]
 
     @staticmethod
-    def zero(n: int, N: int) -> TensorVector:
-        return TensorVector(n, N, [Fraction(0)] * N**n)
-
-    @staticmethod
     def basis_vector(t: tuple[int, ...], N: int) -> TensorVector:
-        v = TensorVector.zero(len(t), N)
-        v.amps[tuple_to_index(t, N)] = Fraction(1)
-        return v
-
-    @staticmethod
-    def random(n: int, N: int, rng) -> TensorVector:
-        return TensorVector(n, N, [Fraction(rng.randint(-4, 4)) for _ in range(N**n)])
-
-    def _same_shape(self, other: TensorVector) -> None:
-        if (self.n, self.N) != (other.n, other.N):
-            raise ValueError("vector shapes do not match")
-
-    def __add__(self, other: TensorVector) -> TensorVector:
-        self._same_shape(other)
-        return TensorVector(self.n, self.N, [a + b for a, b in zip(self.amps, other.amps)])
-
-    def __sub__(self, other: TensorVector) -> TensorVector:
-        self._same_shape(other)
-        return TensorVector(self.n, self.N, [a - b for a, b in zip(self.amps, other.amps)])
-
-    def scale(self, c: Fraction) -> TensorVector:
-        return TensorVector(self.n, self.N, [a * c for a in self.amps])
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.amps)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorVector)
-            and (self.n, self.N) == (other.n, other.N)
-            and self.amps == other.amps
-        )
+        amps = [Fraction(0)] * N ** len(t)
+        amps[int(np.ravel_multi_index(t, (N,) * len(t)))] = Fraction(1)
+        return TensorVector(len(t), N, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +130,53 @@ def diagram_matrix(g: BrauerDiagram, N: int):
     return sparse.csr_matrix((data, cols.astype(idx), indptr), shape=(dim, dim))
 
 
-@lru_cache(maxsize=1024)
-def _action_pairs(g: BrauerDiagram, N: int) -> tuple[tuple[int, int], ...]:
-    """The (output, input) pairs of `_entry_indices` as plain ints."""
-    out, inp = _entry_indices(g, N)
-    return tuple(zip(out.tolist(), inp.tolist()))
+def _summed_csr(rows: list, cols: list, data: list, dim: int):
+    """One CSR int64 matrix from lists of (row, column, value) arrays, with
+    coincident entries summed and zeros dropped."""
+    m = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim), dtype=np.int64
+    )
+    m.eliminate_zeros()
+    return m
 
 
-def _act_into(out: list[Fraction], g: BrauerDiagram, N: int, amps: list[Fraction], sign: int = 1) -> None:
-    """out += sign * (g acting on amps): each one (o, i) of g's 0/1 matrix
-    adds amps[i] to out[o]."""
-    for o, i in _action_pairs(g, N):
-        a = amps[i]
-        if a:
-            out[o] += a if sign > 0 else -a
+def _doubled_action(b: AlgebraElement, N: int):
+    """2 act(b), its coefficients specialized at N, built from the index
+    pairs of all of b's diagrams at once; each 2c must be an integer."""
+    rows, cols, data = [], [], []
+    for g, c in b.terms.items():
+        twice = 2 * c.eval(N)
+        if twice.denominator != 1:
+            raise ValueError(f"2 * {c.eval(N)} is not an integer")
+        out, inp = _entry_indices(g, N)
+        rows.append(out)
+        cols.append(inp)
+        data.append(np.full(len(out), int(twice), dtype=np.int64))
+    return _summed_csr(rows, cols, data, N**b.n)
 
 
-def apply_diagram(g: BrauerDiagram, N: int, v: TensorVector) -> TensorVector:
-    """g acting on v, along the ones of g's 0/1 matrix."""
-    if (v.n, v.N) != (g.n, N):
-        raise ValueError("vector shape does not match the diagram")
-    out = [Fraction(0)] * len(v.amps)
-    _act_into(out, g, N, v.amps)
-    return TensorVector(g.n, N, out)
+# Half of int64's 2^63: the factor of two is far more than float64 can round
+# the bound of `_matmul` by.
+_PRODUCT_BOUND = 2.0**62
 
 
-def apply_element(e: AlgebraElement, N: int, v: TensorVector) -> TensorVector:
-    """An algebra element acting on v, its coefficients specialized at N."""
-    out = TensorVector.zero(e.n, N)
-    for d, c in e.terms.items():
-        out = out + apply_diagram(d, N, v).scale(c.eval(N))
-    return out
+def _matmul(p, f):
+    """p @ f for a CSR int64 p and a CSR or dense int64 f, exactly.
+
+    Every entry and partial sum of the product is at most (max row sum of
+    |p|) * (max |f|) in absolute value.  That bound is taken in float64 and
+    must stay below `_PRODUCT_BOUND`; past it the product raises ValueError
+    rather than wrap.
+    """
+    # a zero appended past the last entry keeps reduceat's start indices in
+    # range; an empty row then reads the next row's first entry, which never
+    # exceeds that row's sum, so the maximum is unchanged
+    row_sums = np.add.reduceat(np.append(np.abs(p.data, dtype=np.float64), 0.0), p.indptr[:-1])
+    entries = f.data if sparse.issparse(f) else f
+    bound = float(row_sums.max()) * float(np.abs(entries, dtype=np.float64).max(initial=0.0))
+    if bound >= _PRODUCT_BOUND:
+        raise ValueError(f"an integer matrix product could pass int64 (entry bound {bound:.3g})")
+    return p @ f
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +250,48 @@ def centralizer_rank(n: int, N: int) -> int:
     return len(pivots)
 
 
-def _asym_generator_action(i: int, j: int, amps: list[Fraction], n: int, N: int, out: list[Fraction]) -> None:
-    """out += (E_ij - E_ji) acting on amps as a derivation across the tensor
-    factors."""
-    for idx, a in enumerate(amps):
-        if not a:
-            continue
-        t = index_to_tuple(idx, n, N)
-        for pos in range(n):
-            if t[pos] == j:
-                s = t[:pos] + (i,) + t[pos + 1 :]
-                out[tuple_to_index(s, N)] += a
-            if t[pos] == i:
-                s = t[:pos] + (j,) + t[pos + 1 :]
-                out[tuple_to_index(s, N)] -= a
+@lru_cache(maxsize=64)
+def _casimir_matrix(n: int, N: int):
+    """2C = -sum_{i<j} A_ij^2, A_ij = E_ij - E_ji acting on the tensor power
+    as a derivation (the sum of its actions on each factor).
+
+    E_ij - E_ji moves one digit of a multi-index between the values i and j,
+    from c to d with sign(c - d).  A_ij^2 is two such moves on the pair
+    {i, j}: a first at some position q from c to any d, then a second at some
+    position p whose digit u is now c or d, to w = c + d - u.  The entry of
+    that term is -sign(c - d) sign(u - w).
+    """
+    dim = N**n
+    stride = N ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None, None]
+    digits = np.indices((N,) * n, dtype=np.int64).reshape(n, 1, dim)
+    col = np.arange(dim, dtype=np.int64)
+    rows, cols, data = [], [], []
+    for q in range(n):
+        c = digits[q]
+        d = (c + np.arange(1, N)[:, None]) % N  # (N - 1, dim): every other value
+        u = np.repeat(digits, N - 1, axis=1)  # (n, N - 1, dim): digits after the first move
+        u[q] = d
+        w = c + d - u
+        hit = (u == c) | (u == d)
+        rows.append((col + (d - c) * stride[q] + (w - u) * stride)[hit])
+        cols.append(np.broadcast_to(col, u.shape)[hit])
+        data.append((np.sign(d - c) * np.sign(u - w))[hit])
+    return _summed_csr(rows, cols, data, dim)
+
+
+@lru_cache(maxsize=64)
+def _jm_sum_matrix(n: int, N: int):
+    """2 (x_1 + ... + x_n) through the diagram action."""
+    return _doubled_action(sum(jucys_murphy(k, n) for k in range(1, n + 1)), N)
+
+
+def _halved_product(op, v: TensorVector) -> TensorVector:
+    """(op / 2) v for a doubled integer operator op, on v's numerators over
+    their common denominator."""
+    den = math.lcm(*(a.denominator for a in v.amps))
+    nums = np.array([a.numerator * (den // a.denominator) for a in v.amps], dtype=np.int64)
+    out = _matmul(op, nums)
+    return TensorVector(v.n, v.N, [Fraction(x, 2 * den) for x in out.tolist()])
 
 
 def casimir_apply(v: TensorVector) -> TensorVector:
@@ -299,42 +300,22 @@ def casimir_apply(v: TensorVector) -> TensorVector:
     This is the usual -(1/4) sum over all i != j, because
     (E_ij - E_ji)^2 = (E_ji - E_ij)^2.
     """
-    n, N = v.n, v.N
-    out = [Fraction(0)] * len(v.amps)
-    for i in range(N):
-        for j in range(i + 1, N):
-            once = [Fraction(0)] * len(v.amps)
-            _asym_generator_action(i, j, v.amps, n, N, once)
-            _asym_generator_action(i, j, once, n, N, out)
-    return TensorVector(n, N, out).scale(Fraction(-1, 2))
+    return _halved_product(_casimir_matrix(v.n, v.N), v)
 
 
 def jm_sum_apply(v: TensorVector) -> TensorVector:
     """x_1 + ... + x_n through the diagram action."""
-    n, N = v.n, v.N
-    out = v.scale(Fraction(n * (N - 1), 2)).amps
-    for k in range(2, n + 1):
-        for l in range(1, k):
-            _act_into(out, transposition(l, k, n), N, v.amps)
-            _act_into(out, bar_transposition(l, k, n), N, v.amps, sign=-1)
-    return TensorVector(n, N, out)
+    return _halved_product(_jm_sum_matrix(v.n, v.N), v)
 
 
-def casimir_check(n: int, N: int, trials: int, rng) -> dict:
-    """The Jucys-Murphy sum acts as the orthogonal Casimir element."""
-    failures = 0
-    vectors = [TensorVector.random(n, N, rng) for _ in range(trials)]
-    if N**n <= 64:
-        vectors += [
-            TensorVector.basis_vector(t, N) for t in itertools.product(range(N), repeat=n)
-        ]
-    for v in vectors:
-        if casimir_apply(v) != jm_sum_apply(v):
-            failures += 1
-    return {"n": n, "N": N, "checked": len(vectors), "ok": failures == 0}
+def casimir_check(n: int, N: int) -> dict:
+    """The Jucys-Murphy sum acts as the orthogonal Casimir element:
+    2C == 2(x_1 + ... + x_n) as matrices, so on every basis vector."""
+    ok = not (_casimir_matrix(n, N) - _jm_sum_matrix(n, N)).count_nonzero()
+    return {"n": n, "N": N, "checked": N**n, "ok": ok}
 
 
-def predicted_jm_spectrum(k: int, n: int, N: int) -> set[Fraction]:
+def predicted_jm_spectrum(k: int, N: int) -> set[Fraction]:
     """All +/-((N-1)/2 + content) values reachable at level k."""
     values: set[Fraction] = set()
     for lam in shapes.enumerate_O(k, N):
@@ -343,16 +324,10 @@ def predicted_jm_spectrum(k: int, n: int, N: int) -> set[Fraction]:
     return values
 
 
-def spectrum_annihilation_check(k: int, n: int, N: int, trials: int, rng) -> dict:
-    """prod over predicted eigenvalues e of (act(x_k) - e) kills the space."""
-    xk = jucys_murphy(k, n)
-    values = sorted(predicted_jm_spectrum(k, n, N))
-    ok = True
-    for _ in range(trials):
-        v = TensorVector.random(n, N, rng)
-        for e in values:
-            v = apply_element(xk, N, v) - v.scale(e)
-        if not v.is_zero():
-            ok = False
-            break
-    return {"k": k, "n": n, "N": N, "eigenvalues": values, "ok": ok}
+def spectrum_annihilation_check(k: int, n: int, N: int) -> dict:
+    """prod over predicted eigenvalues e of (2 act(x_k) - 2e) == 0 as a
+    matrix."""
+    xk, one = jucys_murphy(k, n), AlgebraElement.one(n)
+    values = sorted(predicted_jm_spectrum(k, N))
+    prod = reduce(_matmul, (_doubled_action(xk - one.scale(e), N) for e in values))
+    return {"k": k, "n": n, "N": N, "eigenvalues": values, "ok": not prod.count_nonzero()}

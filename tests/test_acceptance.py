@@ -47,7 +47,8 @@ def test_criterion_5_series():
 
 def test_criterion_6_tensor_oracle():
     # homomorphism property over the full N^n <= 4096 grid, centralizer
-    # ranks versus path counts, Casimir agreement
+    # ranks versus path counts, and 2C == 2(x_1 + ... + x_n) as integer
+    # matrices at n <= 3, N <= 3
     _report(verify.criterion_6_tensor())
 
 

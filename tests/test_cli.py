@@ -230,6 +230,35 @@ def test_oracle_zero_trials_is_allowed(capsys):
     assert code == 0 and json.loads(out)[0]["ok"]
 
 
+def test_oracle_casimir_checks_every_basis_vector(capsys):
+    # the Casimir suite is a matrix identity: --trials draws nothing for it,
+    # and every column of the identity counts as checked
+    code, out = run(
+        capsys, "oracle", "--n", "4", "--N", "3", "--suite", "casimir", "--trials", "0", "--format", "json"
+    )
+    [entry] = json.loads(out)
+    assert code == 0 and entry["ok"] and entry["checked"] == 81
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 4), (3, 1), (4, 1)])
+def test_oracle_one_strand_or_one_dimension_passes_every_suite(capsys, n, N):
+    code, out = run(capsys, "oracle", "--n", str(n), "--N", str(N), "--suite", "all", "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert [e["suite"] for e in report] == ["hom", "rank", "casimir", "spectrum"]
+    assert all(e["ok"] for e in report)
+
+
+def test_oracle_product_that_could_pass_int64_is_exit_2(capsys, monkeypatch):
+    from brauer import tensor
+
+    monkeypatch.setattr(tensor, "_PRODUCT_BOUND", 100.0)
+    code = main(["oracle", "--n", "3", "--N", "3", "--suite", "spectrum"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "could pass int64" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -8,139 +8,108 @@ from scipy import sparse
 
 from brauer import shapes, tensor
 from brauer.diagrams import (
+    AlgebraElement,
+    BrauerDiagram,
     all_diagrams,
     bar_transposition,
     compose,
     factor_diagram,
+    from_permutation,
+    jucys_murphy,
     random_diagram,
+    sbar_diagram,
     transposition,
     _token_diagram,
 )
 from brauer.tensor import (
     TensorVector,
-    apply_diagram,
-    apply_element,
     casimir_apply,
     casimir_check,
     centralizer_rank,
     diagram_matrix,
     jm_sum_apply,
     spectrum_annihilation_check,
-    tuple_to_index,
-    index_to_tuple,
     verify_homomorphism,
 )
 
 
-def _delta_action(g, N, v):
-    """Reference action, independent of the index arithmetic: the entry
-    between output tuple j and input tuple i is the product over edges of the
-    delta of the two incident indices, top vertices reading j and bottom
-    vertices reading i."""
+def _delta_matrix(g, N):
+    """Reference action matrix, independent of the index arithmetic: rows and
+    columns are the multi-indices in `itertools.product` order, and the entry
+    between output j and input i is the product over the edges of the delta
+    of the two incident indices, top vertices reading j and bottom vertices
+    reading i."""
     n = g.n
-    tops = [(a - 1, b - 1) for a, b in g.top_edges()]
-    bottoms = [(a - 1, b - 1) for a, b in g.bottom_edges()]
-    throughs = [(t - 1, b - 1) for t, b in g.through_edges()]
-    out = TensorVector.zero(n, N)
-    for idx, amp in enumerate(v.amps):
-        if not amp:
-            continue
-        i = index_to_tuple(idx, n, N)
-        if any(i[a] != i[b] for a, b in bottoms):
-            continue
-        base = [0] * n
-        for t, b in throughs:
-            base[t] = i[b]
-        # each top edge sums over one free index
-        for assign in itertools.product(range(N), repeat=len(tops)):
-            for (a, b), val in zip(tops, assign):
-                base[a] = base[b] = val
-            out.amps[tuple_to_index(tuple(base), N)] += amp
-    return out
+    tuples = list(itertools.product(range(N), repeat=n))
+    m = np.zeros((len(tuples), len(tuples)), dtype=np.int64)
+    for r, j in enumerate(tuples):
+        for c, i in enumerate(tuples):
+            index = j + i
+            m[r, c] = all(index[v] == index[w] for v, w in g.edges())
+    return m
+
+
+def _column(m, t, N):
+    """The column of a dense matrix m at the basis vector of t."""
+    return m[:, TensorVector.basis_vector(t, N).amps.index(1)]
+
+
+def _basis_column(t, N):
+    return np.array(TensorVector.basis_vector(t, N).amps, dtype=np.int64)
 
 
 def test_index_arithmetic():
-    for t in itertools.product(range(3), repeat=3):
-        assert index_to_tuple(tuple_to_index(t, 3), 3, 3) == t
+    # basis vectors are numbered in itertools.product order, i_1 most significant
+    for pos, t in enumerate(itertools.product(range(3), repeat=3)):
+        v = TensorVector.basis_vector(t, 3)
+        assert (v.n, v.N) == (3, 3)
+        assert v.amps == [Fraction(int(i == pos)) for i in range(27)]
+    with pytest.raises(ValueError):
+        TensorVector.basis_vector((0, 2), 2)
 
 
 def test_action_examples():
+    bar = diagram_matrix(bar_transposition(1, 2, 2), 2).toarray()
+    swap = diagram_matrix(transposition(1, 2, 2), 2).toarray()
     # bar(1,2) on u(1,1) -> u(1,1) + u(2,2)
-    bar, swap = bar_transposition(1, 2, 2), transposition(1, 2, 2)
-    v = TensorVector.basis_vector((0, 0), 2)
-    out = apply_diagram(bar, 2, v)
-    assert out == TensorVector.basis_vector((0, 0), 2) + TensorVector.basis_vector((1, 1), 2)
+    assert (_column(bar, (0, 0), 2) == _basis_column((0, 0), 2) + _basis_column((1, 1), 2)).all()
     # transposition swaps
-    v = TensorVector.basis_vector((0, 1), 2)
-    assert apply_diagram(swap, 2, v) == TensorVector.basis_vector((1, 0), 2)
+    assert (_column(swap, (0, 1), 2) == _basis_column((1, 0), 2)).all()
     # delta kills mixed indices
-    assert apply_diagram(bar, 2, v).is_zero()
-    with pytest.raises(ValueError):
-        apply_diagram(bar, 3, v)
-
-
-def test_vector_arithmetic_rejects_mismatched_shapes():
-    v = TensorVector.basis_vector((0, 1), 2)
-    for other in (TensorVector.basis_vector((1, 1, 1), 2), TensorVector.basis_vector((1, 1), 3)):
-        with pytest.raises(ValueError):
-            v + other
-        with pytest.raises(ValueError):
-            v - other
-    assert (v - v).is_zero() and (v + v) == v.scale(Fraction(2))
+    assert not _column(bar, (0, 1), 2).any()
 
 
 def test_act_diagram_against_factorizations():
     # the delta-product rule agrees with generator factorizations on all of B(3)
     n, N = 3, 2
     for g in all_diagrams(n):
-        factors = [_token_diagram(t, n) for t in factor_diagram(g)]
-        for t in itertools.product(range(N), repeat=n):
-            e = TensorVector.basis_vector(t, N)
-            acc = e
-            for f in reversed(factors):
-                acc = apply_diagram(f, N, acc)
-            assert acc == apply_diagram(g, N, e) == _delta_action(g, N, e)
+        acc = sparse.identity(N**n, dtype=np.int64, format="csr")
+        for t in factor_diagram(g):
+            acc = acc @ diagram_matrix(_token_diagram(t, n), N)
+        assert (acc.toarray() == diagram_matrix(g, N).toarray()).all()
+        assert (acc.toarray() == _delta_matrix(g, N)).all()
 
 
 def test_identity_and_permutation_actions():
-    from brauer.diagrams import BrauerDiagram, from_permutation
-
-    v = TensorVector.random(3, 2, random.Random(0))
-    assert apply_diagram(BrauerDiagram.identity(3), 2, v) == v
+    assert (diagram_matrix(BrauerDiagram.identity(3), 2).toarray() == np.eye(8, dtype=np.int64)).all()
     p = (1, 2, 0)
-    g = from_permutation(p)
+    m = diagram_matrix(from_permutation(p), 2).toarray()
     for t in itertools.product(range(2), repeat=3):
-        out = apply_diagram(g, 2, TensorVector.basis_vector(t, 2))
         # the permutation diagram sends u(i_1,i_2,i_3) to u(i_{p^-1(k)})
         expect = tuple(t[p.index(k)] for k in range(3))
-        assert out == TensorVector.basis_vector(expect, 2)
-
-
-def test_linearity_spot_check():
-    rng = random.Random(2)
-    g = random_diagram(3, rng)
-    a, b = TensorVector.random(3, 2, rng), TensorVector.random(3, 2, rng)
-    assert apply_diagram(g, 2, a + b) == apply_diagram(g, 2, a) + apply_diagram(g, 2, b)
-    assert apply_diagram(g, 2, a.scale(Fraction(3, 7))) == apply_diagram(g, 2, a).scale(Fraction(3, 7))
+        assert (_column(m, t, 2) == _basis_column(expect, 2)).all()
 
 
 def test_sparse_matrix_matches_functional():
-    # the index-arithmetic matrices and vector action against the functional
-    # reference action, on every (n, N) with N^n <= 64, N = 1 and n = 1 included
+    # the index-arithmetic matrices against the delta-product reference, on
+    # every (n, N) with N^n <= 64, N = 1 and n = 1 included
     rng = random.Random(4)
     grid = [(n, N) for n in range(1, 7) for N in range(1, 65) if N**n <= 64]
     for n, N in grid:
         for g in {random_diagram(n, rng) for _ in range(5)}:
             m = diagram_matrix(g, N)
-            dense = np.zeros((N**n, N**n), dtype=int)
-            for col in range(N**n):
-                e = TensorVector.basis_vector(index_to_tuple(col, n, N), N)
-                out = _delta_action(g, N, e)
-                assert apply_diagram(g, N, e) == out
-                for row, amp in enumerate(out.amps):
-                    dense[row, col] = int(amp)
             assert m.dtype == np.int64 and m.nnz == N**n
-            assert (m.toarray() == dense).all()
+            assert (m.toarray() == _delta_matrix(g, N)).all()
 
 
 def _coo_matrix(g, N):
@@ -212,16 +181,12 @@ def test_homomorphism():
 
 
 def test_homomorphism_example_pair():
-    # (sbar_1, sbar_1) at n=2: q=1 and the identity holds
-    from brauer.diagrams import sbar_diagram
-
+    # (sbar_1, sbar_1) at n=2: q=1, and sbar o sbar = N sbar on the whole space
     g = sbar_diagram(1, 2)
     _, loops = compose(g, g)
     assert loops == 1
-    for t in itertools.product(range(3), repeat=2):
-        e = TensorVector.basis_vector(t, 3)
-        once = apply_diagram(g, 3, e)
-        assert apply_diagram(g, 3, once) == once.scale(Fraction(3))
+    m = diagram_matrix(g, 3)
+    assert ((m @ m).toarray() == 3 * m.toarray()).all()
 
 
 def test_centralizer_ranks():
@@ -240,32 +205,83 @@ def test_centralizer_ranks():
             assert centralizer_rank(n, N) == expect
 
 
+def _dense_doubled_casimir(n, N):
+    """2C = -sum_{i<j} A_ij^2 from Kronecker products, A_ij the sum over the
+    tensor positions of E_ij - E_ji acting on that factor alone."""
+    out = np.zeros((N**n, N**n), dtype=np.int64)
+    for i in range(N):
+        for j in range(i + 1, N):
+            a = np.zeros((N, N), dtype=np.int64)
+            a[i, j], a[j, i] = 1, -1
+            big = sum(
+                np.kron(np.kron(np.eye(N**p, dtype=np.int64), a), np.eye(N ** (n - 1 - p), dtype=np.int64))
+                for p in range(n)
+            )
+            out -= big @ big
+    return out
+
+
 def test_casimir():
-    rng = random.Random(13)
-    for n, N in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
-        assert casimir_check(n, N, 3, rng)["ok"]
+    for n, N in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5)]:
+        rep = casimir_check(n, N)
+        assert rep["ok"] and rep["checked"] == N**n
+        # the index arithmetic of 2C against Kronecker products
+        assert (tensor._casimir_matrix(n, N).toarray() == _dense_doubled_casimir(n, N)).all()
     # sum_i u(i,i) is killed by every E_ij - E_ji, hence by both operators
-    v2 = TensorVector.zero(2, 2)
-    v2.amps[tuple_to_index((0, 0), 2)] = Fraction(1)
-    v2.amps[tuple_to_index((1, 1), 2)] = Fraction(1)
-    assert casimir_apply(v2).is_zero()
-    assert jm_sum_apply(v2).is_zero()
+    v2 = TensorVector(2, 2, [Fraction(1), Fraction(0), Fraction(0), Fraction(1)])
+    zero = TensorVector(2, 2, [Fraction(0)] * 4)
+    assert casimir_apply(v2) == jm_sum_apply(v2) == zero
+    # amplitudes with denominators come back exact
+    rng = random.Random(13)
+    v = TensorVector(3, 3, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(27)])
+    expect = _dense_doubled_casimir(3, 3) @ np.array(v.amps, dtype=object)
+    assert casimir_apply(v) == jm_sum_apply(v) == TensorVector(3, 3, [x / 2 for x in expect])
+
+
+def test_casimir_check_fails_without_one_bar_term(monkeypatch):
+    n, N = 3, 2
+    jm_sum = sum(jucys_murphy(k, n) for k in range(1, n + 1))
+    broken = jm_sum + AlgebraElement.from_diagram(bar_transposition(1, 3, n))
+    monkeypatch.setattr(tensor, "_jm_sum_matrix", lambda n, N: tensor._doubled_action(broken, N))
+    assert not casimir_check(n, N)["ok"]
 
 
 def test_spectrum_annihilation():
-    rng = random.Random(17)
-    for n, N in [(3, 2), (3, 3), (2, 4)]:
+    for n, N in [(3, 2), (3, 3), (2, 4), (2, 1), (4, 2)]:
         for k in range(1, n + 1):
-            assert spectrum_annihilation_check(k, n, N, 2, rng)["ok"]
+            rep = spectrum_annihilation_check(k, n, N)
+            assert rep["ok"] and rep["eigenvalues"] == sorted(tensor.predicted_jm_spectrum(k, N))
+
+
+def test_spectrum_product_fails_without_one_eigenvalue(monkeypatch):
+    predicted = tensor.predicted_jm_spectrum
+    for n, N in [(3, 2), (3, 3), (2, 4)]:
+        for k in range(2, n + 1):
+            values = predicted(k, N)
+            for e in values:
+                monkeypatch.setattr(tensor, "predicted_jm_spectrum", lambda k, N: values - {e})
+                assert not spectrum_annihilation_check(k, n, N)["ok"], (k, n, N, e)
+
+
+def test_integer_products_refuse_to_wrap():
+    big = sparse.csr_matrix(np.array([[2**32]], dtype=np.int64))
+    with pytest.raises(ValueError, match="could pass int64"):
+        tensor._matmul(big, big)
+    with pytest.raises(ValueError, match="could pass int64"):
+        tensor._matmul(big, np.array([2**32], dtype=np.int64))
+    # a row sum, not one entry, sets the bound
+    row = sparse.csr_matrix(np.array([[2**30, 2**30, 2**30, 2**30]], dtype=np.int64))
+    with pytest.raises(ValueError, match="could pass int64"):
+        tensor._matmul(row, np.full(4, 2**30, dtype=np.int64))
+    small = sparse.csr_matrix(np.array([[2**30]], dtype=np.int64))
+    assert tensor._matmul(small, small).toarray()[0, 0] == 2**60
 
 
 def test_act_element_matches_sum():
-    from brauer.diagrams import jucys_murphy
-
-    rng = random.Random(19)
-    v = TensorVector.random(3, 2, rng)
-    direct = v.scale(Fraction(1, 2))
+    # 2 x_3 = (N - 1) + 2 sum_{l<3} (s_l3 - sbar_l3) on the whole space
+    N = 2
+    direct = (N - 1) * np.eye(N**3, dtype=np.int64)
     for l in (1, 2):
-        direct = direct + apply_diagram(transposition(l, 3, 3), 2, v)
-        direct = direct - apply_diagram(bar_transposition(l, 3, 3), 2, v)
-    assert apply_element(jucys_murphy(3, 3), 2, v) == direct
+        direct = direct + 2 * diagram_matrix(transposition(l, 3, 3), N).toarray()
+        direct = direct - 2 * diagram_matrix(bar_transposition(l, 3, 3), N).toarray()
+    assert (tensor._doubled_action(jucys_murphy(3, 3), N).toarray() == direct).all()
