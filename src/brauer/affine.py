@@ -33,7 +33,7 @@ The rewriting engine moves y's by exact relation applications only:
                                / ((u-y_k)^2 - 1)(u+y_k)^2
 
     whose u^{-i} coefficient has y-degree at most i-1.  `cap_series` runs
-    it as a `coeffs.USeries` over A(n, N), with u coefficient the unit, and
+    it on coefficient lists over A(n, N), with the u-term written out, and
     takes the factor from `coeffs.box_factor`, the same one the product
     forms of Q(mu, u) and Q_k(u) in `repform` use.  Every rewrite either
     lowers the total y-degree or settles a y into its final block, so the
@@ -108,11 +108,10 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .coeffs import Combination, NPoly, USeries, _mul_into, add_term, as_fraction, box_factor
+from .coeffs import Combination, NPoly, _mul_into, add_term, as_fraction, box_factor
 from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
-    compose,
     compose_chain,
     diagram_to_json,
     factor_diagram,
@@ -122,6 +121,7 @@ from .diagrams import (
     s_diagram,
     sbar_diagram,
     z_element,
+    _cap,
     _swap,
     _token_diagram,
 )
@@ -625,7 +625,7 @@ def _sandwich_sbar(
             right[pos - 1] += 1
         if rsign < 0:
             sign = -sign
-    d2, loops = compose(d, sbar_diagram(k, n))
+    d2, loops = _cap(d, n + k - 1)
     _normalize_into(out, n, c, sign, q + loops, tuple(left_list), d2, tuple(right), w)
 
 
@@ -703,25 +703,31 @@ def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
     """[w_k^(0), ..., w_k^(order)]: sbar_k y_k^i sbar_k = w_k^(i) sbar_k.
 
     w_1^(i) = w_i; higher k by the multiplicative recursion
-    T_k(u) = T_{k-1}(u) * box_factor(y_{k-1}) on T_k(u) = W_k(u) + u - 1/2,
-    a USeries over A(n, N) whose u coefficient stays the unit throughout.
+    T_k(u) = T_{k-1}(u) * F(u) on T_k(u) = W_k(u) + u - 1/2, where
+    F = 1 + f_1/u + ... is `box_factor(y_{k-1})`.  Writing T_{k-1} as
+    u + c_0 + c_1/u + ..., the u-term of the product is u again and
+    t_i = c_i + f_{i+1} + sum_{s<i} c_s f_{i-s}.
     """
     if k < 1:
         raise ValueError("strand index must be positive")
     cached = _CAP_SERIES.get((n, k))
     if cached is not None and len(cached) > order:
         return cached[: order + 1]
-    one = AffineElement.one(n)
-    half = one.scale(Fraction(1, 2))
     if k == 1:
         series = [w_elem(i, n) for i in range(order + 1)]
     else:
-        prev = cap_series(n, k - 1, order + 1)
-        t = USeries([prev[0] - half] + prev[1:], u_coeff=one)
-        t = t * box_factor(y_elem(k - 1, n), order + 1, one)
-        if t.u_coeff != one:
-            raise AssertionError("u coefficient of T_k(u) is not the unit")
-        series = [t.coeffs[0] + half, *t.coeffs[1:]]
+        one = AffineElement.one(n)
+        half = one.scale(Fraction(1, 2))
+        prev = cap_series(n, k - 1, order)
+        f = box_factor(y_elem(k - 1, n), order + 1, one)
+        c = [prev[0] - half, *prev[1:]]
+        series = []
+        for i in range(order + 1):
+            t = c[i] + f[i]
+            for s in range(i):
+                t = t + c[s] * f[i - 1 - s]
+            series.append(t)
+        series[0] = series[0] + half
     for i, elem in enumerate(series):
         if elem.y_degree() > max(i - 1, 0):
             raise AssertionError("cap series degree bound violated")
@@ -731,14 +737,6 @@ def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
 
 def cap_series_coefficient(n: int, k: int, i: int) -> AffineElement:
     return cap_series(n, k, i)[i]
-
-
-def w_series(k: int, order: int, n: int) -> USeries:
-    """The generating series W_k(u) truncated at the given order.
-
-    Returns a USeries whose coefficients are AffineElements of A(n, N).
-    """
-    return USeries(cap_series(n, k, order))
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,8 @@ def cmd_central(args) -> int:
         "mu": list(args.mu),
         "N": format_rational(pair.N),
         "order": args.order,
-        "Q": [format_rational(c) for c in pair.Q.coeffs],
-        "Z": [format_rational(c) for c in pair.Z.coeffs],
+        "Q": [format_rational(c) for c in pair.Q],
+        "Z": [format_rational(c) for c in pair.Z],
     }
 
     def table(d):

@@ -14,8 +14,9 @@ Four kinds of numbers appear throughout:
     numerators over one positive common denominator, reduced so that their
     gcd with it is 1; that normal form is unique, so equality of values is
     equality of numerators and denominator;
-  * ``USeries`` -- formal series ``a*u + c_0 + c_1/u + ... + c_K/u^K``
-    truncated at order K, with at most one positive power of u.
+  * truncated series in 1/u -- a monic series
+    ``1 + c_1/u + ... + c_K/u^K`` is the tuple ``(c_1, ..., c_K)``, and
+    ``monic_product`` multiplies two of them.
 
 ``Combination`` is the common base of the algebra elements built on these
 scalars (diagram, affine and Hecke elements): a dict from basis key to
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[int, Fraction, "NPoly"]
 
@@ -655,119 +656,37 @@ def sqrt_of_rational(q: int | Fraction) -> SurdSum:
 # truncated series in 1/u
 
 
-class USeries:
-    """Truncated formal series a*u + c_0 + c_1 u^{-1} + ... + c_K u^{-K}.
+def monic_product(a: tuple, b: tuple) -> tuple:
+    """The tail of (1 + a_1/u + ...)(1 + b_1/u + ...), truncated at the shorter
+    order: t_i = a_i + b_i + sum_{0<s<i} a_s b_{i-s}.
 
-    Coefficients may be Fractions, NPolys or AffineElements (the cap series
-    W_k(u)): any ring whose elements add to a bare ``0``.  A product of two
-    series multiplies coefficients only with each other, so a ring without
-    int products works if it passes its unit where a series needs one
-    (``u_coeff``, ``linear_fraction_series``, ``box_factor``).  At most one
-    positive power of u is carried, which is all Z(mu, u) and
-    W_k(u) + u - 1/2 need.  Multiplication of two series with u-terms is
-    rejected.
-    """
-
-    __slots__ = ("order", "coeffs", "u_coeff")
-
-    def __init__(self, coeffs: Iterable, u_coeff=0):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a USeries needs at least the constant term")
-        self.order = len(self.coeffs) - 1
-        self.u_coeff = u_coeff
-
-    @staticmethod
-    def constant(value, order: int) -> USeries:
-        return USeries([value] + [0] * order)
-
-    def __add__(self, other) -> USeries:
-        if not isinstance(other, USeries):
-            other = USeries.constant(other, self.order)
-        k = min(self.order, other.order)
-        return USeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(k + 1)],
-            self.u_coeff + other.u_coeff,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> USeries:
-        return USeries([-c for c in self.coeffs], -self.u_coeff)
-
-    def __sub__(self, other) -> USeries:
-        if not isinstance(other, USeries):
-            other = USeries.constant(other, self.order)
-        return self + (-other)
-
-    def __mul__(self, other) -> USeries:
-        if not isinstance(other, USeries):
-            return USeries([c * other for c in self.coeffs], self.u_coeff * other)
-        a_u = bool(self.u_coeff)
-        b_u = bool(other.u_coeff)
-        if a_u and b_u:
-            raise ValueError("product of two series with u-terms leaves the carried form")
-        k = min(self.order, other.order)
-        if a_u:
-            k = min(k, other.order - 1)
-        if b_u:
-            k = min(k, self.order - 1)
-        if k < 0:
-            raise ValueError("series too short for a u-shifted product")
-        # from the u-carrying factor only: a bare 0 may not multiply a coefficient
-        u_out = 0
-        if a_u:
-            u_out = self.u_coeff * other.coeffs[0]
-        elif b_u:
-            u_out = other.u_coeff * self.coeffs[0]
-        out = []
-        for i in range(k + 1):
-            acc = 0
-            for s in range(i + 1):
-                acc = acc + self.coeffs[s] * other.coeffs[i - s]
-            if a_u:
-                acc = acc + self.u_coeff * other.coeffs[i + 1]
-            if b_u:
-                acc = acc + other.u_coeff * self.coeffs[i + 1]
-            out.append(acc)
-        return USeries(out, u_out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.u_coeff == other.u_coeff
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.u_coeff, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"USeries(u_coeff={self.u_coeff}, coeffs={list(self.coeffs)})"
+    A monic series 1 + c_1/u + ... + c_K/u^K is held as its tail
+    (c_1, ..., c_K).  The leading 1 is never multiplied, so coefficients only
+    need to add and multiply with each other (Fractions, NPolys or
+    AffineElements)."""
+    out = []
+    for i in range(min(len(a), len(b))):
+        acc = a[i] + b[i]
+        for s in range(i):
+            acc = acc + a[s] * b[i - 1 - s]
+        out.append(acc)
+    return tuple(out)
 
 
-def linear_fraction_series(alpha, beta, order: int, one=1) -> USeries:
-    """(u + alpha)/(u - beta) = 1 + (alpha+beta) * sum_{t>=1} beta^{t-1} u^{-t}.
-
-    ``one`` is the unit of alpha's and beta's ring; 1 serves Fractions and NPolys."""
-    top = alpha + beta
-    coeffs: list = [one]
-    power = one
-    for _ in range(order):
-        coeffs.append(top * power)
-        power = power * beta
-    return USeries(coeffs)
+def linear_fraction_series(alpha, beta, order: int) -> tuple:
+    """The tail of (u + alpha)/(u - beta) = 1 + (alpha+beta) * sum_{t>=1} beta^{t-1} u^{-t}."""
+    tail = [alpha + beta]
+    for _ in range(order - 1):
+        tail.append(tail[-1] * beta)
+    return tuple(tail[:order])
 
 
-def box_factor(a, order: int, one=1) -> USeries:
-    """((u+a)^2 - 1)/((u-a)^2 - 1) * (u-a)^2/(u+a)^2 as linear fractions: one
-    box of Q(mu, u) and Q_k(u), one strand of the cap-series recursion.
-    ``one`` is the unit of a's ring, as in ``linear_fraction_series``."""
-    f = linear_fraction_series(a + one, a + one, order, one)
-    f = f * linear_fraction_series(a - one, a - one, order, one)
-    g = linear_fraction_series(-a, -a, order, one)
-    return f * g * g
+def box_factor(a, order: int, one=1) -> tuple:
+    """The tail of ((u+a)^2 - 1)/((u-a)^2 - 1) * (u-a)^2/(u+a)^2 as linear
+    fractions: one box of Q(mu, u) and Q_k(u), one strand of the cap-series
+    recursion.  ``one`` is the unit of a's ring, used only to form a +- 1."""
+    f = monic_product(
+        linear_fraction_series(a + one, a + one, order), linear_fraction_series(a - one, a - one, order)
+    )
+    g = linear_fraction_series(-a, -a, order)
+    return monic_product(monic_product(f, g), g)

@@ -57,12 +57,12 @@ from . import shapes
 from .coeffs import (
     NPoly,
     SurdSum,
-    USeries,
     add_term,
     as_fraction,
     box_factor,
     format_rational,
     linear_fraction_series,
+    monic_product,
     sqrt_of_rational,
     squarefree_decomposition,
 )
@@ -672,63 +672,68 @@ def scalar_of(matrix: RepMatrix) -> Fraction:
 
 @dataclass(frozen=True)
 class CentralSeriesPair:
-    """Q(mu, u) and Z(mu, u) = (u + 1/2) Q(mu, u) - u + 1/2, truncated."""
+    """Q(mu, u) and Z(mu, u) = (u + 1/2) Q(mu, u) - u + 1/2, each truncated to
+    its coefficients of u^0 ... u^-order."""
 
     mu: Diagram
     N: Fraction
     order: int
-    Q: USeries
-    Z: USeries
+    Q: tuple[Fraction, ...]
+    Z: tuple[Fraction, ...]
 
 
-def q_series(mu: Diagram, N: int | Fraction, order: int) -> USeries:
-    """Q(mu, u): product of (u+b)/(u-b) over the corner values of mu."""
+def q_series(mu: Diagram, N: int | Fraction, order: int) -> tuple[Fraction, ...]:
+    """Q(mu, u), the product of (u+b)/(u-b) over the corner values of mu: its
+    coefficients of u^0 ... u^-order."""
     N = as_fraction(N)
-    result = USeries.constant(Fraction(1), order)
+    tail = (Fraction(0),) * order
     for b in shapes.b_list(mu, N):
-        result = result * linear_fraction_series(b, b, order)
-    return result
+        tail = monic_product(tail, linear_fraction_series(b, b, order))
+    return (Fraction(1), *tail)
 
 
-def z_series(mu: Diagram, N: int | Fraction, order: int) -> USeries:
+def _z_of_q(q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Z = (u + 1/2) Q - u + 1/2 to one order less than q: the u-terms cancel
+    because Q is monic, and z_i = q_{i+1} + q_i/2, plus 1/2 at i = 0."""
+    z = [q[i + 1] + q[i] / 2 for i in range(len(q) - 1)]
+    z[0] += Fraction(1, 2)
+    return tuple(z)
+
+
+def z_series(mu: Diagram, N: int | Fraction, order: int) -> tuple[Fraction, ...]:
     """Z(mu, u); its u^{-i} coefficient is the z^(i) eigenvalue on V(mu, .)."""
-    N = as_fraction(N)
-    q = q_series(mu, N, order + 1)
-    u_plus_half = USeries([Fraction(1, 2)] + [Fraction(0)] * (order + 1), u_coeff=Fraction(1))
-    z = u_plus_half * q - USeries([Fraction(-1, 2)] + [Fraction(0)] * order, u_coeff=Fraction(1))
-    if z.u_coeff != 0:
-        raise AssertionError("leading u terms of Z(mu, u) must cancel")
-    return z
+    return _z_of_q(q_series(mu, N, order + 1))
 
 
 def central_series(mu: Diagram, N: int | Fraction, order: int) -> CentralSeriesPair:
     N = as_fraction(N)
-    return CentralSeriesPair(mu, N, order, q_series(mu, N, order), z_series(mu, N, order))
+    q = q_series(mu, N, order + 1)
+    return CentralSeriesPair(mu, N, order, q[: order + 1], _z_of_q(q))
 
 
-def q_series_alt(mu: Diagram, N: int | Fraction, order: int) -> USeries:
+def q_series_alt(mu: Diagram, N: int | Fraction, order: int) -> tuple[Fraction, ...]:
     """The box-product form of Q(mu, u) over the contents of mu."""
     N = as_fraction(N)
     h = (N - 1) / 2
-    result = linear_fraction_series(h, h, order)
+    tail = linear_fraction_series(h, h, order)
     for a in shapes.a_list(mu, N):
-        result = result * box_factor(a, order)
-    return result
+        tail = monic_product(tail, box_factor(a, order))
+    return (Fraction(1), *tail)
 
 
-def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction]) -> USeries:
+def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction]) -> tuple[Fraction, ...]:
     """The product form of Q_k(u) over the x_1..x_{k-1} eigenvalues of a path."""
     N = as_fraction(N)
     if len(jm_values) != k - 1:
         raise ValueError("need exactly the x_1..x_{k-1} eigenvalues")
     h = (N - 1) / 2
-    result = linear_fraction_series(h, h, order)
+    tail = linear_fraction_series(h, h, order)
     for x in jm_values:
         if x == 0:
             # the box factor degenerates to exactly 1
             continue
-        result = result * box_factor(as_fraction(x), order)
-    return result
+        tail = monic_product(tail, box_factor(as_fraction(x), order))
+    return (Fraction(1), *tail)
 
 
 # ---------------------------------------------------------------------------

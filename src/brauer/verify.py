@@ -182,7 +182,7 @@ def criterion_5_series() -> dict:
                 rep = repform.build_representation(mu, k - 1, N, verify=False)
                 for i in range(7):
                     scal = repform.scalar_of(repform.representation_action(rep, zk[i]))
-                    ok = ok and scal == zs.coeffs[i]
+                    ok = ok and scal == zs[i]
                     checks += 1
     mus = [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (1, 1, 1), (3, 2)]
     for N in SERIES_RATIONAL_VALUES:

@@ -29,7 +29,6 @@ from brauer.affine import (
     s_elem,
     sbar_elem,
     w_elem,
-    w_series,
     y_elem,
 )
 from brauer.coeffs import NPoly, n_minus_1_half
@@ -317,9 +316,9 @@ def test_w_values():
     n = 2
     assert w_elem(1, n) == AffineElement.one(n).scale(N * H)
     assert w_elem(0, n) == AffineElement.one(n).scale(N)
-    series = w_series(1, 3, n)
-    assert series.coeffs[0] == AffineElement.one(n).scale(N)
-    assert series.coeffs[1] == AffineElement.one(n).scale(N * H)
+    series = cap_series(n, 1, 3)
+    assert series[0] == AffineElement.one(n).scale(N)
+    assert series[1] == AffineElement.one(n).scale(N * H)
 
 
 def test_cap_series_against_conditional_expectation():

@@ -1,8 +1,9 @@
-"""The benchmark's tensor_grid workload, run in-process at smoke size.
+"""The benchmark's workloads, run in-process at smoke size.
 
 `perfbench/workloads.py` checks every action matrix through the CSR API
-(`nnz`, `data`, sparse products), so this guards the matrices' form as the
-benchmark reads it.  The benchmark files are only imported, never changed.
+(`nnz`, `data`, sparse products), so `tensor_grid` guards the matrices' form
+as the benchmark reads it; every workload guards that each operation it runs
+still succeeds.  The benchmark files are only imported, never changed.
 """
 
 import os
@@ -10,13 +11,26 @@ import os
 import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+SEEDS = [7031995, 20240402]
 
 
-@pytest.mark.parametrize("seed", [7031995, 20240402])
-def test_tensor_grid_smoke(seed, monkeypatch):
+def _smoke_run(name, seed, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)  # workloads imports its sibling `speed`
     import workloads
 
     run = workloads.Run()
-    workloads.run_workload("tensor_grid", workloads.make_inputs("tensor_grid", seed, "smoke"), run)
+    workloads.run_workload(name, workloads.make_inputs(name, seed, "smoke"), run)
+    return run
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tensor_grid_smoke(seed, monkeypatch):
+    run = _smoke_run("tensor_grid", seed, monkeypatch)
     assert (run.attempted, run.failed) == (160, 0), run.failures
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name, expected", [("affine_words", (18, 0)), ("rep_sweep", (84, 0)), ("brauer_products", (28, 0))])
+def test_workload_smoke(name, expected, seed, monkeypatch):
+    run = _smoke_run(name, seed, monkeypatch)
+    assert (run.attempted, run.failed) == expected, run.failures

@@ -138,13 +138,13 @@ def test_non_integer_N_is_relations_checked():
 
 def test_q_series_hand_values():
     q = q_series((1,), 3, 3)
-    assert [q.coeffs[i] for i in range(4)] == [1, 2, 2, 6]
+    assert [q[i] for i in range(4)] == [1, 2, 2, 6]
     z = z_series((1,), 3, 2)
-    assert [z.coeffs[i] for i in range(3)] == [3, 3, 7]
+    assert [z[i] for i in range(3)] == [3, 3, 7]
     zs = z_series((), 3, 6)
-    assert [zs.coeffs[i] for i in range(7)] == [3] * 7  # N h^i with h = 1
+    assert [zs[i] for i in range(7)] == [3] * 7  # N h^i with h = 1
     zs = z_series((), 5, 3)
-    assert [zs.coeffs[i] for i in range(4)] == [5, 10, 20, 40]
+    assert [zs[i] for i in range(4)] == [5, 10, 20, 40]
 
 
 def test_central_series_invariant():
@@ -152,9 +152,9 @@ def test_central_series_invariant():
     # Z = (u + 1/2) Q - u + 1/2 coefficientwise: z_i = q_{i+1} + q_i/2 (+1/2 at i=0)
     q7 = q_series((2, 1), 4, 7)
     for i in range(7):
-        expect = q7.coeffs[i + 1] + q7.coeffs[i] / 2 + (F(1, 2) if i == 0 else 0)
-        assert pair.Z.coeffs[i] == expect
-    assert pair.Z.coeffs[0] == 4
+        expect = q7[i + 1] + q7[i] / 2 + (F(1, 2) if i == 0 else 0)
+        assert pair.Z[i] == expect
+    assert pair.Z[0] == 4
 
 
 def test_box_product_form():
@@ -188,7 +188,7 @@ def test_z_eigenvalues_against_diagram_side():
                 rep = build_representation(mu, k - 1, Nv, verify=False)
                 for i in range(5):
                     acted = representation_action(rep, z_element(k, i))
-                    assert scalar_of(acted) == zs.coeffs[i]
+                    assert scalar_of(acted) == zs[i]
 
 
 def test_representation_action_general_element():
