@@ -50,8 +50,9 @@ atom word.  A `RegularMonomial` is the tuple (left, diagram, right, w), so a
 plain key equals and hashes like its monomial.  `from_word` and
 `AffineElement.__mul__` check each result term once with `_check_regular`,
 the rule `RegularMonomial(...)` itself applies, and wrap it through the
-trusted constructors `RegularMonomial._make` and `NPoly._trusted`, so no
-caller receives an irregular monomial.
+trusted constructors `tuple.__new__(RegularMonomial, key)` (called as
+`diagrams._tuple_new`) and `NPoly._trusted`, so no caller receives an
+irregular monomial.
 
 `AffineElement.__mul__` multiplies a by each term c * t of the right factor
 as ((a * x_1) * x_2) ... * x_L, where x_1 ... x_L is the atom word of t
@@ -87,10 +88,10 @@ and, again, nothing assumes confluence:
     without its w's and merges t's w into each key as it scales by c.  Terms
     that differ only in w then have equal words and share their whole
     partial.
-  * A unit right coefficient {0: 1}.  Scaling by it is `_add_raw` with sign 1
-    and shift 0, which sums the same values as `_mul_into`.  A key new to the
-    result takes a copy (`dict(c)`), because c belongs to a stored partial
-    or to a factor.
+  * A unit right coefficient {0: 1}.  This rule lives in `coeffs._mul_into`:
+    a unit second map forms no product, and the first map's values are added
+    as they are.  c belongs to a stored partial or to a factor and is only
+    read.
 
 `pi_m` starts each term's image from its first factor.  A product by the
 identity diagram returns the other factor's terms unchanged, so the start
@@ -124,6 +125,7 @@ from .diagrams import (
     _cap,
     _swap,
     _token_diagram,
+    _tuple_new,
 )
 
 Atom = tuple[str, int]
@@ -166,7 +168,7 @@ class RegularMonomial(_MonomialFields):
     """y^left * b(diagram) * y^right * (even w's); the basis of A(n, N).
 
     ``RegularMonomial(n, left, diagram, right, w)`` trims w and validates;
-    ``RegularMonomial._make((left, diagram, right, w))`` trusts its input."""
+    ``_tuple_new(RegularMonomial, (left, diagram, right, w))`` trusts its input."""
 
     __slots__ = ()
 
@@ -253,16 +255,12 @@ class AffineElement(Combination):
             for atom in word[j:]:
                 stack.append(_times_atom(stack[-1], n, atom))
             prev = word
-            unit = c2 == {0: 1}
             for key, c in stack[-1].items():
                 if not c:
                     continue
                 if w2:
                     left, d, right, w = key
                     key = (left, d, right, _w_merge(w, w2))
-                if unit:
-                    _add_raw(out, key, c, 1, 0)
-                    continue
                 acc = out.get(key)
                 if acc is None:
                     out[key] = acc = {}
@@ -648,7 +646,7 @@ def _element(n: int, raw: Raw) -> AffineElement:
     for key, c in raw.items():
         if c:
             _check_regular(n, key)
-            terms[RegularMonomial._make(key)] = NPoly._trusted(c)
+            terms[_tuple_new(RegularMonomial, key)] = NPoly._trusted(c)
     return AffineElement._trusted(n, terms)
 
 

@@ -87,8 +87,20 @@ def _mul_into(out: dict, a: dict, b: dict, q: int = 0) -> None:
 
     The one product rule of NPoly; ``multiply`` in B(n, N) sums a whole
     product's terms into one such map per output diagram and wraps it once.
+    A unit ``b`` ({0: 1}) only adds ``a``, in the loop ``NPoly.__add__`` uses.
     """
-    # add_term inlined (the hot loop)
+    if b == {0: 1}:
+        for e, c in a.items():
+            e += q
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
+            out[e] = c
+        return
     for e1, c1 in a.items():
         e1 += q
         for e2, c2 in b.items():
@@ -170,9 +182,6 @@ class NPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -182,16 +191,7 @@ class NPoly:
         if other.__class__ is not NPoly:
             other = NPoly.coerce(other)
         out = dict(self.coeffs)
-        # add_term inlined (the hot loop), keeping integral sums as ints
-        for e, c in other.coeffs.items():
-            if e in out:
-                c = out[e] + c
-                if not c:
-                    del out[e]
-                    continue
-                if c.__class__ is Fraction and c.denominator == 1:
-                    c = c.numerator
-            out[e] = c
+        _mul_into(out, other.coeffs, {0: 1})
         return NPoly._trusted(out)
 
     __radd__ = __add__
@@ -235,10 +235,10 @@ class NPoly:
         return NPoly._trusted({e + q: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not NPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = NPoly.const(other)
-        if not isinstance(other, NPoly):
-            return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:

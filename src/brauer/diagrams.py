@@ -5,7 +5,8 @@ as a top row and a bottom row.  Vertices are numbered 0..2n-1 with top strand
 k at vertex k-1 and bottom strand k at vertex n+k-1.  The matching is stored
 as a fixed-point-free involution ``pairing`` of 0..2n-1.  A diagram is the
 tuple ``(n, pairing)``: it hashes, compares and, within one n, sorts as that
-tuple.  ``BrauerDiagram(n, pairing)`` validates; ``_make`` trusts its input.
+tuple.  ``BrauerDiagram(n, pairing)`` validates;
+``_tuple_new(BrauerDiagram, (n, pairing))`` trusts its input.
 
 Products follow the diagram calculus: stack the left factor on top of the
 right one, contract, and pick up one factor of the formal parameter N per
@@ -36,6 +37,8 @@ from . import _kernel
 from .coeffs import Combination, NPoly, _mul_into, add_term, n_minus_1_half
 
 KERNEL_BACKEND = "python"  # the only backend; benchmark reports print it
+# the trusted constructor of BrauerDiagram and RegularMonomial, a C call (_make is Python)
+_tuple_new = tuple.__new__
 
 
 class _DiagramFields(NamedTuple):
@@ -132,7 +135,7 @@ class BrauerDiagram(_DiagramFields):
 def _compose_cached(g: BrauerDiagram, g2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     n = g.n
     pairing, loops = _kernel.compose_pairings(g.pairing, g2.pairing, n)
-    return BrauerDiagram._make((n, pairing)), loops
+    return _tuple_new(BrauerDiagram, (n, pairing)), loops
 
 
 def compose(g: BrauerDiagram, g2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
@@ -291,7 +294,7 @@ def _swap(d: BrauerDiagram, u: int) -> BrauerDiagram:
         return d
     q = list(p)
     q[u], q[w], q[x], q[y] = y, x, w, u
-    return BrauerDiagram._make((d.n, tuple(q)))
+    return _tuple_new(BrauerDiagram, (d.n, tuple(q)))
 
 
 def _cap(d: BrauerDiagram, u: int) -> tuple[BrauerDiagram, int]:
@@ -304,7 +307,7 @@ def _cap(d: BrauerDiagram, u: int) -> tuple[BrauerDiagram, int]:
         return d, 1
     q = list(p)
     q[x], q[y], q[u], q[w] = y, x, w, u
-    return BrauerDiagram._make((d.n, tuple(q))), 0
+    return _tuple_new(BrauerDiagram, (d.n, tuple(q))), 0
 
 
 def _generator_product(e: AlgebraElement, g: tuple[bool, int], c: NPoly, left: bool) -> AlgebraElement:

@@ -145,6 +145,15 @@ def test_engine_keys_are_their_monomials():
         t = RegularMonomial(3, *key)
         assert type(key) is tuple and key == t and hash(key) == hash(t)
         assert nf.terms[key].coeffs == c
+    # an element's keys are built unchecked from engine keys, after the
+    # regularity check; they are still monomials, equal to the validated ones
+    b = from_word(parse_word("s2 y2 sbar1"), 3).scale(NPoly({0: Fraction(1, 2), 1: 1}))
+    for e in (nf, nf * nf, nf * b):
+        assert e.terms
+        for t in e.terms:
+            same = RegularMonomial(t.n, *t)
+            assert type(t) is RegularMonomial and t.n == 3
+            assert t == same and hash(t) == hash(same)
     # the validating constructor trims w; the tuple holds the trimmed one
     t = RegularMonomial(2, (1, 0), sbar_diagram(1, 2), (0, 1), (0, 1, 0))
     assert tuple(t) == ((1, 0), sbar_diagram(1, 2), (0, 1), (0, 1)) and t.n == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer.coeffs import (
     NPoly,
@@ -14,6 +14,7 @@ from brauer.coeffs import (
     n_minus_1_half,
     sqrt_of_rational,
     squarefree_decomposition,
+    _mul_into,
 )
 from brauer.repform import surd_from_json, surd_to_json
 
@@ -291,6 +292,36 @@ def test_surd_matches_reference(da, db, q):
             assert got != want.get(1, Fraction(0)), op
     assert (x == y) == (a == b)
     assert (x - y == 0) == (a == b)
+
+
+# sums that cancel to zero and sums that turn integral, at each end of q
+@example(NPoly({0: Fraction(1, 2), 1: 3, 2: 1}), NPoly({0: Fraction(1, 2), 1: -3}), 0)
+@example(NPoly({2: Fraction(-1, 3), 3: 1}), NPoly({0: Fraction(4, 3), 1: -1, 4: Fraction(2, 5)}), 2)
+@settings(max_examples=300, deadline=None)
+@given(npoly_strategy.filter(bool), npoly_strategy, st.integers(min_value=0, max_value=2))
+def test_mul_into_unit_is_the_general_loop(out, a, q):
+    # b == {0: 1} adds a with no products; the general double loop computes
+    # the same map as out + (-a) * (-1) * N^q (its b is not the unit)
+    before = dict(a.coeffs)
+    got = dict(out.coeffs)
+    _mul_into(got, a.coeffs, {0: 1}, q)
+    want = dict(out.coeffs)
+    _mul_into(want, {e: -c for e, c in a.coeffs.items()}, {0: -1}, q)
+    assert got == want == ref_add(out.coeffs, {e + q: c for e, c in a.coeffs.items()})
+    assert {e: type(c) for e, c in got.items()} == {e: type(c) for e, c in want.items()}
+    assert_normal_form(NPoly._trusted(got))
+    assert a.coeffs == before
+
+
+def test_npoly_eq_checks_the_class_first():
+    three, half = NPoly.const(3), n_minus_1_half()
+    assert three == 3 and three == Fraction(6, 2) and 3 == three and three != 4
+    assert NPoly.const(Fraction(1, 2)) == Fraction(1, 2) and NPoly.const(True) == 1
+    # equal NPolys built different ways; unequal ones of the same degree
+    assert half == NPoly.from_string("1/2*N - 1/2") == (NPoly.N() - 1) * Fraction(1, 2)
+    assert half != NPoly.from_string("1/2*N + 1/2") and half != Fraction(-1, 2)
+    assert NPoly.one().__eq__("1") is NotImplemented
+    assert NPoly.one() != "1" and not (NPoly.one() == "1")
 
 
 @settings(max_examples=300, deadline=None)

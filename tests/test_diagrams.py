@@ -32,9 +32,11 @@ from brauer.diagrams import (
     verify_jm_relations,
     verify_presentation,
     z_element,
+    _cap,
     _compose_cached,
     _generator_of,
     _generator_product,
+    _swap,
     _token_diagram,
 )
 
@@ -60,13 +62,21 @@ def test_compose_size_mismatch():
 
 
 def test_kernel_diagrams_are_their_tuples():
-    # compose wraps kernel output without validation; the result must still
-    # equal, and hash like, the validated diagram and the plain (n, pairing)
-    for g in all_diagrams(3):
-        d, _ = compose(g, sbar_diagram(1, 3))
-        assert type(d) is BrauerDiagram and d.n == 3
-        for same in (BrauerDiagram(3, d.pairing), (3, d.pairing)):
-            assert d == same and hash(d) == hash(same)
+    # compose, _swap and _cap wrap their output without validation; it must
+    # still equal, and hash like, the validated diagram and the plain
+    # (n, pairing)
+    def outputs(n):
+        for g in all_diagrams(n):
+            yield compose(g, sbar_diagram(1, n))[0]
+            for u in (*range(n - 1), *range(n, 2 * n - 1)):
+                yield _swap(g, u)
+                yield _cap(g, u)[0]
+
+    for n in range(2, 5):
+        for d in outputs(n):
+            assert type(d) is BrauerDiagram and d.n == n
+            for same in (BrauerDiagram(n, d.pairing), (n, d.pairing)):
+                assert d == same and hash(d) == hash(same)
 
 
 def test_multiply_examples():
