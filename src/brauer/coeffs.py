@@ -9,11 +9,12 @@ Four kinds of numbers appear throughout:
     ``shift(q)`` multiplies by N^q by moving exponents;
   * ``SurdSum`` -- finite sums ``sum c_r * sqrt(r)`` with c_r rational and
     r squarefree, the entry type of the orthogonal-form matrices that
-    `repform` builds and prints (their relation checks and actions run on
-    integer matrices in a diagonal gauge instead).  Stored as integer
-    numerators over one positive common denominator, reduced so that their
-    gcd with it is 1; that normal form is unique, so equality of values is
-    equality of numerators and denominator;
+    `repform` builds and prints.  `repform` builds and reads them but never
+    adds them: its relation checks, actions and fiber reports run on integer
+    matrices in a diagonal gauge.  Only ``+`` and ``*`` are defined.  Stored
+    as integer numerators over one positive common denominator, reduced so
+    that their gcd with it is 1; that normal form is unique, so equality of
+    values is equality of numerators and denominator;
   * truncated series in 1/u -- a monic series
     ``1 + c_1/u + ... + c_K/u^K`` is the tuple ``(c_1, ..., c_K)``, and
     ``monic_product`` multiplies two of them.
@@ -466,9 +467,10 @@ class SurdSum:
     normal form is unique and value equality is equality of the two fields.
 
     ``__init__``, ``rational``, ``coerce`` and ``sqrt_of_rational`` validate;
-    arithmetic builds its results through the trusted ``_trusted``, which
-    divides out the common gcd.  ``terms`` is a read-only view of the value
-    as radicand -> ``Fraction``.
+    ``+`` and ``*`` build their results through the trusted ``_trusted``,
+    which divides out the common gcd.  There is no subtraction or division:
+    scaling by a rational q is the product with q.  ``terms`` is a read-only
+    view of the value as radicand -> ``Fraction``.
     """
 
     __slots__ = ("num", "den")
@@ -569,15 +571,6 @@ class SurdSum:
 
     __radd__ = __add__
 
-    def __neg__(self) -> SurdSum:
-        return SurdSum._trusted({r: -c for r, c in self.num.items()}, self.den)
-
-    def __sub__(self, other) -> SurdSum:
-        return self + (-SurdSum.coerce(other))
-
-    def __rsub__(self, other) -> SurdSum:
-        return SurdSum.coerce(other) + (-self)
-
     def __mul__(self, other) -> SurdSum:
         if other.__class__ is not SurdSum:
             other = SurdSum.coerce(other)
@@ -606,16 +599,6 @@ class SurdSum:
         return SurdSum._trusted(out, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def divide_rational(self, q: int | Fraction) -> SurdSum:
-        q = as_fraction(q)
-        if not q:
-            raise ZeroDivisionError("division of a SurdSum by zero")
-        # self / (a/b) = self * b / a, with the sign of a moved to the numerators
-        a, b = q.numerator, q.denominator
-        if a < 0:
-            a, b = -a, -b
-        return SurdSum._trusted({r: c * b for r, c in self.num.items()}, self.den * a)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not SurdSum:

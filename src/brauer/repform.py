@@ -9,13 +9,16 @@ assembled fiberwise:
     1/(x_{k+1}-x_k) with positive symmetric off-diagonal entries of square
     1 - (x_{k+1}-x_k)^{-2}, and sbar_k vanishes;
   * on a fiber with equal endpoints mu, sbar_k is the rank-one block with
-    diagonal given by residues of the central series over the corner data of
-    mu and positive square-root off-diagonal entries.  s_k is read off that
-    block through s_k x_k - x_{k+1} s_k = sbar_k - 1: with b_i the x_k
-    eigenvalue, s(i, j) = (sbar(i, j) - delta_ij)/(b_i + b_j), except on the
-    self-paired branch (N odd, associated diagrams, b_i = 0), whose diagonal
-    entry follows from s_k sbar_k = sbar_k.  So each sbar_k is built once
-    per basis and handed to `build_s_matrix`.
+    rational diagonal d given by residues of the central series over the
+    corner data of mu and positive square-root off-diagonal entries
+    sqrt(d_i d_j).  s_k is read off that block through
+    s_k x_k - x_{k+1} s_k = sbar_k - 1: with b_i the x_k eigenvalue, the
+    diagonal is (d_i - 1)/(2 b_i) and the off-diagonal entry is
+    sbar(i, j) * 1/(b_i + b_j), except on the self-paired branch (N odd,
+    associated diagrams, b_i = 0), whose diagonal entry 1 - sum d_t/b_t over
+    the other paths t follows from s_k sbar_k = sbar_k.  So each sbar_k is
+    built once per basis, its diagonal d is stored beside it, and
+    `build_s_matrix` reads both.
 
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
 non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
@@ -26,7 +29,7 @@ Jucys-Murphy relations, exactly; a failure raises with the violated relation
 named.  The check runs in a diagonal gauge (a seminormal form, as in Leduc
 and Ram, Adv. Math. 125 (1997)), not on the surds themselves.  Each path
 index i gets a squarefree class c_i: walking the non-zero entries of every
-s_k and sbar_k, an entry a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
+matrix, an entry a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
 With D = diag(sqrt(c_i)), the entry of D^-1 M D at (i, j) is
 a*sqrt(r*c_i*c_j)/(e*c_i), rational because r*c_i*c_j is a square.  So every
 gauged generator is an `IntMatrix`: integer rows over one denominator.  An
@@ -40,7 +43,14 @@ coefficients, so it holds for the gauged matrices exactly when it holds for
 the orthogonal ones.  Symmetry of s_k and sbar_k is the one checked property
 the gauge does not preserve, so it is checked on the orthogonal matrices.
 `representation_action` also works in the gauge and maps its result back
-once: entry q at (i, j) becomes q*sqrt(c_i*c_j)/c_j.
+once: entry q at (i, j) becomes q*sqrt(c_i*c_j)/c_j.  `sbar_fiber_report`
+gauges each equal-endpoint sbar_k block on its own and reads rank, trace and
+diagonal off the integer block, since D^-1 B D keeps all three; only its
+symmetry is read off the surds.
+
+So no ``SurdSum`` is ever added here: entries are built (a rational, the
+square root of a rational, or an entry scaled by a rational) and read
+(``==``, the gauge walk, JSON), and every sum runs on rationals or integers.
 
 N is specialized to a rational before any matrix is built (the formulas
 divide by eigenvalue differences); all symbolic-N checks live in `diagrams`.
@@ -50,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import shapes
@@ -114,8 +124,7 @@ class RepMatrix:
     column is zero.  No zero is ever stored, so equal matrices have equal
     row dicts and ``==`` is a plain row comparison.  Read single entries
     through ``entry(i, j)``.  The ``build_*`` functions fill a fresh matrix
-    through ``set(i, j, value)``; after that a matrix is treated as immutable, and
-    arithmetic may return an operand unchanged instead of a copy.
+    through ``set(i, j, value)``; after that a matrix is treated as immutable.
     """
 
     __slots__ = ("dim", "rows")
@@ -161,12 +170,6 @@ class RepMatrix:
             rows.append(row)
         return RepMatrix(rows)
 
-    def __sub__(self, other: RepMatrix) -> RepMatrix:
-        return self + (-other)
-
-    def __neg__(self) -> RepMatrix:
-        return RepMatrix([{j: -a for j, a in row.items()} for row in self.rows])
-
     def scale(self, c) -> RepMatrix:
         c = SurdSum.coerce(c)
         if not c:
@@ -178,35 +181,11 @@ class RepMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(sorted(row.items())) for row in self.rows))
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 
     def is_symmetric(self) -> bool:
         return all(a == self.rows[j].get(i) for i, row in enumerate(self.rows) for j, a in row.items())
-
-    def trace(self) -> SurdSum:
-        t = _ZERO
-        for i, row in enumerate(self.rows):
-            if i in row:
-                t = t + row[i]
-        return t
-
-    def rank_at_most_one(self) -> bool:
-        """All 2x2 minors vanish; only columns where one of the two rows is
-        non-zero can give a non-zero minor."""
-        rows = [row for row in self.rows if row]
-        for t, ri in enumerate(rows):
-            for rj in rows[t + 1 :]:
-                cols = sorted(ri.keys() | rj.keys())
-                for x, a in enumerate(cols):
-                    for b in cols[x + 1 :]:
-                        m = ri.get(a, _ZERO) * rj.get(b, _ZERO) - ri.get(b, _ZERO) * rj.get(a, _ZERO)
-                        if m:
-                            return False
-        return True
 
     def __repr__(self) -> str:
         dense = ([repr(self.entry(i, j)) for j in range(self.dim)] for i in range(self.dim))
@@ -268,6 +247,22 @@ class IntMatrix:
 
     __hash__ = None  # equal values may store different rows
 
+    def trace(self) -> Fraction:
+        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self.rows)), self.den)
+
+    def rank_at_most_one(self) -> bool:
+        """All 2x2 minors vanish; only columns where one of the two rows is
+        non-zero can give a non-zero minor."""
+        rows = [row for row in self.rows if row]
+        for t, ri in enumerate(rows):
+            for rj in rows[t + 1 :]:
+                cols = sorted(ri.keys() | rj.keys())
+                for x, a in enumerate(cols):
+                    for b in cols[x + 1 :]:
+                        if ri.get(a, 0) * rj.get(b, 0) != ri.get(b, 0) * rj.get(a, 0):
+                            return False
+        return True
+
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows!r}, {self.den})"
 
@@ -285,14 +280,17 @@ class PathBasis:
     N: Fraction
     paths: tuple[Path, ...]
     # level k -> its fibers, k -> the eigenvalues of x_k, and k -> the matrix
-    # of sbar_k, each built once per basis; not part of the value
+    # of sbar_k with its rational diagonal {path index: d}, each built once
+    # per basis; not part of the value
     _fibers: dict[int, tuple[tuple[int, ...], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     _eigenvalues: dict[int, tuple[Fraction, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
-    _sbar: dict[int, RepMatrix] = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _sbar: dict[int, tuple[RepMatrix, dict[int, Fraction]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @staticmethod
     def build(lam: Diagram, n: int, N: int | Fraction) -> PathBasis:
@@ -336,47 +334,51 @@ class PathBasis:
         return cached
 
 
-def _sbar_diagonal(mu: Diagram, b: Fraction, N: Fraction) -> Fraction:
-    """Diagonal entry of sbar on a fiber over mu at eigenvalue b.
+def _sbar_diagonal(mu: Diagram, bs: list[Fraction], N: Fraction) -> list[Fraction]:
+    """Diagonal entries of sbar on a fiber over mu, one per x_k eigenvalue b
+    in bs.
 
     Residues of Z(mu, u)/u at u=b over the corner data of mu: (2b+1) times
     the product of (b+b_j)/(b-b_j) over b_j != b, with the doubled-eigenvalue
     branch at b = -1/2.
     """
     values = shapes.b_list(mu, N)
-    num = Fraction(1)
-    den = Fraction(1)
-    for bj in values:
-        if bj == b:
-            continue
-        num *= b + bj
-        den *= b - bj
-    if den == 0:
-        raise RepresentationError(
-            f"degenerate N={N}: repeated corner value {b} for mu={mu} outside the -1/2 branch"
-        )
-    if b == Fraction(-1, 2):
-        return -num / den
-    return (2 * b + 1) * num / den
+    out = []
+    for b in bs:
+        num = Fraction(1)
+        den = Fraction(1)
+        for bj in values:
+            if bj == b:
+                continue
+            num *= b + bj
+            den *= b - bj
+        if den == 0:
+            raise RepresentationError(
+                f"degenerate N={N}: repeated corner value {b} for mu={mu} outside the -1/2 branch"
+            )
+        out.append(-num / den if b == Fraction(-1, 2) else (2 * b + 1) * num / den)
+    return out
 
 
 def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
     """Matrix of sbar_k; nonzero only on fibers whose endpoints at levels
     k-1 and k+1 coincide, where it is the positive rank-one block.  Built
-    once per basis: later calls return the same matrix."""
+    once per basis, with its diagonal: later calls return the same matrix."""
     cached = basis._sbar.get(k)
     if cached is not None:
-        return cached
+        return cached[0]
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
     m = RepMatrix.zero(basis.dim)
+    diagonal: dict[int, Fraction] = {}
     eig = basis.eigenvalues(k)
     for fiber in basis.fibers(k):
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
         mu = p0[k - 1]
-        diag = [_sbar_diagonal(mu, eig[i], basis.N) for i in fiber]
+        diag = _sbar_diagonal(mu, [eig[i] for i in fiber], basis.N)
+        diagonal.update(zip(fiber, diag))
         for a, i in enumerate(fiber):
             m.set(i, i, SurdSum.rational(diag[a]))
             for b in range(a + 1, len(fiber)):
@@ -389,15 +391,16 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
                 s = sqrt_of_rational(prod)
                 m.set(i, j, s)
                 m.set(j, i, s)
-    basis._sbar[k] = m
+    basis._sbar[k] = (m, diagonal)
     return m
 
 
-def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
-    """Matrix of s_k, assembled fiber by fiber (see the module docstring);
-    ``sbar`` is the matrix of sbar_k that `build_sbar_matrix` returned."""
-    if not 1 <= k <= basis.n - 1:
-        raise ValueError(f"generator index {k} out of range")
+def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
+    """Matrix of s_k, assembled fiber by fiber (see the module docstring)
+    from the matrix of sbar_k and its diagonal, which `build_sbar_matrix`
+    builds or has built."""
+    build_sbar_matrix(basis, k)
+    sbar, diagonal = basis._sbar[k]
     N = basis.N
     m = RepMatrix.zero(basis.dim)
     eig, eig1 = basis.eigenvalues(k), basis.eigenvalues(k + 1)
@@ -434,8 +437,10 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
                 for c, j in enumerate(fiber):
                     denom = bs[a] + bs[c]
                     if denom != 0:
-                        entry = sbar.entry(i, j)
-                        m.set(i, j, (entry - SurdSum.one() if a == c else entry).divide_rational(denom))
+                        if a == c:
+                            m.set(i, i, SurdSum.rational((diagonal[i] - 1) / denom))
+                        else:
+                            m.set(i, j, sbar.entry(i, j) * (1 / denom))
                         continue
                     # x_k = 0: the self-paired branch, legal only on the diagonal
                     # for odd integer N with associated step diagrams, where
@@ -455,7 +460,7 @@ def build_s_matrix(basis: PathBasis, k: int, sbar: RepMatrix) -> RepMatrix:
                         raise RepresentationError(
                             f"repeated zero eigenvalue on fiber over {mu} at N={N}"
                         )
-                    value = 1 - sum(sbar.entry(fiber[t], fiber[t]).rational_value() / bs[t] for t in others)
+                    value = 1 - sum(diagonal[fiber[t]] / bs[t] for t in others)
                     m.set(i, j, SurdSum.rational(value))
     return m
 
@@ -472,45 +477,40 @@ def x_matrix(basis: PathBasis, k: int) -> RepMatrix:
 class Representation:
     basis: PathBasis
     matrices: dict[str, RepMatrix]
-    # holds (gauge classes, gauged generators) once `_gauge_of` has built
-    # them; not part of the value
-    _gauge: list = field(default_factory=list, init=False, repr=False, compare=False, hash=False)
+
+    @cached_property
+    def _gauged(self) -> tuple[list[int], dict[tuple[str, int], IntMatrix]]:
+        """The gauge classes and the gauged generators, keyed ("s", k),
+        ("sbar", k) and ("x", k); built once per representation and not part
+        of its value."""
+        basis = self.basis
+        named = {}
+        for k in range(1, basis.n):
+            named["s", k] = self.matrices[f"s{k}"]
+            named["sbar", k] = self.matrices[f"sbar{k}"]
+        for k in range(1, basis.n + 1):
+            named["x", k] = self.matrices[f"x{k}"]
+        return _gauge(named, basis.dim, f"on V({basis.lam}, {basis.n}) at N={basis.N}")
 
 
-def _relation_matrices(rep: Representation) -> dict[tuple[str, int], RepMatrix]:
-    n = rep.basis.n
-    out = {}
-    for k in range(1, n):
-        out[("s", k)] = rep.matrices[f"s{k}"]
-        out[("sbar", k)] = rep.matrices[f"sbar{k}"]
-    for k in range(1, n + 1):
-        out[("x", k)] = rep.matrices[f"x{k}"]
-    return out
+def _gauge(
+    named: dict[tuple[str, int], RepMatrix], dim: int, where: str
+) -> tuple[list[int], dict[tuple[str, int], IntMatrix]]:
+    """The squarefree classes c_i of the named dim x dim matrices and each of
+    them as D^-1 M D (see the module docstring).  An error names the entry
+    as "entry (i, j) of s2 <where> ..."."""
 
+    def term(token: tuple[str, int], i: int, j: int, value: SurdSum) -> tuple[int, int]:
+        # (radicand, numerator) of an entry a*sqrt(r)/den
+        if len(value.num) != 1:
+            raise RepresentationError(
+                f"entry ({i}, {j}) of {token[0]}{token[1]} {where} is {value}, not a single surd term"
+            )
+        return next(iter(value.num.items()))
 
-def _gauge_error(rep: Representation, token: tuple[str, int], i: int, j: int, why: str) -> RepresentationError:
-    basis = rep.basis
-    return RepresentationError(
-        f"entry ({i}, {j}) of {token[0]}{token[1]} on V({basis.lam}, {basis.n}) at N={basis.N} {why}"
-    )
-
-
-def _single_term(rep: Representation, token: tuple[str, int], i: int, j: int, value: SurdSum) -> tuple[int, int]:
-    """(radicand, numerator) of an entry a*sqrt(r)/den; raises on a sum of surds."""
-    if len(value.num) != 1:
-        raise _gauge_error(rep, token, i, j, f"is {value}, not a single surd term")
-    return next(iter(value.num.items()))
-
-
-def _gauge_of(rep: Representation) -> tuple[list[int], dict[tuple[str, int], IntMatrix]]:
-    """The squarefree classes c_i and the gauged generators D^-1 M D (see the
-    module docstring), built once per representation."""
-    if rep._gauge:
-        return rep._gauge[0]
-    named = _relation_matrices(rep)
-    walked = [(token, m.rows) for token, m in named.items() if token[0] != "x"]
-    classes = [0] * rep.basis.dim  # 0: not reached yet
-    for start in range(len(classes)):
+    walked = [(token, m.rows) for token, m in named.items()]
+    classes = [0] * dim  # 0: not reached yet
+    for start in range(dim):
         if classes[start]:
             continue
         classes[start] = 1
@@ -520,29 +520,29 @@ def _gauge_of(rep: Representation) -> tuple[list[int], dict[tuple[str, int], Int
             for token, rows in walked:
                 for j, value in rows[i].items():
                     if not classes[j]:
-                        r, _ = _single_term(rep, token, i, j, value)
-                        classes[j] = squarefree_decomposition(classes[i] * r)[1]
+                        classes[j] = squarefree_decomposition(classes[i] * term(token, i, j, value)[0])[1]
                         stack.append(j)
     gens = {}
-    for token, m in named.items():
+    for token, rows in walked:
         entries = []
-        for i, row in enumerate(m.rows):
+        for i, row in enumerate(rows):
             ci = classes[i]
             for j, value in row.items():
-                r, a = _single_term(rep, token, i, j, value)
+                r, a = term(token, i, j, value)
                 root, s = squarefree_decomposition(ci * r)
                 if s != classes[j]:
-                    raise _gauge_error(rep, token, i, j, "does not fit a diagonal gauge")
+                    raise RepresentationError(
+                        f"entry ({i}, {j}) of {token[0]}{token[1]} {where} does not fit a diagonal gauge"
+                    )
                 # a*sqrt(r)/den at (i, j) gauges to a*sqrt(r*c_i*c_j)/(den*c_i)
                 num, den = a * root * s, value.den * ci
                 g = gcd(num, den)
                 entries.append((i, j, num // g, den // g))
         den = lcm(*(e[3] for e in entries))
-        rows: list[dict[int, int]] = [{} for _ in classes]
+        gauged: list[dict[int, int]] = [{} for _ in classes]
         for i, j, num, d in entries:
-            rows[i][j] = num * (den // d)
-        gens[token] = IntMatrix(rows, den)
-    rep._gauge.append((classes, gens))
+            gauged[i][j] = num * (den // d)
+        gens[token] = IntMatrix(gauged, den)
     return classes, gens
 
 
@@ -606,7 +606,7 @@ def verify_representation(rep: Representation) -> None:
         for name in (f"s{k}", f"sbar{k}"):
             if not rep.matrices[name].is_symmetric():
                 raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
-    gens = _gauge_of(rep)[1]
+    gens = rep._gauged[1]
     for name, lhs, rhs in _relations(n):
         if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
             raise RepresentationError(
@@ -621,9 +621,8 @@ def build_representation(
     basis = PathBasis.build(lam, n, N)
     matrices: dict[str, RepMatrix] = {}
     for k in range(1, n):
-        sbar = build_sbar_matrix(basis, k)
-        matrices[f"s{k}"] = build_s_matrix(basis, k, sbar)
-        matrices[f"sbar{k}"] = sbar
+        matrices[f"s{k}"] = build_s_matrix(basis, k)  # builds sbar_k first
+        matrices[f"sbar{k}"] = build_sbar_matrix(basis, k)
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
     rep = Representation(basis, matrices)
@@ -642,7 +641,7 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
     basis = rep.basis
     if element.n != basis.n:
         raise ValueError("element size does not match the representation")
-    classes, gens = _gauge_of(rep)
+    classes, gens = rep._gauged
     terms = [(c, factor_diagram(d)) for d, coeff in element.terms.items() if (c := coeff.eval(basis.N))]
     gauged = _combination(terms, gens, basis.dim)
     # entry q at (i, j) is q*sqrt(c_i*c_j)/c_j in the orthogonal form
@@ -661,7 +660,7 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
 def scalar_of(matrix: RepMatrix) -> Fraction:
     """The scalar c with matrix = c*I; raises if the matrix is not scalar."""
     c = matrix.entry(0, 0)
-    if matrix != RepMatrix.identity(matrix.dim).scale(c):
+    if not c.is_rational() or matrix != RepMatrix.diagonal([c] * matrix.dim):
         raise ValueError("matrix is not scalar")
     return c.rational_value()
 
@@ -741,28 +740,30 @@ def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction])
 
 
 def sbar_fiber_report(basis: PathBasis, k: int) -> list[dict]:
-    """Per-fiber rank-1 / trace-N / PSD data for the sbar_k blocks."""
+    """Per-fiber rank-1 / trace-N / PSD data for the sbar_k blocks.
+
+    Symmetry is read off each block, the rest off the block in its own
+    diagonal gauge, whose rank, trace and diagonal are the block's."""
     matrix = build_sbar_matrix(basis, k)
     out = []
     for fiber in basis.fibers(k):
         p0 = basis.paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
+        mu = p0[k - 1]
         block = RepMatrix(
             [{b: e for b, j in enumerate(fiber) if (e := matrix.entry(i, j))} for i in fiber]
         )
-        diag_nonneg = all(
-            block.entry(t, t).is_rational() and block.entry(t, t).rational_value() >= 0
-            for t in range(block.dim)
-        )
+        where = f"in the block over {mu} on V({basis.lam}, {basis.n}) at N={basis.N}"
+        gauged = _gauge({("sbar", k): block}, block.dim, where)[1]["sbar", k]
         out.append(
             {
-                "mu": p0[k - 1],
+                "mu": mu,
                 "size": block.dim,
                 "symmetric": block.is_symmetric(),
-                "rank_le_1": block.rank_at_most_one(),
-                "trace": block.trace(),
-                "diag_nonneg": diag_nonneg,
+                "rank_le_1": gauged.rank_at_most_one(),
+                "trace": SurdSum.rational(gauged.trace()),
+                "diag_nonneg": all(row.get(t, 0) >= 0 for t, row in enumerate(gauged.rows)),
             }
         )
     return out

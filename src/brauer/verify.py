@@ -146,7 +146,12 @@ def criterion_4_rank_trace() -> dict:
     for lam, n, N in _rep_sweep():
         basis = repform.PathBasis.build(lam, n, N)
         for k in range(1, n):
-            for block in repform.sbar_fiber_report(basis, k):
+            try:
+                report = repform.sbar_fiber_report(basis, k)
+            except repform.RepresentationError:
+                ok = False
+                continue
+            for block in report:
                 blocks += 1
                 if not (
                     block["symmetric"]

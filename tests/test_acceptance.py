@@ -7,7 +7,7 @@ instances holds on the nose.  Run with `pytest -s` to see the summary lines.
 
 import pytest
 
-from brauer import verify
+from brauer import cli, repform, verify
 
 
 def _report(rep):
@@ -36,6 +36,19 @@ def test_criterion_3_representations():
 def test_criterion_4_rank1_traceN():
     # equal-endpoint sbar blocks: symmetric PSD rank 1, trace exactly N
     _report(verify.criterion_4_rank_trace())
+
+
+def test_criterion_4_counts_a_fiber_report_error_as_a_failure(monkeypatch):
+    # a block that fits no diagonal gauge fails the criterion (exit 1), as a
+    # representation that fails to build fails criterion 3
+    def broken(basis, k):
+        raise repform.RepresentationError("entry (0, 1) of sbar1 does not fit a diagonal gauge")
+
+    monkeypatch.setattr(repform, "sbar_fiber_report", broken)
+    result = verify.criterion_4_rank_trace()
+    assert not result["ok"] and result["details"]["blocks"] == 0
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [("4 rank1-traceN", verify.criterion_4_rank_trace)])
+    assert cli.main(["verify-all", "--format", "json"]) == 1
 
 
 def test_criterion_5_series():

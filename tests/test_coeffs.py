@@ -97,7 +97,7 @@ def test_surd_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a + (-a) == SurdSum.zero()
+    assert a + a * -1 == SurdSum.zero()
 
 
 def test_surd_rational_hashes_like_its_value():
@@ -111,8 +111,8 @@ def test_surd_rational_hashes_like_its_value():
         (SurdSum.rational(Fraction(-6, 3)), -2),
         (SurdSum({4: Fraction(1, 2)}), 1),
         # rational values that arithmetic produces
-        (root3 * root3.divide_rational(6), Fraction(1, 2)),
-        (root3 - root3, 0),
+        (root3 * (root3 * Fraction(1, 6)), Fraction(1, 2)),
+        (root3 + root3 * -1, 0),
         (SurdSum.rational(Fraction(1, 2)) + Fraction(1, 2), 1),
     ):
         assert x == value and x == Fraction(value)
@@ -268,17 +268,17 @@ def test_surd_matches_reference(da, db, q):
         "x": (x, a),
         "y": (y, b),
         "+": (x + y, ref_surd_sum([a, b])),
-        "-": (x - y, ref_surd_sum([a, neg(b)])),
+        "-": (x + y * -1, ref_surd_sum([a, neg(b)])),
         "*": (x * y, ref_surd_mul(a, b)),
-        "neg": (-x, neg(a)),
-        "/q": (x.divide_rational(q), {r: c / Fraction(q) for r, c in a.items()}),
+        "neg": (x * -1, neg(a)),
+        "/q": (x * (1 / Fraction(q)), {r: c / Fraction(q) for r, c in a.items()}),
     }
     for c in (3, Fraction(3), Fraction(-5, 6), q):
         results[f"x*{c!r}"] = (x * c, ref_surd_mul(a, {1: Fraction(c)}))
         results[f"{c!r}*x"] = (c * x, ref_surd_mul(a, {1: Fraction(c)}))
         results[f"x+{c!r}"] = (x + c, ref_surd_sum([a, {1: Fraction(c)}]))
-        results[f"x-{c!r}"] = (x - c, ref_surd_sum([a, {1: -Fraction(c)}]))
-        results[f"{c!r}-x"] = (c - x, ref_surd_sum([{1: Fraction(c)}, neg(a)]))
+        results[f"x-{c!r}"] = (x + -c, ref_surd_sum([a, {1: -Fraction(c)}]))
+        results[f"{c!r}-x"] = (c + x * -1, ref_surd_sum([{1: Fraction(c)}, neg(a)]))
     for op, (got, want) in results.items():
         assert dict(got.terms) == want, op
         assert_surd_normal_form(got)
@@ -291,7 +291,7 @@ def test_surd_matches_reference(da, db, q):
         else:
             assert got != want.get(1, Fraction(0)), op
     assert (x == y) == (a == b)
-    assert (x - y == 0) == (a == b)
+    assert (x + y * -1 == 0) == (a == b)
 
 
 # sums that cancel to zero and sums that turn integral, at each end of q

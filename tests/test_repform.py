@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer import shapes
+from brauer import repform, shapes
 from brauer.coeffs import NPoly, SurdSum, sqrt_of_rational
 from brauer.diagrams import (
     AlgebraElement,
@@ -34,7 +34,6 @@ from brauer.repform import (
     scalar_of,
     surd_from_json,
     surd_to_json,
-    _gauge_of,
     verify_representation,
     z_series,
 )
@@ -126,7 +125,7 @@ def test_matrices_symmetric_and_involutive():
         s = rep.matrices[f"s{k}"]
         sb = rep.matrices[f"sbar{k}"]
         assert s.is_symmetric() and sb.is_symmetric()
-        gs = _gauge_of(rep)[1][("s", k)]
+        gs = rep._gauged[1]["s", k]
         assert gs * gs == IntMatrix.identity(rep.basis.dim)
 
 
@@ -236,9 +235,9 @@ def test_built_matrices_store_no_zero():
         for name, m in rep.matrices.items():
             assert _stores_no_zero(m), (lam, n, Nv, name)
         s1 = rep.matrices["s1"]
-        gs1 = _gauge_of(rep)[1][("s", 1)]
+        gs1 = rep._gauged[1]["s", 1]
         assert _stores_no_zero(gs1 * gs1)
-        assert (s1 - s1).rows == [{}] * rep.basis.dim
+        assert (s1 + s1.scale(-1)).rows == [{}] * rep.basis.dim
 
 
 def _random_surd(rng: random.Random) -> SurdSum:
@@ -287,6 +286,33 @@ def test_int_product_matches_dense_reference():
         assert a == IntMatrix([{j: v * f for j, v in row.items()} for row in a.rows], a.den * f)
         assert (a == b) == (da == db)
         assert a * IntMatrix.identity(d) == a == IntMatrix.identity(d) * a
+        assert a.trace() == sum(da[i][i] for i in range(d))
+        assert a.rank_at_most_one() == _minors_vanish(da)
+        # an outer product u v^T has rank at most one, with a zero row
+        # wherever u has a zero; an entry put into such a row can break it
+        u = [rng.choice((0, 0, 1, -2, 3)) for _ in range(d)]
+        v = [rng.choice((0, 1, -1, 2)) for _ in range(d)]
+        outer = IntMatrix([{j: u[i] * v[j] for j in range(d) if u[i] * v[j]} for i in range(d)], rng.randint(1, 4))
+        assert outer.rank_at_most_one()
+        assert outer.trace() == sum(F(u[i] * v[i], outer.den) for i in range(d))
+        zero_rows = [i for i in range(d) if not outer.rows[i]]
+        if zero_rows:
+            bumped = IntMatrix([dict(row) for row in outer.rows], outer.den)
+            bumped.rows[zero_rows[0]][rng.randrange(d)] = rng.choice((1, -3))
+            dense = _int_dense(bumped)
+            assert bumped.rank_at_most_one() == _minors_vanish(dense)
+            assert bumped.trace() == sum(dense[i][i] for i in range(d))
+
+
+def _minors_vanish(dense) -> bool:
+    d = len(dense)
+    return all(
+        dense[i][x] * dense[j][y] == dense[i][y] * dense[j][x]
+        for i in range(d)
+        for j in range(d)
+        for x in range(d)
+        for y in range(d)
+    )
 
 
 def test_sparse_arithmetic_matches_dense_reference():
@@ -301,32 +327,15 @@ def test_sparse_arithmetic_matches_dense_reference():
         assert _stores_no_zero(total) and _stores_no_zero(scaled)
         assert _dense(total) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
         assert _dense(scaled) == [[x * c for x in row] for row in da]
-        assert a.trace() == sum((da[i][i] for i in range(d)), SurdSum.zero())
         assert a.is_symmetric() == all(da[i][j] == da[j][i] for i in range(d) for j in range(d))
-        minors_vanish = all(
-            not (da[i][x] * da[j][y] - da[i][y] * da[j][x])
-            for i in range(d)
-            for j in range(d)
-            for x in range(d)
-            for y in range(d)
-        )
-        assert a.rank_at_most_one() == minors_vanish
         assert (a == b) == (da == db)
-        # an outer product u v^T has rank at most one
-        u = [_random_surd(rng) for _ in range(d)]
-        outer = RepMatrix.zero(d)
-        for i in range(d):
-            for j in range(d):
-                outer.set(i, j, u[i] * db[0][j])
-        assert outer.rank_at_most_one()
 
 
 def test_dimension_mismatch_raises():
     for d1, d2 in ((2, 3), (3, 2)):
         a, b = RepMatrix.identity(d1), RepMatrix.identity(d2)
-        for op in (a.__add__, a.__sub__):
-            with pytest.raises(ValueError):
-                op(b)
+        with pytest.raises(ValueError):
+            a + b
         with pytest.raises(ValueError):
             IntMatrix.identity(d1) * IntMatrix.identity(d2)
         assert IntMatrix.identity(d1) != IntMatrix.identity(d2)
@@ -394,7 +403,7 @@ def test_gauge_exists_at_rational_N():
             for size in range(n % 2, n + 1, 2):
                 for lam in shapes.partitions(size):
                     rep = build_representation(lam, n, Nv)
-                    classes, gens = _gauge_of(rep)
+                    classes, gens = rep._gauged
                     assert len(classes) == rep.basis.dim and all(c >= 1 for c in classes)
                     assert all(m.den >= 1 for m in gens.values())
                     built += 1
@@ -477,3 +486,109 @@ def test_every_level_6_representation_verifies(Nv):
         for k in range(1, 7):
             total = total + rep.matrices[f"x{k}"]
         assert total == RepMatrix.identity(rep.basis.dim).scale(central_content_eigenvalue(lam, 6, Nv))
+
+
+def _small_representations():
+    """(lam, n, N) for n <= 4 at N in {2, 3, 5, 7} and every reachable lam
+    at N = 7/2."""
+    for Nv in (2, 3, 5, 7):
+        for n in (1, 2, 3, 4):
+            for lam in shapes.enumerate_O(n, Nv):
+                yield lam, n, Nv
+    for n in (1, 2, 3, 4):
+        for size in range(n % 2, n + 1, 2):
+            for lam in shapes.partitions(size):
+                yield lam, n, F(7, 2)
+
+
+def test_repform_adds_no_surd_sums(monkeypatch):
+    # the build, the relation checks, the fiber reports, the actions and
+    # scalar_of run on rationals and integers; SurdSums are only built and read
+    def refuse(self, other):
+        raise AssertionError("a SurdSum was added")
+
+    monkeypatch.setattr(SurdSum, "__add__", refuse)
+    monkeypatch.setattr(SurdSum, "__radd__", refuse)
+    built = 0
+    for lam, n, Nv in _small_representations():
+        rep = build_representation(lam, n, Nv)
+        for k in range(1, n):
+            assert all(block["rank_le_1"] for block in sbar_fiber_report(rep.basis, k))
+        element = jucys_murphy(n, n)
+        if n >= 2:
+            element = element + s_elem(1, n).scale(2) + sbar_elem(n - 1, n).scale(F(-1, 3))
+        assert _stores_no_zero(representation_action(rep, element))
+        built += 1
+    assert built == 71
+    # the z-actions of criterion 5 at k <= 3
+    for Nv in (3, 5):
+        for k in (1, 2, 3):
+            for mu in shapes.enumerate_O(k - 1, Nv):
+                zs = z_series(mu, Nv, 6)
+                rep = build_representation(mu, k - 1, Nv, verify=False)
+                for i in range(7):
+                    assert scalar_of(representation_action(rep, z_element(k, i))) == zs[i]
+
+
+def _reference_fiber_report(basis: PathBasis, k: int, matrix: RepMatrix) -> list[dict]:
+    """`sbar_fiber_report` over the surd entries themselves: minors compared
+    as surd products, the trace summed in SurdSum arithmetic."""
+    out = []
+    for fiber in basis.fibers(k):
+        p0 = basis.paths[fiber[0]]
+        if p0[k - 1] != p0[k + 1]:
+            continue
+        b = [[matrix.entry(i, j) for j in fiber] for i in fiber]
+        d = len(fiber)
+        out.append(
+            {
+                "mu": p0[k - 1],
+                "size": d,
+                "symmetric": all(b[x][y] == b[y][x] for x in range(d) for y in range(d)),
+                "rank_le_1": all(
+                    b[x][z] * b[y][w] == b[x][w] * b[y][z]
+                    for x in range(d)
+                    for y in range(d)
+                    for z in range(d)
+                    for w in range(d)
+                ),
+                "trace": sum((b[t][t] for t in range(d)), SurdSum.zero()),
+                "diag_nonneg": all(b[t][t].is_rational() and b[t][t].rational_value() >= 0 for t in range(d)),
+            }
+        )
+    return out
+
+
+def _fiber_report_cases():
+    for Nv in (2, 3, 4, 5, 7, 9):
+        for n in (2, 3, 4):
+            for lam in shapes.enumerate_O(n, Nv):
+                yield lam, n, Nv
+    for Nv in (F(7, 2), F(9, 4)):
+        for n in (2, 3, 4):
+            for size in range(n % 2, n + 1, 2):
+                for lam in shapes.partitions(size):
+                    yield lam, n, Nv
+
+
+def test_sbar_fiber_report_matches_dense_surd_reference(monkeypatch):
+    blocks = broken_blocks = 0
+    for lam, n, Nv in _fiber_report_cases():
+        basis = PathBasis.build(lam, n, Nv)
+        for k in range(1, n):
+            good = build_sbar_matrix(basis, k)
+            report = sbar_fiber_report(basis, k)
+            assert report == _reference_fiber_report(basis, k, good), (lam, n, Nv, k)
+            # doubling a diagonal entry of a block keeps it rational, and so
+            # in the block's gauge, but breaks rank one and moves the trace
+            bad = RepMatrix([dict(row) for row in good.rows])
+            for block in basis.fibers(k):
+                if len(block) > 1 and bad.entry(block[0], block[0]):
+                    bad.set(block[0], block[0], bad.entry(block[0], block[0]) * 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(repform, "build_sbar_matrix", lambda basis, k: bad)
+                broken = sbar_fiber_report(basis, k)
+            assert broken == _reference_fiber_report(basis, k, bad), (lam, n, Nv, k)
+            blocks += len(report)
+            broken_blocks += sum(not block["rank_le_1"] for block in broken)
+    assert (blocks, broken_blocks) == (96, 47)
