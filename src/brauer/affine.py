@@ -796,11 +796,6 @@ def pi_word(atoms: list[Atom], n: int, m: int) -> AlgebraElement:
     return acc
 
 
-def is_zero_via_faithfulness(a: AffineElement) -> bool:
-    """Zero test through the shift homomorphism of the maximal weight."""
-    return pi_m(a, a.weight()).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # the degenerate affine Hecke quotient
 

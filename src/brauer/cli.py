@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from . import affine, repform, shapes, verify
 from .coeffs import format_rational, parse_rational
-from .diagrams import (
-    AlgebraElement,
-    element_to_json,
-    multiply,
-    s_diagram,
-    sbar_diagram,
-    verify_presentation,
-)
+from .diagrams import element_to_json, evaluate_side, verify_presentation
 from .shapes import parse_partition
 
 
@@ -93,11 +86,7 @@ def _emit(data, fmt: str, table_fn=None):
 
 
 def cmd_mult(args) -> int:
-    acc = AlgebraElement.one(args.n)
-    for kind, k in args.word:
-        d = s_diagram(k, args.n) if kind == "s" else sbar_diagram(k, args.n)
-        acc = multiply(acc, AlgebraElement.from_diagram(d))
-    _emit(element_to_json(acc), args.format)
+    _emit(element_to_json(evaluate_side([(1, tuple(args.word))], args.n)), args.format)
     return 0
 
 

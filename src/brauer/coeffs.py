@@ -275,9 +275,6 @@ class NPoly:
             q_power *= q
         return Fraction(total, L * (q_power // q))
 
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.coeffs.items()))
-
     def __repr__(self) -> str:
         return f"NPoly({self.to_string()!r})"
 

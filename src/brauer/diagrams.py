@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernel
 from .coeffs import Combination, NPoly, _mul_into, add_term, n_minus_1_half
@@ -103,10 +103,6 @@ class BrauerDiagram(_DiagramFields):
         for bottom in range(n):
             out[bottom] = self.pairing[n + bottom]
         return tuple(out)
-
-    def has_vertical(self, k: int) -> bool:
-        """True if strand k (1-based) is the straight edge {k, k-bar}."""
-        return self.pairing[k - 1] == self.n + k - 1
 
     def shift(self, m: int, n2: int) -> BrauerDiagram:
         """Place this diagram on strands m+1..m+n inside B(n2), verticals elsewhere."""
@@ -400,59 +396,28 @@ def jucys_murphy(k: int, n: int) -> AlgebraElement:
     return AlgebraElement(n, terms)
 
 
-def restrict(b: AlgebraElement, m: int) -> AlgebraElement:
-    """View an element of B(n) supported on B(m) as an element of B(m)."""
-    n = b.n
-    if m > n:
-        raise ValueError("restriction target larger than source")
-    out: dict[BrauerDiagram, NPoly] = {}
-    for d, c in b.terms.items():
-        for t in range(m + 1, n + 1):
-            if not d.has_vertical(t):
-                raise ValueError(f"element not supported in B({m}); strand {t} is not vertical")
-        pairing = [-1] * (2 * m)
-        relabel = lambda v: v if v < m else v - (n - m)
-        for v, w in d.edges():
-            if v < m or v >= n:
-                a, bb = relabel(v), relabel(w)
-                pairing[a], pairing[bb] = bb, a
-        out[BrauerDiagram(m, tuple(pairing))] = c
-    return AlgebraElement(m, out)
-
-
 def partial_closure(b: AlgebraElement) -> AlgebraElement:
     """The conditional expectation B(k) -> B(k-1) with k = b.n: close strand k.
 
     Joining top k to bottom k-bar of each diagram either creates a loop
-    (factor N) or reroutes one edge; the map commutes with multiplication by
-    B(k-1) on both sides.
+    (factor N) or joins the partners of the two vertices; then both vertices
+    are dropped.  The map commutes with multiplication by B(k-1) on both
+    sides.
     """
     k = b.n
     if k < 1:
         raise ValueError("nothing to close")
+    top, bottom = k - 1, 2 * k - 1
     out: dict[BrauerDiagram, NPoly] = {}
     for d, c in b.terms.items():
-        top, bottom = k - 1, 2 * k - 1
-        relabel = lambda v: v if v < k - 1 else v - 1
-        pairing = [-1] * (2 * (k - 1))
-        if d.pairing[top] == bottom:
-            coeff = c.shift(1)
-            for v, w in d.edges():
-                if v == top:
-                    continue
-                a, bb = relabel(v), relabel(w)
-                pairing[a], pairing[bb] = bb, a
+        p = list(d.pairing)
+        a, z = p[top], p[bottom]
+        if a == bottom:
+            c = c.shift(1)
         else:
-            coeff = c
-            a0, b0 = d.pairing[top], d.pairing[bottom]
-            for v, w in d.edges():
-                if top in (v, w) or bottom in (v, w):
-                    continue
-                a, bb = relabel(v), relabel(w)
-                pairing[a], pairing[bb] = bb, a
-            a, bb = relabel(a0), relabel(b0)
-            pairing[a], pairing[bb] = bb, a
-        add_term(out, BrauerDiagram(k - 1, tuple(pairing)), coeff)
+            p[a], p[z] = z, a
+        pairing = tuple(w - (w > top) for v, w in enumerate(p) if v != top and v != bottom)
+        add_term(out, _tuple_new(BrauerDiagram, (k - 1, pairing)), c)
     return AlgebraElement._trusted(k - 1, out)
 
 
@@ -530,45 +495,47 @@ def _token_diagram(token: tuple[str, int], n: int) -> BrauerDiagram:
 
 
 Word = tuple[tuple[str, int], ...]
-Side = list[tuple[NPoly, Word]]
+Side = list[tuple[int | NPoly, Word]]
 
 
 def presentation_relations(n: int) -> list[tuple[str, Side, Side]]:
     """All generator-indexed instances of the defining relations of B(n, N).
 
     Each side is a list of (coefficient, word) pairs, words over tokens
-    ("s", k) and ("sbar", k); the empty word is the identity.
+    ("s", k) and ("sbar", k); the empty word is the identity.  A coefficient
+    is the int 1 or -1, except the N of bar-square, an NPoly.  This table and
+    `jm_relations` are the one copy of the relations that every check reads.
     """
-    one = NPoly.one()
     N = NPoly.N()
     rels: list[tuple[str, Side, Side]] = []
     for k in range(1, n):
         s, sb = ("s", k), ("sbar", k)
-        rels.append((f"involution k={k}", [(one, (s, s))], [(one, ())]))
-        rels.append((f"bar-square k={k}", [(one, (sb, sb))], [(N, (sb,))]))
-        rels.append((f"absorb-left k={k}", [(one, (s, sb))], [(one, (sb,))]))
-        rels.append((f"absorb-right k={k}", [(one, (sb, s))], [(one, (sb,))]))
+        rels.append((f"involution k={k}", [(1, (s, s))], [(1, ())]))
+        rels.append((f"bar-square k={k}", [(1, (sb, sb))], [(N, (sb,))]))
+        rels.append((f"absorb-left k={k}", [(1, (s, sb))], [(1, (sb,))]))
+        rels.append((f"absorb-right k={k}", [(1, (sb, s))], [(1, (sb,))]))
     for k in range(1, n - 1):
         s, s1 = ("s", k), ("s", k + 1)
         sb, sb1 = ("sbar", k), ("sbar", k + 1)
-        rels.append((f"braid k={k}", [(one, (s, s1, s))], [(one, (s1, s, s1))]))
-        rels.append((f"bar-contract-up k={k}", [(one, (sb, sb1, sb))], [(one, (sb,))]))
-        rels.append((f"bar-contract-down k={k}", [(one, (sb1, sb, sb1))], [(one, (sb1,))]))
-        rels.append((f"slide-a k={k}", [(one, (s, sb1, sb))], [(one, (s1, sb))]))
-        rels.append((f"slide-b k={k}", [(one, (sb1, sb, s1))], [(one, (sb1, s))]))
+        rels.append((f"braid k={k}", [(1, (s, s1, s))], [(1, (s1, s, s1))]))
+        rels.append((f"bar-contract-up k={k}", [(1, (sb, sb1, sb))], [(1, (sb,))]))
+        rels.append((f"bar-contract-down k={k}", [(1, (sb1, sb, sb1))], [(1, (sb1,))]))
+        rels.append((f"slide-a k={k}", [(1, (s, sb1, sb))], [(1, (s1, sb))]))
+        rels.append((f"slide-b k={k}", [(1, (sb1, sb, s1))], [(1, (sb1, s))]))
     for k in range(1, n):
         for l in range(k + 2, n):
             s, t = ("s", k), ("s", l)
             sb, tb = ("sbar", k), ("sbar", l)
-            rels.append((f"commute-ss k={k} l={l}", [(one, (s, t))], [(one, (t, s))]))
-            rels.append((f"commute-bar-s k={k} l={l}", [(one, (sb, t))], [(one, (t, sb))]))
-            rels.append((f"commute-bar-bar k={k} l={l}", [(one, (sb, tb))], [(one, (tb, sb))]))
+            rels.append((f"commute-ss k={k} l={l}", [(1, (s, t))], [(1, (t, s))]))
+            rels.append((f"commute-bar-s k={k} l={l}", [(1, (sb, t))], [(1, (t, sb))]))
+            rels.append((f"commute-bar-bar k={k} l={l}", [(1, (sb, tb))], [(1, (tb, sb))]))
     return rels
 
 
 def jm_relations(n: int) -> list[tuple[str, Side, Side]]:
-    """Instances of the mixed relations between generators and the x_k."""
-    one = NPoly.one()
+    """Instances of the mixed relations between generators and the x_k, in
+    the format of `presentation_relations`; read with x_k as y_k, they are
+    relations of the affine algebra."""
     rels: list[tuple[str, Side, Side]] = []
     for k in range(1, n):
         s, sb = ("s", k), ("sbar", k)
@@ -577,16 +544,12 @@ def jm_relations(n: int) -> list[tuple[str, Side, Side]]:
             if l in (k, k + 1):
                 continue
             xl = ("x", l)
-            rels.append((f"x-commute-s k={k} l={l}", [(one, (s, xl))], [(one, (xl, s))]))
-            rels.append((f"x-commute-bar k={k} l={l}", [(one, (sb, xl))], [(one, (xl, sb))]))
-        rels.append(
-            (f"x-cross-a k={k}", [(one, (s, xk)), (-one, (xk1, s))], [(one, (sb,)), (-one, ())])
-        )
-        rels.append(
-            (f"x-cross-b k={k}", [(one, (s, xk1)), (-one, (xk, s))], [(one, ()), (-one, (sb,))])
-        )
-        rels.append((f"x-kill-left k={k}", [(one, (sb, xk)), (one, (sb, xk1))], []))
-        rels.append((f"x-kill-right k={k}", [(one, (xk, sb)), (one, (xk1, sb))], []))
+            rels.append((f"x-commute-s k={k} l={l}", [(1, (s, xl))], [(1, (xl, s))]))
+            rels.append((f"x-commute-bar k={k} l={l}", [(1, (sb, xl))], [(1, (xl, sb))]))
+        rels.append((f"x-cross-a k={k}", [(1, (s, xk)), (-1, (xk1, s))], [(1, (sb,)), (-1, ())]))
+        rels.append((f"x-cross-b k={k}", [(1, (s, xk1)), (-1, (xk, s))], [(1, ()), (-1, (sb,))]))
+        rels.append((f"x-kill-left k={k}", [(1, (sb, xk)), (1, (sb, xk1))], []))
+        rels.append((f"x-kill-right k={k}", [(1, (xk, sb)), (1, (xk1, sb))], []))
     return rels
 
 
@@ -601,42 +564,45 @@ def generator_element(token: tuple[str, int], n: int) -> AlgebraElement:
     raise ValueError(f"unknown generator token {token}")
 
 
-def evaluate_side(side: Side, n: int, product: Callable | None = None) -> AlgebraElement:
-    product = product or multiply
+def evaluate_side(side: Side, n: int) -> AlgebraElement:
+    """The sum of c * (product of the word's generators) over a side's terms."""
     total: dict[BrauerDiagram, NPoly] = {}
     for coeff, word in side:
         acc = AlgebraElement.one(n)
         for token in word:
-            acc = product(acc, generator_element(token, n))
+            acc = multiply(acc, generator_element(token, n))
         for d, x in acc.terms.items():
             add_term(total, d, x * coeff)
     return AlgebraElement._trusted(n, total)
 
 
-def verify_presentation(n: int, max_cases: int | None = None, product: Callable | None = None) -> dict:
+def _report(n: int, relations: list[tuple[str, Side, Side]], extra: Iterable[tuple[str, bool]] = ()) -> dict:
+    """Check each relation of a table with N symbolic, then take each
+    (name, ok) of `extra` as it comes, into one report."""
+    results = [{"relation": name, "ok": evaluate_side(lhs, n) == evaluate_side(rhs, n)} for name, lhs, rhs in relations]
+    results += [{"relation": name, "ok": ok} for name, ok in extra]
+    return {"n": n, "checked": len(results), "all_ok": all(r["ok"] for r in results), "results": results}
+
+
+def verify_presentation(n: int, max_cases: int | None = None) -> dict:
     """Check every instance of the defining relations with N symbolic."""
     if n < 2:
         raise ValueError("need n >= 2 for generators")
     if max_cases is not None and max_cases < 0:
         raise ValueError(f"max_cases must be at least 0, got {max_cases}")
-    results = []
-    for name, lhs, rhs in presentation_relations(n)[:max_cases]:
-        ok = evaluate_side(lhs, n, product) == evaluate_side(rhs, n, product)
-        results.append({"relation": name, "ok": ok})
-    return {"n": n, "checked": len(results), "all_ok": all(r["ok"] for r in results), "results": results}
+    return _report(n, presentation_relations(n)[:max_cases])
 
 
 def verify_jm_relations(n: int) -> dict:
-    results = []
-    for name, lhs, rhs in jm_relations(n):
-        ok = evaluate_side(lhs, n) == evaluate_side(rhs, n)
-        results.append({"relation": name, "ok": ok})
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi, xj = jucys_murphy(i, n), jucys_murphy(j, n)
-            ok = multiply(xi, xj) == multiply(xj, xi)
-            results.append({"relation": f"x-pairwise-commute x{i} x{j}", "ok": ok})
-    return {"n": n, "checked": len(results), "all_ok": all(r["ok"] for r in results), "results": results}
+    """Check every instance of `jm_relations(n)`, then that the x_i commute
+    pairwise; those stay out of the table, which every representation checks."""
+    xs = [jucys_murphy(k, n) for k in range(1, n + 1)]
+    commute = (
+        (f"x-pairwise-commute x{i + 1} x{j + 1}", multiply(xs[i], xs[j]) == multiply(xs[j], xs[i]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    return _report(n, jm_relations(n), commute)
 
 
 # ---------------------------------------------------------------------------

@@ -547,21 +547,16 @@ def _gauge(
 
 
 @lru_cache(maxsize=8)
-def _relations(n: int) -> tuple:
-    """Every relation of `presentation_relations(n)` and `jm_relations(n)` as
-    (name, lhs, rhs), each side a tuple of (coefficient, word).  A
-    coefficient that does not depend on N is stored as its value; `_at`
-    evaluates the others.  One entry per n serves every N, which keeps the
-    cache small."""
-
-    def side(terms):
-        return tuple((coeff.coeffs[0] if coeff.coeffs.keys() == {0} else coeff, word) for coeff, word in terms)
-
-    return tuple((name, side(lhs), side(rhs)) for name, lhs, rhs in presentation_relations(n) + jm_relations(n))
+def _relations(n: int) -> list:
+    """Every relation of `presentation_relations(n)` and `jm_relations(n)`,
+    as the tables hold them: (name, lhs, rhs), each side a list of
+    (coefficient, word).  `_at` evaluates the one NPoly coefficient, the N of
+    bar-square.  One entry per n serves every N, which keeps the cache small."""
+    return presentation_relations(n) + jm_relations(n)
 
 
-def _at(side: tuple, N: Fraction) -> list:
-    """The (coefficient at N, word) terms of a `_relations` side, zeros dropped."""
+def _at(side: list, N: Fraction) -> list:
+    """The (coefficient at N, word) terms of a relation side, zeros dropped."""
     return [(c, word) for coeff, word in side if (c := coeff.eval(N) if coeff.__class__ is NPoly else coeff)]
 
 

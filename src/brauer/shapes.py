@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .coeffs import NPoly
-
 Diagram = tuple[int, ...]
 Path = tuple[Diagram, ...]
 
@@ -167,30 +165,22 @@ def distinct_rows(mu: Diagram) -> int:
     return len(set(mu))
 
 
-def _scalar_sort_key(x):
-    if isinstance(x, NPoly):
-        return (1, x.sort_key())
-    return (0, x)
-
-
-def b_list(mu: Diagram, N) -> list:
+def b_list(mu: Diagram, N: Fraction) -> list[Fraction]:
     """The 2l+1 numbers (N-1)/2 + c over addable corners and -(N-1)/2 - d over
-    removable corners of mu, in a deterministic sorted order.
-
-    N may be a Fraction (specialized) or an NPoly (symbolic); l is the number
-    of pairwise distinct rows of mu.
+    removable corners of mu, in increasing order; l is the number of pairwise
+    distinct rows of mu.
     """
-    h = (N - 1) / 2 if not isinstance(N, NPoly) else (N - 1) * Fraction(1, 2)
+    h = (N - 1) / 2
     values = [h + c for c, _ in add_corners(mu)]
     values += [-h - d for d, _ in remove_corners(mu)]
     if len(values) != 2 * distinct_rows(mu) + 1:
         raise AssertionError(f"{len(values)} corner values for {mu}, expected 2l+1")
-    return sorted(values, key=_scalar_sort_key)
+    return sorted(values)
 
 
-def a_list(mu: Diagram, N) -> list:
+def a_list(mu: Diagram, N: Fraction) -> list[Fraction]:
     """(N-1)/2 + content, over all boxes of mu (the alternate product form)."""
-    h = (N - 1) / 2 if not isinstance(N, NPoly) else (N - 1) * Fraction(1, 2)
+    h = (N - 1) / 2
     return [h + e for e in contents(mu)]
 
 

@@ -5,9 +5,11 @@ so every stated tolerance is zero; a criterion passes only if each of its
 instances holds on the nose.  Run with `pytest -s` to see the summary lines.
 """
 
+import random
+
 import pytest
 
-from brauer import cli, repform, verify
+from brauer import affine, cli, repform, verify
 
 
 def _report(rep):
@@ -77,3 +79,15 @@ def test_criterion_8_affine():
     # associativity (200 triples), shift-homomorphism consistency,
     # desk-scale faithfulness, Hecke relation kill, W_k series cross-check
     _report(verify.criterion_8_affine())
+
+
+def test_affine_hecke_catches_a_dropped_trailing_y(monkeypatch):
+    # a normal form that loses a word's last y breaks the table's relations
+    from_word = affine.from_word
+
+    def dropped(atoms, n):
+        return from_word(atoms[:-1] if atoms and atoms[-1][0] == "y" else atoms, n)
+
+    monkeypatch.setattr(affine, "from_word", dropped)
+    ok, counts = verify._affine_hecke(random.Random(0))
+    assert not ok and counts == {"hecke_checks": 22}

@@ -34,3 +34,21 @@ def test_tensor_grid_smoke(seed, monkeypatch):
 def test_workload_smoke(name, expected, seed, monkeypatch):
     run = _smoke_run(name, seed, monkeypatch)
     assert (run.attempted, run.failed) == expected, run.failures
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the tracer skips a name it cannot find and reads its metrics as 0, so a
+    # renamed traced function would pass the benchmark silently
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    from brauer import diagrams
+
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing._FUNCTIONS if not hasattr(owner, attr)]
+    missing += [
+        f"{owner.__name__}.{attr}"
+        for owner, attr in tracing.CACHES.values()
+        if not hasattr(getattr(owner, attr, None), "cache_info")
+    ]
+    assert not missing
+    assert callable(diagrams._kernel.compose_pairings)

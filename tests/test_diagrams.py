@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer import _kernel
+from brauer import _kernel, diagrams
 from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.diagrams import (
     AlgebraElement,
@@ -18,12 +18,13 @@ from brauer.diagrams import (
     element_to_json,
     factor_diagram,
     from_permutation,
+    jm_relations,
     jucys_murphy,
     multiply,
     partial_closure,
     perm_word,
+    presentation_relations,
     random_diagram,
-    restrict,
     s_diagram,
     s_elem,
     sbar_diagram,
@@ -251,13 +252,25 @@ def test_presentation_max_cases():
         verify_presentation(3, max_cases=-1)
 
 
-def test_presentation_mutation_sensitivity():
+def test_presentation_mutation_sensitivity(monkeypatch):
     # a corrupted product rule must be caught
     def corrupted(a, b):
         return multiply(a, b).scale(N)
 
-    report = verify_presentation(2, product=corrupted)
+    monkeypatch.setattr(diagrams, "multiply", corrupted)
+    report = verify_presentation(2)
     assert not report["all_ok"]
+
+
+def test_relation_table_coefficients_are_plain():
+    # every coefficient is the int 1 or -1, except the N of bar-square
+    for n in (2, 3, 4):
+        for name, lhs, rhs in presentation_relations(n) + jm_relations(n):
+            coeffs = [c for c, _ in lhs + rhs]
+            if name.startswith("bar-square"):
+                assert coeffs == [1, N] and type(coeffs[0]) is int and type(coeffs[1]) is NPoly
+            else:
+                assert all(type(c) is int and c in (1, -1) for c in coeffs), name
 
 
 def test_jucys_murphy_examples():
@@ -296,19 +309,12 @@ def test_partial_closure_bimodule_property():
     rng = random.Random(3)
     k = 3
     for _ in range(20):
-        a = AlgebraElement.from_diagram(random_diagram(k - 1, rng)).embed(k)
-        c = AlgebraElement.from_diagram(random_diagram(k - 1, rng)).embed(k)
+        a = AlgebraElement.from_diagram(random_diagram(k - 1, rng))
+        c = AlgebraElement.from_diagram(random_diagram(k - 1, rng))
         b = AlgebraElement.from_diagram(random_diagram(k, rng))
-        lhs = partial_closure(multiply(multiply(a, b), c))
-        rhs = multiply(
-            multiply(restrict(a, k - 1), partial_closure(b)), restrict(c, k - 1)
-        )
+        lhs = partial_closure(multiply(multiply(a.embed(k), b), c.embed(k)))
+        rhs = multiply(multiply(a, partial_closure(b)), c)
         assert lhs == rhs
-
-
-def test_restrict_rejects_unsupported():
-    with pytest.raises(ValueError):
-        restrict(sbar_elem(2, 3), 2)
 
 
 def test_z_elements():

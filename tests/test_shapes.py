@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from brauer.coeffs import NPoly, n_minus_1_half
 from brauer.shapes import (
     b_list,
     branch,
@@ -103,7 +102,6 @@ def test_contents():
 def test_b_list():
     # empty diagram: single value (N-1)/2
     assert b_list((), Fraction(3)) == [Fraction(1)]
-    assert b_list((), NPoly.N()) == [n_minus_1_half()]
     # mu = (1), N = 3: addable contents {1, -1}, removable {0}
     assert b_list((1,), Fraction(3)) == [Fraction(-1), Fraction(0), Fraction(2)]
     # 2l+1 entries with l the number of distinct rows

@@ -16,6 +16,7 @@ from brauer.diagrams import (
     factor_diagram,
     from_permutation,
     jucys_murphy,
+    partial_closure,
     random_diagram,
     sbar_diagram,
     transposition,
@@ -146,6 +147,18 @@ def test_diagram_matrix_is_canonical_csr():
         for _ in range(3):
             g = random_diagram(n, rng)
             _assert_same_csr(diagram_matrix(g, N), _coo_matrix(g, N))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_partial_closure_is_the_partial_trace(k):
+    # tracing out the last tensor factor of d's action gives c(N) d' for
+    # partial_closure(d) = c d'; the last factor is the least significant digit
+    for N in (1, 2, 3):
+        low = N ** (k - 1)
+        for d in all_diagrams(k):
+            ((d2, c),) = partial_closure(AlgebraElement.from_diagram(d)).terms.items()
+            traced = np.einsum("iaja->ij", diagram_matrix(d, N).toarray().reshape(low, N, low, N))
+            assert (traced == int(c.eval(N)) * diagram_matrix(d2, N).toarray()).all(), (d, N)
 
 
 def test_homomorphism_pair_check_catches_wrong_composites(monkeypatch):
