@@ -273,13 +273,11 @@ class AffineElement(Combination):
     def weight(self) -> int:
         return max((t.weight() for t in self.terms), default=0)
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for t in sorted(self.terms, key=RegularMonomial.sort_key):
-            bits.append(f"({self.terms[t].to_string()})*{format_monomial(t)}")
-        return " + ".join(bits)
+    _sort_key = staticmethod(RegularMonomial.sort_key)
+
+    @staticmethod
+    def _format_key(t: RegularMonomial) -> str:
+        return format_monomial(t)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +602,7 @@ def _sandwich_sbar(
             right[k - 1] = right[k] = 0
             if b % 2:
                 sign = -sign
-            wk = cap_series_coefficient(n, k, a + b)
+            wk = cap_series(n, k, a + b)[a + b]
             base_right = tuple(right)
             for wt, wc in wk.terms.items():
                 prod: dict = {}
@@ -733,10 +731,6 @@ def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
     return series
 
 
-def cap_series_coefficient(n: int, k: int, i: int) -> AffineElement:
-    return cap_series(n, k, i)[i]
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms to the diagram algebras
 
@@ -851,13 +845,10 @@ class HeckeElement(Combination):
                 add_term(out, key, c if sign > 0 else -c)
         return HeckeElement._trusted(self.n, out)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (vexp, perm) in sorted(self.terms):
-            bits.append(f"({self.terms[(vexp,perm)].to_string()})*v^{list(vexp)}*perm{list(perm)}")
-        return " + ".join(bits)
+    @staticmethod
+    def _format_key(key) -> str:
+        vexp, perm = key
+        return f"v^{list(vexp)}*perm{list(perm)}"
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import affine, repform, shapes, verify
-from .coeffs import format_rational, parse_rational
+from .coeffs import format_rational
 from .diagrams import element_to_json, evaluate_side, verify_presentation
 from .shapes import parse_partition
 
@@ -25,7 +25,7 @@ from .shapes import parse_partition
 def _rational(text: str) -> Fraction:
     """argparse type for --N: a bad rational is a usage error (exit 2)."""
     try:
-        return parse_rational(text)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 

@@ -46,11 +46,6 @@ def as_fraction(x: int | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a Fraction."""
-    return Fraction(text.strip())
-
-
 def _exact(x: int | Fraction) -> int | Fraction:
     """x in NPoly's coefficient normal form: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
@@ -127,7 +122,7 @@ class NPoly:
     rational values.  Arithmetic accepts ints and Fractions on either side,
     so code generic over "Fraction or NPoly" scalars can mix them freely.
 
-    ``__init__``, ``const``, ``coerce`` and ``from_string`` validate; the
+    ``__init__``, ``const`` and ``coerce`` validate; the
     ring operations build their results through the trusted ``_trusted``.
     ``shift(q)`` multiplies by N^q by moving exponents.
     """
@@ -156,10 +151,6 @@ class NPoly:
     # -- constructors
 
     @staticmethod
-    def zero() -> NPoly:
-        return NPoly._trusted({})
-
-    @staticmethod
     def one() -> NPoly:
         return NPoly._trusted({0: 1})
 
@@ -179,9 +170,6 @@ class NPoly:
         return NPoly.const(x)
 
     # -- queries
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -298,32 +286,6 @@ class NPoly:
             text += f" {sign} {body}"
         return text
 
-    @staticmethod
-    def from_string(text: str) -> NPoly:
-        """Inverse of to_string; accepts e.g. "3/2*N^2 - N + 1"."""
-        text = text.strip().replace("-", "+-")
-        coeffs: dict[int, Fraction] = {}
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            neg = chunk.startswith("-")
-            if neg:
-                chunk = chunk[1:].strip()
-            if "N" in chunk:
-                head, _, tail = chunk.partition("N")
-                head = head.strip().rstrip("*").strip()
-                coeff = Fraction(head) if head else Fraction(1)
-                tail = tail.strip()
-                exp = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                coeff = Fraction(chunk)
-                exp = 0
-            if neg:
-                coeff = -coeff
-            add_term(coeffs, exp, coeff)
-        return NPoly(coeffs)
-
 
 HALF = Fraction(1, 2)
 
@@ -343,8 +305,10 @@ class Combination:
     ``terms`` maps each basis key to its non-zero coefficient; every sum keeps
     it that way through ``add_term``.  The element classes of B(n, N),
     A(n, N) and H(n) derive from this and add only their constructors, their
-    product and their printing, plus a key check (``_check_key``) where the
-    default one, "the key's own ``n`` is the element's", does not apply.
+    product and how a key prints (``_format_key``, and ``_sort_key`` where
+    the keys' own order is not the printed order), plus a key check
+    (``_check_key``) where the default one, "the key's own ``n`` is the
+    element's", does not apply.
     Elements are immutable after construction: ``__init__`` validates keys
     and coefficients once, and code that already holds a clean map builds
     through ``_trusted``.  Arithmetic combines only elements of the same class
@@ -352,6 +316,7 @@ class Combination:
     """
 
     __slots__ = ("n", "terms")
+    _sort_key = None
 
     def __init__(self, n: int, terms: dict | None = None):
         self.n = n
@@ -379,9 +344,6 @@ class Combination:
     @classmethod
     def zero(cls, n: int):
         return cls._trusted(n, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -422,6 +384,12 @@ class Combination:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms, key=self._sort_key)
+        return " + ".join(f"({self.terms[k].to_string()})*{self._format_key(k)}" for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +492,6 @@ class SurdSum:
         """The value as radicand -> non-zero Fraction coefficient."""
         den = self.den
         return MappingProxyType({r: Fraction(c, den) for r, c in self.num.items()})
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)

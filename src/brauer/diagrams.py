@@ -254,13 +254,9 @@ class AlgebraElement(Combination):
             result = multiply(result, self)
         return result
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for d in sorted(self.terms):
-            bits.append(f"({self.terms[d].to_string()})*{list(d.edges())}")
-        return " + ".join(bits)
+    @staticmethod
+    def _format_key(d: BrauerDiagram) -> str:
+        return str(list(d.edges()))
 
 
 def _generator_of(d: BrauerDiagram) -> tuple[bool, int] | None:
@@ -613,12 +609,6 @@ def _vertex_label(v: int, n: int) -> str:
     return str(v + 1) if v < n else f"{v - n + 1}b"
 
 
-def _vertex_from_label(label: str, n: int) -> int:
-    if label.endswith("b"):
-        return n + int(label[:-1]) - 1
-    return int(label) - 1
-
-
 def diagram_to_json(d: BrauerDiagram) -> dict:
     return {
         "n": d.n,
@@ -626,22 +616,8 @@ def diagram_to_json(d: BrauerDiagram) -> dict:
     }
 
 
-def diagram_from_json(data: dict) -> BrauerDiagram:
-    n = data["n"]
-    edges = [(_vertex_from_label(a, n), _vertex_from_label(b, n)) for a, b in data["edges"]]
-    return BrauerDiagram.from_edges(n, edges)
-
-
 def element_to_json(e: AlgebraElement) -> list[dict]:
     out = []
     for d in sorted(e.terms):
         out.append({"coeff": e.terms[d].to_string(), "diagram": diagram_to_json(d)})
     return out
-
-
-def element_from_json(data: list[dict], n: int) -> AlgebraElement:
-    terms: dict[BrauerDiagram, NPoly] = {}
-    for item in data:
-        d = diagram_from_json(item["diagram"])
-        terms[d] = NPoly.from_string(item["coeff"])
-    return AlgebraElement(n, terms)

@@ -181,9 +181,6 @@ class RepMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     def is_symmetric(self) -> bool:
         return all(a == self.rows[j].get(i) for i, row in enumerate(self.rows) for j, a in row.items())
 
@@ -705,14 +702,21 @@ def central_series(mu: Diagram, N: int | Fraction, order: int) -> CentralSeriesP
     return CentralSeriesPair(mu, N, order, q[: order + 1], _z_of_q(q))
 
 
+def _box_product(N: Fraction, order: int, values) -> tuple[Fraction, ...]:
+    """(u + h)/(u - h), h = (N-1)/2, times box_factor(a) for each non-zero value
+    a (box_factor(0) is exactly 1): its coefficients of u^0 ... u^-order."""
+    h = (N - 1) / 2
+    tail = linear_fraction_series(h, h, order)
+    for a in values:
+        if a:
+            tail = monic_product(tail, box_factor(as_fraction(a), order))
+    return (Fraction(1), *tail)
+
+
 def q_series_alt(mu: Diagram, N: int | Fraction, order: int) -> tuple[Fraction, ...]:
     """The box-product form of Q(mu, u) over the contents of mu."""
     N = as_fraction(N)
-    h = (N - 1) / 2
-    tail = linear_fraction_series(h, h, order)
-    for a in shapes.a_list(mu, N):
-        tail = monic_product(tail, box_factor(a, order))
-    return (Fraction(1), *tail)
+    return _box_product(N, order, shapes.a_list(mu, N))
 
 
 def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction]) -> tuple[Fraction, ...]:
@@ -720,14 +724,7 @@ def q_k_series(k: int, N: int | Fraction, order: int, jm_values: list[Fraction])
     N = as_fraction(N)
     if len(jm_values) != k - 1:
         raise ValueError("need exactly the x_1..x_{k-1} eigenvalues")
-    h = (N - 1) / 2
-    tail = linear_fraction_series(h, h, order)
-    for x in jm_values:
-        if x == 0:
-            # the box factor degenerates to exactly 1
-            continue
-        tail = monic_product(tail, box_factor(as_fraction(x), order))
-    return (Fraction(1), *tail)
+    return _box_product(N, order, jm_values)
 
 
 # ---------------------------------------------------------------------------
@@ -775,10 +772,6 @@ def eigenvalue_tuples(lam: Diagram, n: int, N: int | Fraction) -> list[tuple[Fra
 
 def surd_to_json(s: SurdSum) -> list[list]:
     return [[r, format_rational(c)] for r, c in sorted(s.terms.items())]
-
-
-def surd_from_json(data: list[list]) -> SurdSum:
-    return SurdSum({int(r): Fraction(c) for r, c in data})
 
 
 def matrix_to_json(m: RepMatrix) -> list[list]:

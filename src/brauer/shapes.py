@@ -170,7 +170,7 @@ def b_list(mu: Diagram, N: Fraction) -> list[Fraction]:
     removable corners of mu, in increasing order; l is the number of pairwise
     distinct rows of mu.
     """
-    h = (N - 1) / 2
+    h = Fraction(N - 1, 2)
     values = [h + c for c, _ in add_corners(mu)]
     values += [-h - d for d, _ in remove_corners(mu)]
     if len(values) != 2 * distinct_rows(mu) + 1:
@@ -180,7 +180,7 @@ def b_list(mu: Diagram, N: Fraction) -> list[Fraction]:
 
 def a_list(mu: Diagram, N: Fraction) -> list[Fraction]:
     """(N-1)/2 + content, over all boxes of mu (the alternate product form)."""
-    h = (N - 1) / 2
+    h = Fraction(N - 1, 2)
     return [h + e for e in contents(mu)]
 
 
@@ -188,20 +188,8 @@ def a_list(mu: Diagram, N: Fraction) -> list[Fraction]:
 # JSON forms
 
 
-def diagram_to_json(lam: Diagram) -> list[int]:
-    return list(lam)
-
-
-def diagram_from_json(data: list[int]) -> Diagram:
-    return check_diagram(data)
-
-
 def path_to_json(path: Path) -> list[list[int]]:
     return [list(step) for step in path]
-
-
-def path_from_json(data: list[list[int]]) -> Path:
-    return tuple(check_diagram(step) for step in data)
 
 
 def parse_partition(text: str) -> Diagram:

@@ -250,6 +250,11 @@ def criterion_7_separation() -> dict:
     and an explicit even-N counterexample exhibits the failure."""
     t0 = time.perf_counter()
     max_n = 5
+
+    def separates(lam, n, N) -> bool:
+        tuples = repform.eigenvalue_tuples(lam, n, N)
+        return len(set(tuples)) == len(tuples)
+
     ok = True
     checked = 0
     for n in range(2, max_n + 1):
@@ -257,21 +262,18 @@ def criterion_7_separation() -> dict:
             if not (N % 2 == 1 or N >= 2 * n - 1):
                 continue
             for lam in shapes.enumerate_O(n, N):
-                tuples = repform.eigenvalue_tuples(lam, n, N)
-                ok = ok and len(set(tuples)) == len(tuples)
+                ok = ok and separates(lam, n, N)
                 checked += 1
-    counterexample = None
-    for n in range(2, max_n + 1):
-        for N in range(2, 2 * n - 1, 2):
-            for lam in shapes.enumerate_O(n, N):
-                tuples = repform.eigenvalue_tuples(lam, n, N)
-                if len(set(tuples)) < len(tuples):
-                    counterexample = {"n": n, "N": N, "lam": list(lam)}
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
+    counterexample = next(
+        (
+            {"n": n, "N": N, "lam": list(lam)}
+            for n in range(2, max_n + 1)
+            for N in range(2, 2 * n - 1, 2)
+            for lam in shapes.enumerate_O(n, N)
+            if not separates(lam, n, N)
+        ),
+        None,
+    )
     ok = ok and counterexample is not None
     return _result("separation", ok, t0, checked=checked, counterexample=counterexample)
 
@@ -345,7 +347,7 @@ def _affine_pi(rng) -> tuple[bool, dict]:
                     if t.weight() > 3:
                         continue
                     e = affine.AffineElement.from_monomial(t)
-                    if affine.pi_m(e, 3).is_zero():
+                    if not affine.pi_m(e, 3):
                         ok = False
                     monos += 1
     return ok, {"words": words, "faithful_monomials": monos}
@@ -388,7 +390,7 @@ def _affine_series(rng) -> tuple[bool, dict]:
     for k in (1, 2):
         for i in range(0, 4):
             lhs = affine.from_word([("sbar", k)] + [("y", k)] * i + [("sbar", k)], n)
-            rhs = affine.cap_series_coefficient(n, k, i) * affine.sbar_elem(k, n)
+            rhs = affine.cap_series(n, k, i)[i] * affine.sbar_elem(k, n)
             ok = ok and lhs == rhs
             series_checks += 1
     return ok, {"series_checks": series_checks}

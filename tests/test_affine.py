@@ -18,7 +18,6 @@ from brauer.affine import (
     _raw,
     _times_atom,
     cap_series,
-    cap_series_coefficient,
     element_to_json,
     from_word,
     hecke_quotient,
@@ -77,7 +76,7 @@ def test_from_word_rejects_out_of_range_atoms():
     with pytest.raises(ValueError, match="unknown atom"):
         from_word([("t", 1)], n)
     # the extreme legal indices still multiply
-    assert not from_word([("s", 2), ("sbar", 2), ("y", 1), ("y", 3), ("w", 0), ("w", 3)], n).is_zero()
+    assert from_word([("s", 2), ("sbar", 2), ("y", 1), ("y", 3), ("w", 0), ("w", 3)], n)
 
 
 def test_regularity_enforced():
@@ -297,7 +296,7 @@ def test_commuting_generators():
     n = 2
     assert from_word([("y", 1), ("y", 2)], n) == from_word([("y", 2), ("y", 1)], n)
     a = from_word([("y", 1), ("y", 1)], n)
-    assert not a.is_zero() and a.y_degree() == 2
+    assert a and a.y_degree() == 2
 
 
 def test_defining_relation_43():
@@ -309,8 +308,8 @@ def test_defining_relation_43():
 
 def test_defining_relation_44():
     n = 2
-    assert (from_word([("sbar", 1), ("y", 1)], n) + from_word([("sbar", 1), ("y", 2)], n)).is_zero()
-    assert (from_word([("y", 1), ("sbar", 1)], n) + from_word([("y", 2), ("sbar", 1)], n)).is_zero()
+    assert not from_word([("sbar", 1), ("y", 1)], n) + from_word([("sbar", 1), ("y", 2)], n)
+    assert not from_word([("y", 1), ("sbar", 1)], n) + from_word([("y", 2), ("sbar", 1)], n)
 
 
 def test_cap_collapse():
@@ -335,7 +334,7 @@ def test_cap_series_against_conditional_expectation():
     for n in (2, 3, 4):
         for k in range(1, n + 1):
             for i in range(8):
-                img = pi_m(cap_series_coefficient(n, k, i), 0)
+                img = pi_m(cap_series(n, k, i)[i], 0)
                 assert img == z_element(k, i).embed(n), (n, k, i)
 
 
@@ -353,7 +352,7 @@ def test_sbar_sandwich_cross_check():
     for k in (1, 2):
         for i in range(4):
             lhs = from_word([("sbar", k)] + [("y", k)] * i + [("sbar", k)], n)
-            rhs = cap_series_coefficient(n, k, i) * sbar_elem(k, n)
+            rhs = cap_series(n, k, i)[i] * sbar_elem(k, n)
             assert lhs == rhs
 
 
@@ -466,16 +465,16 @@ def test_faithfulness_desk_scale():
     assert len(monos) == 39
     for t in monos:
         e = AffineElement.from_monomial(t)
-        assert not pi_m(e, t.weight()).is_zero()
+        assert pi_m(e, t.weight())
     # zero really maps to zero, built along two different rewrite paths
     n = 2
     z = from_word([("y", 1), ("s", 1), ("s", 1)], n) - from_word([("y", 1)], n)
-    assert z.is_zero() and pi_m(z, z.weight()).is_zero()
+    assert not z and not pi_m(z, z.weight())
     rng = random.Random(77)
     for _ in range(15):
         picks = rng.sample(monos, 3)
         e = AffineElement(2, {t: NPoly.const(rng.randint(1, 4)) for t in picks})
-        assert not pi_m(e, e.weight()).is_zero()
+        assert pi_m(e, e.weight())
 
 
 def test_nonzero_monomial_example():
@@ -483,7 +482,7 @@ def test_nonzero_monomial_example():
     n = 2
     d = list(all_diagrams(2))[0]
     e = y_elem(1, n)
-    assert not pi_m(e, e.weight()).is_zero()
+    assert pi_m(e, e.weight())
 
 
 def test_centrality():
@@ -501,9 +500,9 @@ def test_centrality():
                     acc = acc * y_elem(k, n)
                 p = p + acc
             for g in gens:
-                assert (p * g - g * p).is_zero()
+                assert not p * g - g * p
         for g in gens:
-            assert (w_elem(2, n) * g - g * w_elem(2, n)).is_zero()
+            assert not w_elem(2, n) * g - g * w_elem(2, n)
 
 
 def test_maximal_commutativity_witness():
@@ -511,7 +510,7 @@ def test_maximal_commutativity_witness():
     n = 2
     y1 = y_elem(1, n)
     for e in (s_elem(1, n), sbar_elem(1, n)):
-        assert not (e * y1 - y1 * e).is_zero()
+        assert e * y1 - y1 * e
 
 
 def test_degree_filtration():
@@ -527,7 +526,7 @@ F_WEIGHTS = {2: Fraction(5), 4: Fraction(-3), 6: Fraction(1, 2)}
 
 def test_hecke_images():
     n = 2
-    assert hecke_quotient(sbar_elem(1, n), F_WEIGHTS).is_zero()
+    assert not hecke_quotient(sbar_elem(1, n), F_WEIGHTS)
     img = hecke_quotient(from_word([("s", 1), ("y", 1)], n), F_WEIGHTS)
     expected = HeckeElement(
         n,
@@ -566,12 +565,12 @@ def test_hecke_kills_relations():
             assert hq([("s", k), ("y", k + 1)]) - hq([("y", k), ("s", k)]) == one_img - hq(
                 [("sbar", k)]
             )
-            assert (hq([("sbar", k), ("y", k)]) + hq([("sbar", k), ("y", k + 1)])).is_zero()
-            assert (hq([("y", k), ("sbar", k)]) + hq([("y", k + 1), ("sbar", k)])).is_zero()
+            assert not hq([("sbar", k), ("y", k)]) + hq([("sbar", k), ("y", k + 1)])
+            assert not hq([("y", k), ("sbar", k)]) + hq([("y", k + 1), ("sbar", k)])
         for i in (1, 2, 3):
             lhs = hq([("sbar", 1)] + [("y", 1)] * i + [("sbar", 1)])
             rhs = hecke_quotient(w_elem(i, n) * sbar_elem(1, n), F_WEIGHTS)
-            assert lhs == rhs and lhs.is_zero()
+            assert lhs == rhs and not lhs
 
 
 def test_hecke_associativity():
@@ -712,10 +711,10 @@ def test_element_sum_laws(pair):
     a, b = pair
     assert a + b == b + a
     assert hash(a + b) == hash(b + a)
-    assert (a - a).is_zero()
-    assert a.scale(0).is_zero()
+    assert not a - a
+    assert not a.scale(0)
     assert (a + b) - b == a
-    assert not any(c.is_zero() for c in (a + b).terms.values())
+    assert all((a + b).terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import brauer
 from brauer import affine, verify
 from brauer.cli import main
-from brauer.diagrams import AlgebraElement, element_from_json, jucys_murphy, element_to_json
+from brauer.diagrams import AlgebraElement
 
 
 def run(capsys, *argv):
@@ -359,11 +359,6 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
-
-def test_element_json_roundtrip_through_cli_format():
-    e = jucys_murphy(2, 2)
-    assert element_from_json(json.loads(json.dumps(element_to_json(e))), 2) == e
 
 
 def _readme_commands():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brauer.shapes import (
+    a_list,
     b_list,
     branch,
     contents,
@@ -13,7 +14,6 @@ from brauer.shapes import (
     in_O,
     parse_partition,
     path_counts,
-    path_from_json,
     path_to_json,
 )
 
@@ -111,11 +111,17 @@ def test_b_list():
         assert len(b_list(mu, Fraction(7))) % 2 == 1
 
 
+def test_corner_values_are_exact_for_an_int_N():
+    for values, want in ((b_list((1,), 3), [-1, 0, 2]), (a_list((2,), 3), [1, 2])):
+        assert values == want and all(type(v) is Fraction for v in values)
+    for mu in [(), (1,), (2,), (1, 1), (2, 1)]:
+        assert all(type(v) is Fraction for v in b_list(mu, 3) + a_list(mu, 3))
+
+
 def test_parse_partition_and_json():
     assert parse_partition("") == ()
     assert parse_partition("0") == ()
     assert parse_partition("2,1") == (2, 1)
     with pytest.raises(ValueError):
         parse_partition("1,2")
-    p = enumerate_paths((1,), 3, 3)[0]
-    assert path_from_json(path_to_json(p)) == p
+    assert path_to_json(enumerate_paths((1,), 3, 3)[0]) == [[], [1], [], [1]]
