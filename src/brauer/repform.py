@@ -17,8 +17,24 @@ assembled fiberwise:
     sbar(i, j) * 1/(b_i + b_j), except on the self-paired branch (N odd,
     associated diagrams, b_i = 0), whose diagonal entry 1 - sum d_t/b_t over
     the other paths t follows from s_k sbar_k = sbar_k.  So each sbar_k is
-    built once per basis, its diagonal d is stored beside it, and
-    `build_s_matrix` reads both.
+    built once per basis, its diagonal d is stored beside it, and the s_k
+    block of a fiber reads the sbar_k block of the same fiber.
+
+Both bullets are local.  On a level-k fiber every quantity they use is read
+off the diagram before it (level k-1), the diagram after it (level k+1), its
+level-k diagrams in path order and N: the x_k and x_{k+1} eigenvalues of
+its paths are those of the steps into and out of level k, and each step's
+eigenvalue is read off its two diagrams and N; the corner values of mu are
+`b_list(mu, N)`; and the guard of the self-paired branch is N odd with
+`are_associated(mu, middle, N)`.  So the block of s_k on a fiber is a pure
+function of (before, middles, after, N), `_s_block`, the block of sbar_k of
+(mu, middles, N), `_sbar_block`, and a step eigenvalue of (before, after,
+N), `_step_eigenvalue`.  Each is computed once per key in a bounded memo,
+and the builders only place the cached entries.  `lru_cache` stores no
+exception, so a degenerate N raises the same `RepresentationError`, whose
+message names only mu and N, on every build.  The memo cannot hide a wrong
+block either: every built representation is still checked relation by
+relation.
 
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
 non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
@@ -92,13 +108,21 @@ class RepresentationError(ValueError):
     """A constructed matrix violated a defining relation or a guard."""
 
 
+# rep_sweep (the inputs of criteria 3 and 4) leaves 189 entries here, the
+# n = 6 levels at N = 4 and 7 leave 121
+@lru_cache(maxsize=1024)
+def _step_eigenvalue(before: Diagram, after: Diagram, N: Fraction) -> Fraction:
+    """Eigenvalue of x_k on a path whose step k goes from before to after:
+    +/- ((N-1)/2 + content of the box added or removed)."""
+    value = (N - 1) / 2 + shapes.content_of_difference(after, before)
+    return value if sum(after) > sum(before) else -value
+
+
 def jm_eigenvalue(path: Path, k: int, N: int | Fraction) -> Fraction:
     """Eigenvalue of x_k on v(path): +/- ((N-1)/2 + content of the step-k box)."""
-    N = as_fraction(N)
-    before, after = path[k - 1], path[k]
-    c = shapes.content_of_difference(after, before)
-    value = (N - 1) / 2 + c
-    return value if sum(after) > sum(before) else -value
+    if not 1 <= k <= len(path) - 1:
+        raise ValueError(f"step index {k} out of range 1..{len(path) - 1}")
+    return _step_eigenvalue(path[k - 1], path[k], as_fraction(N))
 
 
 def central_content_eigenvalue(lam: Diagram, n: int, N: int | Fraction) -> Fraction:
@@ -327,21 +351,31 @@ class PathBasis:
         """The eigenvalue of x_k on each path, in path order."""
         cached = self._eigenvalues.get(k)
         if cached is None:
-            cached = self._eigenvalues[k] = tuple(jm_eigenvalue(p, k, self.N) for p in self.paths)
+            if not 1 <= k <= self.n:
+                raise ValueError(f"Jucys-Murphy index {k} out of range")
+            N = self.N
+            cached = self._eigenvalues[k] = tuple(_step_eigenvalue(p[k - 1], p[k], N) for p in self.paths)
         return cached
 
 
-def _sbar_diagonal(mu: Diagram, bs: list[Fraction], N: Fraction) -> list[Fraction]:
-    """Diagonal entries of sbar on a fiber over mu, one per x_k eigenvalue b
-    in bs.
+# rep_sweep leaves 40 entries here, the n = 6 levels at N = 4 and 7 leave 24
+@lru_cache(maxsize=256)
+def _sbar_block(
+    mu: Diagram, middles: tuple[Diagram, ...], N: Fraction
+) -> tuple[tuple[Fraction, ...], tuple[tuple[int, int, SurdSum], ...]]:
+    """sbar_k on a fiber over mu whose level-k diagrams are middles, in fiber
+    order: its rational diagonal and its (a, b, value) entries at fiber
+    positions, in the order `build_sbar_matrix` writes them.
 
-    Residues of Z(mu, u)/u at u=b over the corner data of mu: (2b+1) times
-    the product of (b+b_j)/(b-b_j) over b_j != b, with the doubled-eigenvalue
-    branch at b = -1/2.
+    The diagonal holds the residues of Z(mu, u)/u at u = b over the corner
+    data of mu, one per x_k eigenvalue b: (2b+1) times the product of
+    (b+b_j)/(b-b_j) over b_j != b, with the doubled-eigenvalue branch at
+    b = -1/2.  Off the diagonal the entry is sqrt(d_a d_b).
     """
     values = shapes.b_list(mu, N)
-    out = []
-    for b in bs:
+    diagonal = []
+    for middle in middles:
+        b = _step_eigenvalue(mu, middle, N)
         num = Fraction(1)
         den = Fraction(1)
         for bj in values:
@@ -353,8 +387,87 @@ def _sbar_diagonal(mu: Diagram, bs: list[Fraction], N: Fraction) -> list[Fractio
             raise RepresentationError(
                 f"degenerate N={N}: repeated corner value {b} for mu={mu} outside the -1/2 branch"
             )
-        out.append(-num / den if b == Fraction(-1, 2) else (2 * b + 1) * num / den)
-    return out
+        diagonal.append(-num / den if b == Fraction(-1, 2) else (2 * b + 1) * num / den)
+    entries = []
+    for a, da in enumerate(diagonal):
+        entries.append((a, a, SurdSum.rational(da)))
+        for c in range(a + 1, len(diagonal)):
+            prod = da * diagonal[c]
+            if prod < 0:
+                raise RepresentationError(
+                    f"degenerate N={N}: negative product of sbar diagonals on fiber over {mu}"
+                )
+            s = sqrt_of_rational(prod)
+            entries += ((a, c, s), (c, a, s))
+    return tuple(diagonal), tuple(entries)
+
+
+# rep_sweep leaves 215 entries here, the n = 6 levels at N = 4 and 7 leave 165
+@lru_cache(maxsize=1024)
+def _s_block(
+    before: Diagram, middles: tuple[Diagram, ...], after: Diagram, N: Fraction
+) -> tuple[tuple[int, int, SurdSum], ...]:
+    """s_k on a fiber from before (level k-1) through middles (level k, in
+    fiber order) to after (level k+1): its (a, c, value) entries at fiber
+    positions, in the order `build_s_matrix` writes them.  The two kinds of
+    fiber are those of the module docstring."""
+    entries = []
+    if before != after:
+        if len(middles) > 2:
+            raise RepresentationError("fiber with distinct endpoints has dimension > 2")
+        deltas = []
+        for a, middle in enumerate(middles):
+            delta = _step_eigenvalue(middle, after, N) - _step_eigenvalue(before, middle, N)
+            if delta == 0:
+                raise RepresentationError(
+                    f"x_k = x_(k+1) on a split fiber at N={N}; construction breaks"
+                )
+            deltas.append(delta)
+            entries.append((a, a, SurdSum.rational(1 / delta)))
+        if len(middles) == 2:
+            radicand = 1 - deltas[0] ** -2
+            if radicand < 0:
+                raise RepresentationError(
+                    f"degenerate N={N}: negative off-diagonal square on a split fiber"
+                )
+            s = sqrt_of_rational(radicand)
+            entries += ((0, 1, s), (1, 0, s))
+        return tuple(entries)
+    # s(i, j) (b_i + b_j) = sbar(i, j) - delta_ij, from the relation
+    # s_k x_k - x_{k+1} s_k = sbar_k - 1 with x_k = b, x_{k+1} = -b
+    mu = before
+    diagonal, sbar_entries = _sbar_block(mu, middles, N)
+    sbar = {(a, c): value for a, c, value in sbar_entries}
+    bs = [_step_eigenvalue(mu, middle, N) for middle in middles]
+    for a in range(len(middles)):
+        for c in range(len(middles)):
+            denom = bs[a] + bs[c]
+            if denom != 0:
+                if a == c:
+                    entries.append((a, a, SurdSum.rational((diagonal[a] - 1) / denom)))
+                else:
+                    entries.append((a, c, sbar[a, c] * (1 / denom)))
+                continue
+            # x_k = 0: the self-paired branch, legal only on the diagonal
+            # for odd integer N with associated step diagrams, where
+            # s_k sbar_k = sbar_k forces
+            #   s_k(L,L) = 1 - sum_{L'' != L} sbar(L'',L'')/x_k(L'')
+            if not (
+                a == c
+                and N.denominator == 1
+                and int(N) % 2 == 1
+                and are_associated(mu, middles[a], int(N))
+            ):
+                raise RepresentationError(
+                    f"zero denominator outside the guarded branch (N={N}, mu={mu})"
+                )
+            others = [t for t in range(len(middles)) if t != a]
+            if any(bs[t] == 0 for t in others):
+                raise RepresentationError(
+                    f"repeated zero eigenvalue on fiber over {mu} at N={N}"
+                )
+            entries.append((a, a, SurdSum.rational(1 - sum(diagonal[t] / bs[t] for t in others))))
+    return tuple(entries)
 
 
 def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
@@ -366,99 +479,32 @@ def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
         return cached[0]
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
+    paths, N = basis.paths, basis.N
     m = RepMatrix.zero(basis.dim)
     diagonal: dict[int, Fraction] = {}
-    eig = basis.eigenvalues(k)
     for fiber in basis.fibers(k):
-        p0 = basis.paths[fiber[0]]
+        p0 = paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
-        mu = p0[k - 1]
-        diag = _sbar_diagonal(mu, [eig[i] for i in fiber], basis.N)
+        diag, entries = _sbar_block(p0[k - 1], tuple(paths[i][k] for i in fiber), N)
         diagonal.update(zip(fiber, diag))
-        for a, i in enumerate(fiber):
-            m.set(i, i, SurdSum.rational(diag[a]))
-            for b in range(a + 1, len(fiber)):
-                j = fiber[b]
-                prod = diag[a] * diag[b]
-                if prod < 0:
-                    raise RepresentationError(
-                        f"degenerate N={basis.N}: negative product of sbar diagonals on fiber over {mu}"
-                    )
-                s = sqrt_of_rational(prod)
-                m.set(i, j, s)
-                m.set(j, i, s)
+        for a, c, value in entries:
+            m.set(fiber[a], fiber[c], value)
     basis._sbar[k] = (m, diagonal)
     return m
 
 
 def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
     """Matrix of s_k, assembled fiber by fiber (see the module docstring)
-    from the matrix of sbar_k and its diagonal, which `build_sbar_matrix`
-    builds or has built."""
+    from the blocks of sbar_k and their diagonals, after `build_sbar_matrix`
+    has built the matrix of sbar_k."""
     build_sbar_matrix(basis, k)
-    sbar, diagonal = basis._sbar[k]
-    N = basis.N
+    paths, N = basis.paths, basis.N
     m = RepMatrix.zero(basis.dim)
-    eig, eig1 = basis.eigenvalues(k), basis.eigenvalues(k + 1)
     for fiber in basis.fibers(k):
-        p0 = basis.paths[fiber[0]]
-        if p0[k - 1] != p0[k + 1]:
-            if len(fiber) > 2:
-                raise RepresentationError("fiber with distinct endpoints has dimension > 2")
-            deltas = []
-            for i in fiber:
-                delta = eig1[i] - eig[i]
-                if delta == 0:
-                    raise RepresentationError(
-                        f"x_k = x_(k+1) on a split fiber at N={N}; construction breaks"
-                    )
-                deltas.append(delta)
-                m.set(i, i, SurdSum.rational(1 / delta))
-            if len(fiber) == 2:
-                radicand = 1 - deltas[0] ** -2
-                if radicand < 0:
-                    raise RepresentationError(
-                        f"degenerate N={N}: negative off-diagonal square on a split fiber"
-                    )
-                s = sqrt_of_rational(radicand)
-                i, j = fiber
-                m.set(i, j, s)
-                m.set(j, i, s)
-        else:
-            # s(i, j) (b_i + b_j) = sbar(i, j) - delta_ij, from the relation
-            # s_k x_k - x_{k+1} s_k = sbar_k - 1 with x_k = b, x_{k+1} = -b
-            mu = p0[k - 1]
-            bs = [eig[i] for i in fiber]
-            for a, i in enumerate(fiber):
-                for c, j in enumerate(fiber):
-                    denom = bs[a] + bs[c]
-                    if denom != 0:
-                        if a == c:
-                            m.set(i, i, SurdSum.rational((diagonal[i] - 1) / denom))
-                        else:
-                            m.set(i, j, sbar.entry(i, j) * (1 / denom))
-                        continue
-                    # x_k = 0: the self-paired branch, legal only on the diagonal
-                    # for odd integer N with associated step diagrams, where
-                    # s_k sbar_k = sbar_k forces
-                    #   s_k(L,L) = 1 - sum_{L'' != L} sbar(L'',L'')/x_k(L'')
-                    if not (
-                        a == c
-                        and N.denominator == 1
-                        and int(N) % 2 == 1
-                        and are_associated(mu, basis.paths[i][k], int(N))
-                    ):
-                        raise RepresentationError(
-                            f"zero denominator outside the guarded branch (N={N}, mu={mu})"
-                        )
-                    others = [t for t in range(len(fiber)) if t != a]
-                    if any(bs[t] == 0 for t in others):
-                        raise RepresentationError(
-                            f"repeated zero eigenvalue on fiber over {mu} at N={N}"
-                        )
-                    value = 1 - sum(diagonal[fiber[t]] / bs[t] for t in others)
-                    m.set(i, j, SurdSum.rational(value))
+        p0 = paths[fiber[0]]
+        for a, c, value in _s_block(p0[k - 1], tuple(paths[i][k] for i in fiber), p0[k + 1], N):
+            m.set(fiber[a], fiber[c], value)
     return m
 
 

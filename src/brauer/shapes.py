@@ -103,6 +103,8 @@ def remove_corners(lam: Diagram) -> list[tuple[int, Diagram]]:
     return out
 
 
+# rep_sweep leaves 93 entries here, the n = 6 levels at N = 4 and 7 leave 53
+@lru_cache(maxsize=512)
 def branch(mu: Diagram, k: int, N: int) -> tuple[Diagram, ...]:
     """All members of O(k, N) differing from mu by one box, sorted."""
     candidates = [d for _, d in add_corners(mu)] + [d for _, d in remove_corners(mu)]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -119,6 +120,25 @@ def test_rep_rational_N(capsys):
     code, out = run(capsys, "rep", "--lambda", "1", "--n", "3", "--N", "7/2", "--format", "json")
     assert code == 0
     assert json.loads(out)["N"] == "7/2"
+
+
+# sha256 of `rep --format json`, pinned so that a change to how the
+# orthogonal form is built cannot change the printed matrices unnoticed;
+# V((1), 3) at N = 3 takes the self-paired branch
+REP_JSON_SHA256 = {
+    ("2,1", "5", "4"): "7d965f71623ead820ae932bd6f3bc44495272c0cb778af6b8e479f657ae6d5f3",
+    ("1", "5", "9"): "d10a056d4b9720bf77ac2271f084a999bdeb7305438f7726915e6b94b98804b9",
+    ("3", "5", "7/2"): "ad8a3058c5626ab745a80d3cf01c3264185b5f4eebbe1a76800c6038a617a6f6",
+    ("1", "3", "3"): "aed727e41fe0f989b6aa9751c2eb32021f6500f28fabb3bdfd0c1a8a8b600f4f",
+    ("2,2", "6", "4"): "aa9e1e99005da943437f5f0b152c36eb5dd2607cd992bb0bca97caa4af971866",
+}
+
+
+@pytest.mark.parametrize("lam, n, N", list(REP_JSON_SHA256))
+def test_rep_json_digest(capsys, lam, n, N):
+    code, out = run(capsys, "rep", "--lambda", lam, "--n", n, "--N", N, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REP_JSON_SHA256[lam, n, N]
 
 
 @pytest.mark.parametrize("lam", ["1", "3"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer import repform, shapes
+from brauer import repform, shapes, verify
 from brauer.coeffs import NPoly, SurdSum, sqrt_of_rational
 from brauer.diagrams import (
     AlgebraElement,
@@ -34,6 +34,7 @@ from brauer.repform import (
     scalar_of,
     surd_to_json,
     verify_representation,
+    x_matrix,
     z_series,
 )
 
@@ -44,6 +45,25 @@ def test_jm_eigenvalue_examples():
     assert jm_eigenvalue(((), (1,)), 1, 3) == 1  # (N-1)/2 at N=3
     assert jm_eigenvalue(((), (1,), (2,)), 2, 3) == 2
     assert jm_eigenvalue(((), (1,), ()), 2, 3) == -1
+
+
+def test_jm_eigenvalue_rejects_a_step_outside_the_path():
+    # k = 0 used to read the step from path[-1] to path[0] and give -1 here
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"step index {k} out of range 1..3"):
+            jm_eigenvalue(((), (1,), (), (1,)), k, 3)
+
+
+def test_x_index_outside_1_to_n_raises():
+    # x_matrix(basis, 0) used to be a diagonal of -1s, cached as x_0's table
+    basis = PathBasis.build((1,), 3, 3)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"Jucys-Murphy index {k} out of range"):
+            basis.eigenvalues(k)
+        with pytest.raises(ValueError, match=f"Jucys-Murphy index {k} out of range"):
+            x_matrix(basis, k)
+    assert basis._eigenvalues == {}
+    assert x_matrix(basis, 3) == RepMatrix.diagonal(list(basis.eigenvalues(3)))
 
 
 def test_central_content_examples():
@@ -238,6 +258,48 @@ def test_built_matrices_store_no_zero():
         gs1 = rep._gauged[1]["s", 1]
         assert _stores_no_zero(gs1 * gs1)
         assert (s1 + s1.scale(-1)).rows == [{}] * rep.basis.dim
+
+
+# the memos of the local pieces of the orthogonal form, and the path memos
+# above shapes.branch, so that a cleared branch memo is called again
+_LOCAL_MEMOS = (repform._step_eigenvalue, repform._sbar_block, repform._s_block, shapes.branch)
+_PATH_MEMOS = (shapes.enumerate_paths, shapes.path_counts)
+
+
+def _built_values(lam, n, Nv):
+    """Every matrix's rows, in stored order, and the sbar diagonals."""
+    rep = build_representation(lam, n, Nv)
+    for name, m in rep.matrices.items():
+        assert _stores_no_zero(m), (lam, n, Nv, name)
+    rows = {name: [list(row.items()) for row in m.rows] for name, m in rep.matrices.items()}
+    return rows, {k: list(diagonal.items()) for k, (_, diagonal) in rep.basis._sbar.items()}
+
+
+def test_memoised_blocks_change_no_value():
+    cases = list(verify._rep_sweep())
+    for Nv in (F(7, 2), F(9, 4)):
+        for n in (1, 2, 3, 4):
+            for size in range(n % 2, n + 1, 2):
+                cases += [(lam, n, Nv) for lam in shapes.partitions(size)]
+    assert len(cases) == 131 + 32
+    for memo in _LOCAL_MEMOS + _PATH_MEMOS:
+        memo.cache_clear()
+    forward = {case: _built_values(*case) for case in cases}
+    for memo in _LOCAL_MEMOS + _PATH_MEMOS:
+        memo.cache_clear()
+    for case in reversed(cases):
+        assert _built_values(*case) == forward[case], case
+    assert all(memo.cache_info().currsize < memo.cache_info().maxsize for memo in _LOCAL_MEMOS)
+
+
+def test_a_degenerate_N_is_never_memoised():
+    for lam, n, Nv in (((1,), 3, F(-3, 2)), ((2,), 4, F(-7, 2))):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RepresentationError) as info:
+                build_representation(lam, n, Nv)
+            messages.append(str(info.value))
+        assert messages == [f"degenerate N={Nv}: negative product of sbar diagonals on fiber over {lam}"] * 2
 
 
 def _random_surd(rng: random.Random) -> SurdSum:
