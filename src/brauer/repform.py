@@ -383,10 +383,6 @@ def _sbar_block(
                 continue
             num *= b + bj
             den *= b - bj
-        if den == 0:
-            raise RepresentationError(
-                f"degenerate N={N}: repeated corner value {b} for mu={mu} outside the -1/2 branch"
-            )
         diagonal.append(-num / den if b == Fraction(-1, 2) else (2 * b + 1) * num / den)
     entries = []
     for a, da in enumerate(diagonal):

@@ -60,13 +60,58 @@ def test_compose_size_mismatch():
         compose(BrauerDiagram.identity(2), BrauerDiagram.identity(3))
 
 
+def _reference_compose(p1: tuple[int, ...], p2: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """The composition read off the stacked graph on 3n vertices, with no
+    call to the kernel: p1's vertex v is vertex v, p2's vertex v is n + v,
+    so n..2n-1 is the glued row.  A union-find joins each edge's ends; a
+    component with two outer vertices is an edge of the result, one with
+    none is a closed loop."""
+    parent = list(range(3 * n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for shift, p in ((0, p1), (n, p2)):
+        for v, w in enumerate(p):
+            parent[find(shift + v)] = find(shift + w)
+    components: dict[int, list[int]] = {}
+    for v in range(3 * n):
+        components.setdefault(find(v), []).append(v)
+    result = [-1] * (2 * n)
+    loops = 0
+    for vs in components.values():
+        ends = [v if v < n else v - n for v in vs if not n <= v < 2 * n]
+        if not ends:
+            loops += 1
+            continue
+        a, b = ends
+        result[a], result[b] = b, a
+    return tuple(result), loops
+
+
+def test_kernel_matches_reference_composition():
+    pairs = [(a, b) for n in range(4) for a in all_diagrams(n) for b in all_diagrams(n)]
+    rng = random.Random(2026)
+    pairs += [(random_diagram(n, rng), random_diagram(n, rng)) for n in range(4, 9) for _ in range(2000)]
+    for a, b in pairs:
+        want = _reference_compose(a.pairing, b.pairing, a.n)
+        assert _kernel.compose_pairings(a.pairing, b.pairing, a.n) == want, (a, b)
+        # the memo holds the kernel's plain tuples, keyed by the pairings
+        pairing, loops = _compose_cached(a.pairing, b.pairing)
+        assert type(pairing) is tuple and (pairing, loops) == want
+
+
 def test_kernel_diagrams_are_their_tuples():
-    # compose, _swap and _cap wrap their output without validation; it must
-    # still equal, and hash like, the validated diagram and the plain
-    # (n, pairing)
+    # compose, _swap, _cap and multiply wrap their output without
+    # validation; it must still equal, and hash like, the validated diagram
+    # and the plain (n, pairing)
     def outputs(n):
+        x = jucys_murphy(n, n)
         for g in all_diagrams(n):
             yield compose(g, sbar_diagram(1, n))[0]
+            yield from multiply(x, AlgebraElement.from_diagram(g)).terms
             for u in (*range(n - 1), *range(n, 2 * n - 1)):
                 yield _swap(g, u)
                 yield _cap(g, u)[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from brauer import shapes, tensor
+from brauer import shapes, tensor, verify
 from brauer.diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -191,6 +191,41 @@ def test_homomorphism():
     rng = random.Random(11)
     for n, N in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         assert verify_homomorphism(n, N, 100, rng)["ok"]
+
+
+def test_homomorphism_answers_a_repeated_pair_by_its_first_check(monkeypatch):
+    # B(2) has 9 pairs, so 100 draws repeat many; the action is broken on
+    # one pair that no generator pair covers, and every draw of it fails
+    n, N, trials = 2, 2, 100
+    one = BrauerDiagram.identity(n)
+    bad = (one, one)
+    draws = random.Random(5)
+    drawn = [(random_diagram(n, draws), random_diagram(n, draws)) for _ in range(trials)]
+    assert drawn.count(bad) > 1
+
+    def broken(g1, g2):
+        prod, loops = compose(g1, g2)
+        return prod, loops + ((g1, g2) == bad)
+
+    ok = tensor._homomorphism_pair_ok
+    checks = []
+
+    def counted(g1, g2, N):
+        checks.append((g1, g2))
+        return ok(g1, g2, N)
+
+    monkeypatch.setattr(tensor, "compose", broken)
+    monkeypatch.setattr(tensor, "_homomorphism_pair_ok", counted)
+    rng = random.Random(5)
+    rep = verify_homomorphism(n, N, trials, rng)
+    assert not rep["ok"] and rep["failures"] == [bad] * drawn.count(bad)
+    assert rep["checked"] == 4 + trials
+    assert sorted(checks) == sorted(set(checks)) and len(checks) == 9
+    # every pair was still drawn from the stream
+    assert rng.random() == draws.random()
+    # and criterion 6 fails on a grid of that one point
+    monkeypatch.setattr(verify, "_tensor_grid", lambda: [(n, N)])
+    assert not verify.criterion_6_tensor(seed=5)["ok"]
 
 
 def test_homomorphism_example_pair():
