@@ -148,9 +148,34 @@ def cmd_central(args) -> int:
 
 
 ORACLE_SUITES = ("hom", "rank", "casimir", "spectrum")
+# The largest N^n, the dimension of the tensor space, that `oracle` takes: the
+# top of criterion 6's grid.  The casimir suite's arrays grow as n (N-1) N^n,
+# 1.5 GB at n = 1, N = 4096.  README lists the measurements behind both bounds.
+ORACLE_MAX_DIM = 4096
+# The largest (2n-1)!! N^n that the rank suite takes: the ones of the matrix it
+# eliminates, (2n-1)!! diagrams of N^n ones each.
+ORACLE_MAX_RANK_ONES = 10**6
+
+
+def _exceeds_bounds(n: int, N: int, rank: bool) -> str | None:
+    """Why `oracle` refuses n and N, or None; no power or product is taken
+    far past its bound."""
+    # N >= 2 makes N^n >= 2^n, so a large n is refused before its power is taken
+    if N > 1 and (n >= ORACLE_MAX_DIM.bit_length() or N**n > ORACLE_MAX_DIM):
+        return f"oracle takes N^n <= {ORACLE_MAX_DIM}, got n={n}, N={N}"
+    if rank:
+        ones = N**n
+        for k in range(3, 2 * n, 2):
+            ones *= k
+            if ones > ORACLE_MAX_RANK_ONES:
+                return f"the rank suite takes (2n-1)!! N^n <= {ORACLE_MAX_RANK_ONES}, got n={n}, N={N}"
+    return None
 
 
 def cmd_oracle(args) -> int:
+    refusal = _exceeds_bounds(args.n, args.N, args.suite in ("all", "rank"))
+    if refusal is not None:
+        raise ValueError(refusal)
     from . import tensor  # numpy and scipy load only where the oracle runs
 
     rng = random.Random(args.seed)
@@ -196,7 +221,7 @@ def cmd_affine_check(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    reports = verify.run_all(seed=args.seed)
+    reports = verify.run_all(seed=args.seed, stats=args.stats)
     ok = all(r["ok"] for r in reports)
     if args.format == "json":
         _emit(reports, "json")
@@ -204,6 +229,8 @@ def cmd_verify_all(args) -> int:
         for r in reports:
             status = "PASS" if r["ok"] else "FAIL"
             print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s)")
+            for name, c in r.get("memos", {}).items():
+                print(f"      {name:32s} hits {c['hits']:>8}  misses {c['misses']:>8}")
     return 0 if ok else 1
 
 
@@ -274,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_affine_check)
 
     p = sub.add_parser("verify-all", parents=[common], help="run every acceptance criterion")
+    p.add_argument("--stats", action="store_true", help="also report each criterion's memo hits and misses")
     p.set_defaults(fn=cmd_verify_all)
 
     return parser

@@ -124,25 +124,25 @@ class BrauerDiagram(_DiagramFields):
         return f"BrauerDiagram({self.n}, edges={list(self.edges())})"
 
 
-# Keyed by the two pairings, valued by the kernel's (pairing, loops): both
-# hold only ints, so once a collection has passed over them CPython untracks
-# them and only the lru link stays tracked (a brauer_products run, seed
-# 7031995, ends with 42,217 tracked objects, 66,613 with diagram keys and
-# values).  Keys were diagrams for a time; equal diagrams reached as distinct
-# objects cost nothing now, as BrauerDiagram equality is tuple equality in C.
-# Bounded: dense products at n >= 6 rarely repeat a pair, and a memo that only
-# grows adds to RSS and to every full GC pass.  1 << 13 holds every (diagram,
-# generator) pair of B(5), 945 x 8 = 7,560: the affine engine's reuse.
+# The memo of pair compositions serves B(n <= COMPOSE_MEMO_MAX_N), where pairs
+# repeat; it holds only ints.  Hits per n at seed 7031995, one memo for all n:
+# affine_words 11,156/12,146 at n = 4, 1,990/4,688 at n = 5; brauer_products
+# 291/2,092 at n = 6, 461/3,990 at n = 7, 0/31,304 at n = 8.  A miss at n = 8
+# costs 2.6-2.9 us, the bare kernel 2.0 us.  1 << 13 holds B(5) x 8 generators.
+COMPOSE_MEMO_MAX_N = 5
+
+
 @lru_cache(maxsize=1 << 13)
-def _compose_cached(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    return _kernel.compose_pairings(p1, p2, len(p1) >> 1)
+def _compose_cached(p1: tuple[int, ...], p2: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    return _kernel.compose_pairings(p1, p2, n)
 
 
 def compose(g: BrauerDiagram, g2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Diagram product: returns (reduced matching, number of removed loops)."""
     if g.n != g2.n:
         raise ValueError(f"size mismatch: {g.n} vs {g2.n}")
-    pairing, loops = _compose_cached(g.pairing, g2.pairing)
+    compose_pair = _compose_cached if g.n <= COMPOSE_MEMO_MAX_N else _kernel.compose_pairings
+    pairing, loops = compose_pair(g.pairing, g2.pairing, g.n)
     return _tuple_new(BrauerDiagram, (g.n, pairing)), loops
 
 
@@ -247,7 +247,6 @@ class AlgebraElement(Combination):
         return AlgebraElement(n2, {d.shift(0, n2): c for d, c in self.terms.items()})
 
     def power(self, k: int) -> AlgebraElement:
-        # repeated multiplication in the diagram basis; desk-scale sizes
         if k < 0:
             raise ValueError("negative power of an AlgebraElement")
         if k == 0:
@@ -345,12 +344,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     left, da = _numerators(a)
     right, db = _numerators(b)
     right = [(d2.pairing, m2) for d2, m2 in right]
+    compose_pair = _compose_cached if n <= COMPOSE_MEMO_MAX_N else _kernel.compose_pairings
     # one raw coefficient map per output pairing; each diagram is made once, at the end
     raw: dict[tuple[int, ...], dict] = {}
     for d1, m1 in left:
         p1 = d1.pairing
         for p2, m2 in right:
-            p, loops = _compose_cached(p1, p2)
+            p, loops = compose_pair(p1, p2, n)
             acc = raw.get(p)
             if acc is None:
                 acc = raw[p] = {}

@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -111,6 +112,18 @@ def _rep_sweep():
                 yield lam, n, N
 
 
+def _rational_diagonal(m: repform.RepMatrix) -> list[Fraction] | None:
+    """The diagonal of m in Fractions, or None if m has an entry off its
+    diagonal or an irrational one."""
+    out = []
+    for i, row in enumerate(m.rows):
+        x = row.get(i)
+        if row.keys() - {i} or (x is not None and not x.is_rational()):
+            return None
+        out.append(Fraction(0) if x is None else x.rational_value())
+    return out
+
+
 def criterion_3_representations() -> dict:
     """Every V(lam, n), n <= 5, N in {2,3,4,5,7,9}: exact relations, diagonal
     x-action with the content eigenvalues, scalar central sum."""
@@ -125,15 +138,13 @@ def criterion_3_representations() -> dict:
             continue
         built += 1
         basis = rep.basis
-        for k in range(1, n + 1):
-            expect = [repform.jm_eigenvalue(p, k, basis.N) for p in basis.paths]
-            if rep.matrices[f"x{k}"] != repform.RepMatrix.diagonal(expect):
+        eigenvalues = [basis.eigenvalues(k) for k in range(1, n + 1)]
+        for k, expect in enumerate(eigenvalues, 1):
+            if _rational_diagonal(rep.matrices[f"x{k}"]) != list(expect):
                 ok = False
-        total = repform.RepMatrix.zero(basis.dim)
-        for k in range(1, n + 1):
-            total = total + rep.matrices[f"x{k}"]
+        # with every x_k diagonal, the sum is c times the identity when each path's eigenvalues add to c
         c = repform.central_content_eigenvalue(lam, n, basis.N)
-        if total != repform.RepMatrix.identity(basis.dim).scale(c):
+        if any(sum(values) != c for values in zip(*eigenvalues)):
             ok = False
     return _result("representations", ok, t0, built=built)
 
@@ -433,13 +444,63 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(seed: int | None = None) -> list[dict]:
+# Every memo of the package, as module.function: `verify-all --stats` reports
+# the hits and misses each criterion adds to their `cache_info()`.
+MEMOS = (
+    "affine._hecke_push_v",
+    "affine._jm_power",
+    "affine._odd_w_expansion",
+    "affine._route_y",
+    "coeffs.squarefree_decomposition",
+    "diagrams._compose_cached",
+    "diagrams.factor_diagram",
+    "diagrams.jucys_murphy",
+    "diagrams.s_diagram",
+    "diagrams.sbar_diagram",
+    "diagrams.z_element",
+    "repform._relations",
+    "repform._s_block",
+    "repform._sbar_block",
+    "repform._step_eigenvalue",
+    "shapes.branch",
+    "shapes.enumerate_O",
+    "shapes.enumerate_paths",
+    "shapes.path_counts",
+    "tensor._casimir_matrix",
+    "tensor._jm_sum_matrix",
+    "tensor.diagram_matrix",
+)
+
+
+def _memo_counts() -> dict[str, tuple[int, int]]:
+    """(hits, misses) of each of MEMOS whose module is loaded; it loads none,
+    so numpy and scipy still load only with `tensor`."""
+    counts = {}
+    for name in MEMOS:
+        module, attr = name.split(".")
+        owner = sys.modules.get(f"{__package__}.{module}")
+        if owner is not None:
+            info = getattr(owner, attr).cache_info()
+            counts[name] = (info.hits, info.misses)
+    return counts
+
+
+def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
+    """Every criterion's report; with stats, each also has "memos": the
+    hits and misses it added to each memo it used."""
     out = []
     for label, fn in ALL_CRITERIA:
+        before = _memo_counts() if stats else {}
         if fn in (criterion_6_tensor, criterion_8_affine):
             rep = fn(seed=seed)
         else:
             rep = fn()
         rep["criterion"] = label
+        if stats:
+            rep["memos"] = {}
+            for name, (hits, misses) in _memo_counts().items():
+                hits0, misses0 = before.get(name, (0, 0))
+                if (hits, misses) != (hits0, misses0):
+                    rep["memos"][name] = {"hits": hits - hits0, "misses": misses - misses0}
         out.append(rep)
     return out

@@ -6,10 +6,12 @@ instances holds on the nose.  Run with `pytest -s` to see the summary lines.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from brauer import affine, cli, repform, verify
+from brauer.coeffs import SurdSum
 
 
 def _report(rep):
@@ -33,6 +35,33 @@ def test_criterion_3_representations():
     # all V(lam, n), n <= 5, N in {2,3,4,5,7,9}: relations, diagonal
     # eigenvalues, scalar central sum; exact surd arithmetic
     _report(verify.criterion_3_representations())
+
+
+def test_criterion_3_fails_on_an_off_diagonal_x_entry_or_a_wrong_central_value(monkeypatch):
+    monkeypatch.setattr(verify, "REP_SWEEP_N", (2, 3))
+    monkeypatch.setattr(verify, "REP_SWEEP_VALUES", (3,))
+    assert verify.criterion_3_representations()["ok"]
+    build = repform.build_representation
+
+    def off_diagonal(lam, n, N, verify=True):
+        rep = build(lam, n, N, verify)
+        x1 = repform.RepMatrix([dict(row) for row in rep.matrices["x1"].rows])
+        x1.set(0, x1.dim - 1, SurdSum.one())
+        return repform.Representation(rep.basis, {**rep.matrices, "x1": x1})
+
+    monkeypatch.setattr(repform, "build_representation", off_diagonal)
+    assert not verify.criterion_3_representations()["ok"]
+    monkeypatch.setattr(repform, "build_representation", build)
+    content = repform.central_content_eigenvalue
+    monkeypatch.setattr(repform, "central_content_eigenvalue", lambda lam, n, N: content(lam, n, N) + 1)
+    assert not verify.criterion_3_representations()["ok"]
+
+
+def test_rational_diagonal_reads_only_a_rational_diagonal():
+    half, root2 = SurdSum.rational(Fraction(1, 2)), SurdSum({2: 1})
+    assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {}])) == [Fraction(1, 2), 0]
+    assert verify._rational_diagonal(repform.RepMatrix([{0: half, 1: half}, {}])) is None
+    assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {1: root2}])) is None
 
 
 def test_criterion_4_rank1_traceN():

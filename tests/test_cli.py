@@ -1,18 +1,21 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import pathlib
+import pkgutil
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import brauer
-from brauer import affine, verify
+from brauer import affine, cli, verify
 from brauer.cli import main
 from brauer.diagrams import AlgebraElement
 
@@ -269,6 +272,37 @@ def test_oracle_one_strand_or_one_dimension_passes_every_suite(capsys, n, N):
     assert all(e["ok"] for e in report)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "8", "--N", "8", "--suite", "casimir"], "oracle takes N^n <= 4096, got n=8, N=8"),
+        (["--n", "7", "--N", "9", "--suite", "hom", "--trials", "0"], "oracle takes N^n <= 4096, got n=7, N=9"),
+        (["--n", "40", "--N", "40", "--suite", "hom", "--trials", "1"], "oracle takes N^n <= 4096, got n=40, N=40"),
+        (["--n", "5", "--N", "5", "--suite", "rank"], "the rank suite takes (2n-1)!! N^n <= 1000000, got n=5, N=5"),
+        (["--n", "8", "--N", "1"], "the rank suite takes (2n-1)!! N^n <= 1000000, got n=8, N=1"),
+    ],
+)
+def test_oracle_refuses_a_size_past_its_bounds_at_once(capsys, monkeypatch, argv, message):
+    # refused before the tensor module, hence numpy, is loaded: importing it would fail here
+    monkeypatch.setitem(sys.modules, "brauer.tensor", None)
+    monkeypatch.delattr(brauer, "tensor", raising=False)
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oracle_bounds_are_inclusive():
+    refusal = cli._exceeds_bounds
+    assert refusal(12, 2, False) is None and refusal(2, 64, False) is None and refusal(1, 4096, False) is None
+    assert refusal(13, 2, False) and refusal(2, 65, False) and refusal(1, 4097, False)
+    # 945 * 4^5 = 967,680 and 10,395 * 2^6 = 665,280 ones; 945 * 5^5 and 135,135 * 2^7 are past the bound
+    assert refusal(5, 4, True) is None and refusal(6, 2, True) is None and refusal(7, 1, True) is None
+    assert refusal(5, 5, True) and refusal(7, 2, True) and refusal(8, 1, True) and refusal(5, 5, False) is None
+    # N = 1 is a one-dimensional space for every n; a huge n with N >= 2 is refused without its power
+    assert refusal(10**9, 1, False) is None and refusal(10**9, 2, False) and refusal(10**9, 1, True)
+
+
 def test_oracle_product_that_could_pass_int64_is_exit_2(capsys, monkeypatch):
     from brauer import tensor
 
@@ -312,13 +346,47 @@ def test_non_integer_brauer_seed_is_usage_error(capsys, monkeypatch):
 
 def test_seed_flag_beats_environment(monkeypatch):
     seen = []
-    monkeypatch.setattr(verify, "run_all", lambda seed=None: seen.append(seed) or [])
+    monkeypatch.setattr(verify, "run_all", lambda seed=None, stats=False: seen.append(seed) or [])
     monkeypatch.setenv("BRAUER_SEED", "9")
     assert main(["verify-all", "--seed", "5"]) == 0
     assert main(["verify-all"]) == 0
     monkeypatch.delenv("BRAUER_SEED")
     assert main(["verify-all"]) == 0
     assert seen == [5, 9, verify.DEFAULT_SEED]
+
+
+def test_memos_name_every_memo_of_the_package():
+    found = set()
+    for info in pkgutil.iter_modules(brauer.__path__):
+        module = importlib.import_module(f"brauer.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                found.add(f"{info.name}.{name}")
+    assert found == set(verify.MEMOS)
+
+
+def test_verify_all_stats_reports_each_criterion_s_memo_deltas(capsys, monkeypatch):
+    from brauer import diagrams
+
+    g, g2 = diagrams.s_diagram(1, 3), diagrams.transposition(1, 3, 3)
+
+    def composes():
+        t0 = verify.time.perf_counter()
+        diagrams.compose(g, g2)
+        diagrams.compose(g, g2)
+        return verify._result("composes", True, t0)
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [("0 composes", composes)])
+    diagrams._compose_cached.cache_clear()
+    code, out = run(capsys, "verify-all", "--stats", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["memos"] == {"diagrams._compose_cached": {"hits": 1, "misses": 1}}
+    code, out = run(capsys, "verify-all", "--stats")
+    assert code == 0 and out.splitlines()[1].split() == ["diagrams._compose_cached", "hits", "2", "misses", "0"]
+    # without --stats the output keeps its shape
+    code, out = run(capsys, "verify-all", "--format", "json")
+    assert code == 0 and set(json.loads(out)[0]) == {"name", "ok", "seconds", "details", "criterion"}
+    code, out = run(capsys, "verify-all")
+    assert code == 0 and len(out.splitlines()) == 1
 
 
 _TOKENS = st.sampled_from(
@@ -342,6 +410,60 @@ def test_word_parsers_exit_0_or_2(command, n, tokens):
             code = exc.code
             assert code == 2, argv
     assert code in (0, 2), argv
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """Random small argv for one subcommand, valid or not."""
+    n = str(draw(st.integers(-1, 4)))
+    N = draw(st.sampled_from(["1", "2", "3", "4", "5/2", "0", "-1", "x", "99"]))
+    lam = draw(st.sampled_from(["", "0", "1", "2", "1,1", "2,1", "3", "1,2", "x"]))
+    word = " ".join(draw(st.lists(st.sampled_from(["s1", "s2", "sbar1", "sbar3", "y1", "y2", "w2", "w3", "x1"]), max_size=4)))
+    count = str(draw(st.integers(-1, 6)))
+    commands = [
+        ["mult", "--n", n, "--word", word],
+        ["relations", "--n", n, "--max-cases", count],
+        ["shapes", "--n", n, "--N", N],
+        ["paths", "--lambda", lam, "--n", n, "--N", N],
+        ["rep", "--lambda", lam, "--n", n, "--N", N] + draw(st.sampled_from([[], ["--no-verify"]])),
+        ["central", "--mu", lam, "--N", N, "--order", count],
+        ["oracle", "--n", n, "--N", N, "--trials", count, "--suite", draw(st.sampled_from(["all", *cli.ORACLE_SUITES]))],
+        ["affine", "nf", "--n", n, "--word", word],
+        ["affine", "check", "--suite", draw(st.sampled_from(["all", *verify.AFFINE_SUITES]))],
+        ["verify-all"] + draw(st.sampled_from([[], ["--stats"]])),
+    ]
+    argv = draw(st.sampled_from(commands))
+    return argv + ["--format", draw(st.sampled_from(["json", "table"])), "--seed", count]
+
+
+def _reports_failure(out: str) -> bool:
+    """A FAIL line of verify-all's table, or JSON with "ok" or "all_ok" false at any depth."""
+    if any(line.startswith("FAIL") for line in out.splitlines()):
+        return True
+
+    def failing(x) -> bool:
+        if isinstance(x, dict):
+            return x.get("ok") is False or x.get("all_ok") is False or any(map(failing, x.values()))
+        return isinstance(x, list) and any(map(failing, x))
+
+    return failing(json.loads(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # verify-all runs one cheap criterion here; tests/test_acceptance.py runs each
+    with mock.patch.object(verify, "ALL_CRITERIA", [("7 separation", verify.criterion_7_separation)]):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert _reports_failure(out.getvalue()), argv
 
 
 def test_bad_partition_is_usage_error(capsys):

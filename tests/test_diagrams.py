@@ -98,8 +98,8 @@ def test_kernel_matches_reference_composition():
     for a, b in pairs:
         want = _reference_compose(a.pairing, b.pairing, a.n)
         assert _kernel.compose_pairings(a.pairing, b.pairing, a.n) == want, (a, b)
-        # the memo holds the kernel's plain tuples, keyed by the pairings
-        pairing, loops = _compose_cached(a.pairing, b.pairing)
+        # the memo holds the kernel's plain tuples, keyed by the pairings and n
+        pairing, loops = _compose_cached(a.pairing, b.pairing, a.n)
         assert type(pairing) is tuple and (pairing, loops) == want
 
 
@@ -154,7 +154,7 @@ def _reference_product(a: AlgebraElement, b: AlgebraElement) -> dict:
 
 def test_multiply_does_not_depend_on_memo_state():
     rng = random.Random(12)
-    a, b = _random_element(6, 100, rng), _random_element(6, 100, rng)
+    a, b = _random_element(5, 100, rng), _random_element(5, 100, rng)
     want = _reference_product(a, b)
     _compose_cached.cache_clear()
     cold = multiply(a, b)
@@ -167,6 +167,23 @@ def test_multiply_does_not_depend_on_memo_state():
         assert got.terms == want
         _assert_normal_form(got)
     assert cold == warm
+
+
+def test_products_above_the_memo_range_leave_the_memo_alone():
+    # B(n > COMPOSE_MEMO_MAX_N) calls the kernel directly: no lookup, no insert
+    assert diagrams.COMPOSE_MEMO_MAX_N == 5
+    rng = random.Random(13)
+    for n in (6, 8):
+        a, b = _random_element(n, 12, rng), _random_element(n, 12, rng)
+        g, g2 = random_diagram(n, rng), random_diagram(n, rng)
+        info = _compose_cached.cache_info()
+        got = multiply(a, b)
+        d, loops = compose(g, g2)
+        assert _compose_cached.cache_info() == info
+        assert got.terms == _reference_product(a, b)
+        _assert_normal_form(got)
+        pairing, want_loops = _kernel.compose_pairings(g.pairing, g2.pairing, n)
+        assert (d, loops) == (BrauerDiagram(n, pairing), want_loops) and type(d) is BrauerDiagram
 
 
 def _assert_normal_form(e: AlgebraElement) -> None:
