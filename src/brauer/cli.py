@@ -152,6 +152,9 @@ ORACLE_SUITES = ("hom", "rank", "casimir", "spectrum")
 # top of criterion 6's grid.  The casimir suite's arrays grow as n (N-1) N^n,
 # 1.5 GB at n = 1, N = 4096.  README lists the measurements behind both bounds.
 ORACLE_MAX_DIM = 4096
+# The most strands `oracle` takes: `tensor` indexes the tensor space by numpy
+# arrays with n + 1 axes, and numpy allows 64.  It bounds N = 1, where N^n does not.
+ORACLE_MAX_N = 63
 # The largest (2n-1)!! N^n that the rank suite takes: the ones of the matrix it
 # eliminates, (2n-1)!! diagrams of N^n ones each.
 ORACLE_MAX_RANK_ONES = 10**6
@@ -163,6 +166,8 @@ def _exceeds_bounds(n: int, N: int, rank: bool) -> str | None:
     # N >= 2 makes N^n >= 2^n, so a large n is refused before its power is taken
     if N > 1 and (n >= ORACLE_MAX_DIM.bit_length() or N**n > ORACLE_MAX_DIM):
         return f"oracle takes N^n <= {ORACLE_MAX_DIM}, got n={n}, N={N}"
+    if n > ORACLE_MAX_N:
+        return f"oracle takes n <= {ORACLE_MAX_N} (numpy arrays have at most 64 axes), got n={n}"
     if rank:
         ones = N**n
         for k in range(3, 2 * n, 2):

@@ -7,14 +7,11 @@ Four kinds of numbers appear throughout:
     coefficients, used while N is kept symbolic.  A coefficient is stored as
     an ``int`` when integral and as a ``Fraction`` only when it is not, and
     ``shift(q)`` multiplies by N^q by moving exponents;
-  * ``SurdSum`` -- finite sums ``sum c_r * sqrt(r)`` with c_r rational and
-    r squarefree, the entry type of the orthogonal-form matrices that
-    `repform` builds and prints.  `repform` builds and reads them but never
-    adds them: its relation checks, actions and fiber reports run on integer
-    matrices in a diagonal gauge.  Only ``+`` and ``*`` are defined.  Stored
-    as integer numerators over one positive common denominator, reduced so
-    that their gcd with it is 1; that normal form is unique, so equality of
-    values is equality of numerators and denominator;
+  * ``SurdSum`` -- one term c * sqrt(r), c rational and r squarefree, the
+    entry type of the orthogonal-form matrices that `repform` builds and
+    prints.  Stored as ints num/den/rad in a unique reduced form, so equality
+    of values is equality of fields.  ``*`` is closed; ``+`` adds terms on
+    one radicand and raises on two;
   * truncated series in 1/u -- a monic series
     ``1 + c_1/u + ... + c_K/u^K`` is the tuple ``(c_1, ..., c_K)``, and
     ``monic_product`` multiplies two of them.
@@ -32,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from types import MappingProxyType
 from typing import Union
 
 Scalar = Union[int, Fraction, "NPoly"]
@@ -393,7 +389,7 @@ class Combination:
 
 
 # ---------------------------------------------------------------------------
-# quadratic-surd sums
+# quadratic surds
 
 
 @lru_cache(maxsize=4096)
@@ -422,167 +418,101 @@ def squarefree_decomposition(r: int) -> tuple[int, int]:
 
 
 class SurdSum:
-    """Exact real number of the form sum c_r * sqrt(r), r squarefree.
+    """Exact real number c*sqrt(r): one rational c times the square root of
+    one squarefree integer r >= 1.
 
-    Stored as integer numerators over one common denominator: ``num`` maps
-    each squarefree radicand r to a non-zero ``int`` and ``den`` is a positive
-    ``int``, so the value is sum num[r] * sqrt(r) / den.  In the normal form
-    ``gcd(den, *num.values()) == 1``; zero is ``{}`` over 1.  Square roots of
-    distinct squarefree integers are linearly independent over Q, so the
-    normal form is unique and value equality is equality of the two fields.
-
-    ``__init__``, ``rational``, ``coerce`` and ``sqrt_of_rational`` validate;
-    ``+`` and ``*`` build their results through the trusted ``_trusted``,
-    which divides out the common gcd.  There is no subtraction or division:
-    scaling by a rational q is the product with q.  ``terms`` is a read-only
-    view of the value as radicand -> ``Fraction``.
+    Stored as the ints of ``num * sqrt(rad) / den``, with ``num/den`` in
+    lowest terms, ``den > 0`` and ``rad`` squarefree; zero is 0/1 on radicand
+    1.  The form is unique, so value equality is equality of the three
+    fields, and a rational value (radicand 1) hashes like its ``Fraction``.
+    ``SurdSum(c, r)`` validates c and reduces r to its squarefree part; the
+    arithmetic builds its results through the trusted ``_reduced``.  ``*`` is
+    closed; ``+`` takes a zero or a term on the same radicand and raises
+    ``ValueError`` on two, which `repform` never meets.  Scaling by a
+    rational q is the product with q.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "rad")
 
-    def __init__(self, terms: dict[int, int | Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for r, c in terms.items():
-                c = as_fraction(c)
-                if not c:
-                    continue
-                m, s = squarefree_decomposition(r)
-                add_term(clean, s, m * c)
-        # over the lcm of reduced denominators the numerators have gcd 1
-        den = lcm(*(c.denominator for c in clean.values()))
-        self.num = {r: c.numerator * (den // c.denominator) for r, c in clean.items()}
-        self.den = den
+    def __init__(self, c: int | Fraction = 0, r: int = 1):
+        m, s = squarefree_decomposition(r)
+        c = as_fraction(c) * m
+        self.num, self.den = c.numerator, c.denominator
+        self.rad = s if c else 1
 
     @staticmethod
-    def _trusted(num: dict[int, int], den: int) -> SurdSum:
-        """Wrap non-zero int numerators on squarefree radicands over den > 0,
-        dividing out their common gcd."""
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {r: c // g for r, c in num.items()}
-        result = SurdSum.__new__(SurdSum)
-        result.num = num
-        result.den = den
-        return result
+    def _reduced(num: int, den: int, rad: int) -> SurdSum:
+        """num*sqrt(rad)/den in normal form, for den > 0 and rad squarefree."""
+        g = gcd(num, den)
+        x = SurdSum.__new__(SurdSum)
+        x.num, x.den, x.rad = num // g, den // g, rad if num else 1
+        return x
 
     @staticmethod
     def zero() -> SurdSum:
-        return SurdSum._trusted({}, 1)
+        return SurdSum._reduced(0, 1, 1)
 
     @staticmethod
     def one() -> SurdSum:
-        return SurdSum._trusted({1: 1}, 1)
+        return SurdSum._reduced(1, 1, 1)
 
     @staticmethod
     def rational(q: int | Fraction) -> SurdSum:
         q = as_fraction(q)
-        return SurdSum._trusted({1: q.numerator} if q else {}, q.denominator)
+        return SurdSum._reduced(q.numerator, q.denominator, 1)
 
     @staticmethod
     def coerce(x) -> SurdSum:
-        if isinstance(x, SurdSum):
-            return x
-        return SurdSum.rational(x)
+        return x if x.__class__ is SurdSum else SurdSum.rational(x)
 
     @property
-    def terms(self) -> MappingProxyType:
-        """The value as radicand -> non-zero Fraction coefficient."""
-        den = self.den
-        return MappingProxyType({r: Fraction(c, den) for r, c in self.num.items()})
+    def terms(self) -> dict[int, Fraction]:
+        """The value as radicand -> non-zero Fraction: no item, or one."""
+        return {self.rad: Fraction(self.num, self.den)} if self.num else {}
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return self.num != 0
 
     def is_rational(self) -> bool:
-        return self.num.keys() <= {1}
+        return self.rad == 1
 
     def rational_value(self) -> Fraction:
-        if not self.is_rational():
+        if self.rad != 1:
             raise ValueError(f"{self} is irrational")
-        return Fraction(self.num.get(1, 0), self.den)
+        return Fraction(self.num, self.den)
 
     def __add__(self, other) -> SurdSum:
-        if other.__class__ is not SurdSum:
-            other = SurdSum.coerce(other)
+        other = SurdSum.coerce(other)
         if not other.num:
             return self
         if not self.num:
             return other
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            out = dict(self.num)
-            m2 = 1
-        else:
-            g = gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
-            out = {r: c * m1 for r, c in self.num.items()}
-            d1 *= m1
-        # add_term inlined (the hot loop)
-        for r, c in other.num.items():
-            c *= m2
-            if r in out:
-                c += out[r]
-                if not c:
-                    del out[r]
-                    continue
-            out[r] = c
-        return SurdSum._trusted(out, d1)
+        if self.rad != other.rad:
+            raise ValueError(f"({self}) + ({other}) has two radicands; a SurdSum holds one")
+        return SurdSum._reduced(self.num * other.den + other.num * self.den, self.den * other.den, self.rad)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> SurdSum:
-        if other.__class__ is not SurdSum:
-            other = SurdSum.coerce(other)
-        out: dict[int, int] = {}
-        for r1, c1 in self.num.items():
-            for r2, c2 in other.num.items():
-                c = c1 * c2
-                if r1 == r2:
-                    s = 1
-                    if r1 != 1:
-                        c *= r1
-                elif r1 == 1:
-                    s = r2
-                elif r2 == 1:
-                    s = r1
-                else:
-                    m, s = squarefree_decomposition(r1 * r2)
-                    if m != 1:
-                        c *= m
-                if s in out:
-                    c += out[s]
-                    if not c:
-                        del out[s]
-                        continue
-                out[s] = c
-        return SurdSum._trusted(out, self.den * other.den)
+        other = SurdSum.coerce(other)
+        m, rad = squarefree_decomposition(self.rad * other.rad)
+        return SurdSum._reduced(self.num * other.num * m, self.den * other.den, rad)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not SurdSum:
-            if isinstance(other, (int, Fraction)):
-                other = SurdSum.rational(other)
-            elif not isinstance(other, SurdSum):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-        return self.den == other.den and self.num == other.num
+            other = SurdSum.rational(other)
+        return self.num == other.num and self.den == other.den and self.rad == other.rad
 
     def __hash__(self) -> int:
-        # a rational value equals its int or Fraction, so it must hash like it
-        if self.num.keys() <= {1}:
-            return hash(Fraction(self.num.get(1, 0), self.den))
-        return hash((self.den, tuple(sorted(self.num.items()))))
+        return hash(Fraction(self.num, self.den)) if self.rad == 1 else hash((self.num, self.den, self.rad))
 
     def __repr__(self) -> str:
-        if not self.num:
-            return "0"
-        parts = []
-        for r, c in sorted(self.terms.items()):
-            parts.append(format_rational(c) if r == 1 else f"{format_rational(c)}*sqrt({r})")
-        return " + ".join(parts)
+        c = format_rational(Fraction(self.num, self.den))
+        return c if self.rad == 1 else f"{c}*sqrt({self.rad})"
 
 
 def sqrt_of_rational(q: int | Fraction) -> SurdSum:
@@ -590,11 +520,8 @@ def sqrt_of_rational(q: int | Fraction) -> SurdSum:
     q = as_fraction(q)
     if q < 0:
         raise ValueError(f"sqrt of negative rational {q}")
-    if q == 0:
-        return SurdSum.zero()
     # sqrt(p/q) = sqrt(p*q)/q
-    m, s = squarefree_decomposition(q.numerator * q.denominator)
-    return SurdSum({s: Fraction(m, q.denominator)})
+    return SurdSum(Fraction(1, q.denominator), q.numerator * q.denominator) if q else SurdSum()
 
 
 # ---------------------------------------------------------------------------

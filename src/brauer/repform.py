@@ -48,9 +48,17 @@ index i gets a squarefree class c_i: walking the non-zero entries of every
 matrix, an entry a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
 With D = diag(sqrt(c_i)), the entry of D^-1 M D at (i, j) is
 a*sqrt(r*c_i*c_j)/(e*c_i), rational because r*c_i*c_j is a square.  So every
-gauged generator is an `IntMatrix`: integer rows over one denominator.  An
-entry with two surd terms, or a class that clashes, raises; there is no
-fallback to surd arithmetic.
+gauged generator is an `IntMatrix`: integer rows over one denominator.  A
+class that clashes raises; there is no fallback to surd arithmetic.
+
+One surd term per entry is enough.  A matrix M fits the gauge
+exactly when its entry (i, j) lies in Q*sqrt(c_i*c_j).  Sums of such matrices
+keep that form entry by entry, and so do products: the (i, j) entry of AB
+sums terms of Q*sqrt(c_i*c_k)*sqrt(c_k*c_j) = Q*c_k*sqrt(c_i*c_j).  So every
+matrix of one representation, its generators and everything built from them,
+has one radicand, squarefree(c_i*c_j), per entry: a `SurdSum` holds one term
+c*sqrt(r), and its ``+`` raises on two radicands, which here would mean a
+matrix that fits no gauge.
 
 Why the gauge is exact: M -> D^-1 M D is linear, multiplicative
 (D^-1 A D D^-1 B D = D^-1 AB D), fixes the identity and is invertible.  A
@@ -64,7 +72,7 @@ gauges each equal-endpoint sbar_k block on its own and reads rank, trace and
 diagonal off the integer block, since D^-1 B D keeps all three; only its
 symmetry is read off the surds.
 
-So no ``SurdSum`` is ever added here: entries are built (a rational, the
+No ``SurdSum`` is added here even so: entries are built (a rational, the
 square root of a rational, or an entry scaled by a rational) and read
 (``==``, the gauge walk, JSON), and every sum runs on rationals or integers.
 
@@ -301,15 +309,14 @@ class PathBasis:
     N: Fraction
     paths: tuple[Path, ...]
     # level k -> its fibers, k -> the eigenvalues of x_k, and k -> the matrix
-    # of sbar_k with its rational diagonal {path index: d}, each built once
-    # per basis; not part of the value
+    # of sbar_k, each built once per basis; not part of the value
     _fibers: dict[int, tuple[tuple[int, ...], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     _eigenvalues: dict[int, tuple[Fraction, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
-    _sbar: dict[int, tuple[RepMatrix, dict[int, Fraction]]] = field(
+    _sbar: dict[int, RepMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
@@ -469,32 +476,27 @@ def _s_block(
 def build_sbar_matrix(basis: PathBasis, k: int) -> RepMatrix:
     """Matrix of sbar_k; nonzero only on fibers whose endpoints at levels
     k-1 and k+1 coincide, where it is the positive rank-one block.  Built
-    once per basis, with its diagonal: later calls return the same matrix."""
+    once per basis: later calls return the same matrix."""
     cached = basis._sbar.get(k)
     if cached is not None:
-        return cached[0]
+        return cached
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"generator index {k} out of range")
     paths, N = basis.paths, basis.N
     m = RepMatrix.zero(basis.dim)
-    diagonal: dict[int, Fraction] = {}
     for fiber in basis.fibers(k):
         p0 = paths[fiber[0]]
         if p0[k - 1] != p0[k + 1]:
             continue
-        diag, entries = _sbar_block(p0[k - 1], tuple(paths[i][k] for i in fiber), N)
-        diagonal.update(zip(fiber, diag))
-        for a, c, value in entries:
+        for a, c, value in _sbar_block(p0[k - 1], tuple(paths[i][k] for i in fiber), N)[1]:
             m.set(fiber[a], fiber[c], value)
-    basis._sbar[k] = (m, diagonal)
+    basis._sbar[k] = m
     return m
 
 
 def build_s_matrix(basis: PathBasis, k: int) -> RepMatrix:
-    """Matrix of s_k, assembled fiber by fiber (see the module docstring)
-    from the blocks of sbar_k and their diagonals, after `build_sbar_matrix`
-    has built the matrix of sbar_k."""
-    build_sbar_matrix(basis, k)
+    """Matrix of s_k, assembled fiber by fiber (see the module docstring);
+    an equal-endpoint fiber reads its block of sbar_k from `_sbar_block`."""
     paths, N = basis.paths, basis.N
     m = RepMatrix.zero(basis.dim)
     for fiber in basis.fibers(k):
@@ -538,15 +540,6 @@ def _gauge(
     """The squarefree classes c_i of the named dim x dim matrices and each of
     them as D^-1 M D (see the module docstring).  An error names the entry
     as "entry (i, j) of s2 <where> ..."."""
-
-    def term(token: tuple[str, int], i: int, j: int, value: SurdSum) -> tuple[int, int]:
-        # (radicand, numerator) of an entry a*sqrt(r)/den
-        if len(value.num) != 1:
-            raise RepresentationError(
-                f"entry ({i}, {j}) of {token[0]}{token[1]} {where} is {value}, not a single surd term"
-            )
-        return next(iter(value.num.items()))
-
     walked = [(token, m.rows) for token, m in named.items()]
     classes = [0] * dim  # 0: not reached yet
     for start in range(dim):
@@ -559,7 +552,7 @@ def _gauge(
             for token, rows in walked:
                 for j, value in rows[i].items():
                     if not classes[j]:
-                        classes[j] = squarefree_decomposition(classes[i] * term(token, i, j, value)[0])[1]
+                        classes[j] = squarefree_decomposition(classes[i] * value.rad)[1]
                         stack.append(j)
     gens = {}
     for token, rows in walked:
@@ -567,14 +560,13 @@ def _gauge(
         for i, row in enumerate(rows):
             ci = classes[i]
             for j, value in row.items():
-                r, a = term(token, i, j, value)
-                root, s = squarefree_decomposition(ci * r)
+                root, s = squarefree_decomposition(ci * value.rad)
                 if s != classes[j]:
                     raise RepresentationError(
                         f"entry ({i}, {j}) of {token[0]}{token[1]} {where} does not fit a diagonal gauge"
                     )
                 # a*sqrt(r)/den at (i, j) gauges to a*sqrt(r*c_i*c_j)/(den*c_i)
-                num, den = a * root * s, value.den * ci
+                num, den = value.num * root * s, value.den * ci
                 g = gcd(num, den)
                 entries.append((i, j, num // g, den // g))
         den = lcm(*(e[3] for e in entries))
@@ -655,8 +647,10 @@ def build_representation(
     basis = PathBasis.build(lam, n, N)
     matrices: dict[str, RepMatrix] = {}
     for k in range(1, n):
-        matrices[f"s{k}"] = build_s_matrix(basis, k)  # builds sbar_k first
-        matrices[f"sbar{k}"] = build_sbar_matrix(basis, k)
+        # sbar_k first, so that its guards raise before those of s_k
+        sbar = build_sbar_matrix(basis, k)
+        matrices[f"s{k}"] = build_s_matrix(basis, k)
+        matrices[f"sbar{k}"] = sbar
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
     rep = Representation(basis, matrices)
@@ -679,16 +673,13 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
     terms = [(c, factor_diagram(d)) for d, coeff in element.terms.items() if (c := coeff.eval(basis.N))]
     gauged = _combination(terms, gens, basis.dim)
     # entry q at (i, j) is q*sqrt(c_i*c_j)/c_j in the orthogonal form
-    rows = []
-    for i, row in enumerate(gauged.rows):
-        ci = classes[i]
-        out = {}
-        for j, q in row.items():
-            cj = classes[j]
-            root, s = squarefree_decomposition(ci * cj)
-            out[j] = SurdSum._trusted({s: q * root}, gauged.den * cj)
-        rows.append(out)
-    return RepMatrix(rows)
+    den = gauged.den
+    return RepMatrix(
+        [
+            {j: SurdSum(Fraction(q, den * classes[j]), ci * classes[j]) for j, q in row.items()}
+            for ci, row in zip(classes, gauged.rows)
+        ]
+    )
 
 
 def scalar_of(matrix: RepMatrix) -> Fraction:
@@ -813,7 +804,7 @@ def eigenvalue_tuples(lam: Diagram, n: int, N: int | Fraction) -> list[tuple[Fra
 
 
 def surd_to_json(s: SurdSum) -> list[list]:
-    return [[r, format_rational(c)] for r, c in sorted(s.terms.items())]
+    return [[r, format_rational(c)] for r, c in s.terms.items()]
 
 
 def matrix_to_json(m: RepMatrix) -> list[list]:

@@ -365,9 +365,10 @@ def _affine_pi(rng) -> tuple[bool, dict]:
 
 
 def _affine_hecke(rng) -> tuple[bool, dict]:
-    """The relations of `jm_relations`, read with x_k as y_k, and
-    sbar_1 y_1^i sbar_1 = w_i sbar_1 hold in the degenerate affine Hecke
-    quotient."""
+    """The relations of `jm_relations`, read with x_k as y_k,
+    sbar_1 y_1^i sbar_1 = w_i sbar_1, and w_i s_1 = f_i s_1 (the weights,
+    which no other term reaches: every term with a w also has an sbar) hold
+    in the degenerate affine Hecke quotient."""
     ok = True
     f = {2: Fraction(5), 4: Fraction(-3), 6: Fraction(1, 2)}
     hecke_checks = 0
@@ -389,6 +390,9 @@ def _affine_hecke(rng) -> tuple[bool, dict]:
             lhs = hq([("sbar", 1)] + [("y", 1)] * i + [("sbar", 1)])
             rhs = affine.hecke_quotient(affine.w_elem(i, n) * affine.sbar_elem(1, n), f)
             ok = ok and lhs == rhs
+            hecke_checks += 1
+        for i in (2, 4, 6):
+            ok = ok and hq([("w", i), ("s", 1)]) == hq([("s", 1)]).scale(f[i])
             hecke_checks += 1
     return ok, {"hecke_checks": hecke_checks}
 

@@ -58,7 +58,7 @@ def test_criterion_3_fails_on_an_off_diagonal_x_entry_or_a_wrong_central_value(m
 
 
 def test_rational_diagonal_reads_only_a_rational_diagonal():
-    half, root2 = SurdSum.rational(Fraction(1, 2)), SurdSum({2: 1})
+    half, root2 = SurdSum.rational(Fraction(1, 2)), SurdSum(1, 2)
     assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {}])) == [Fraction(1, 2), 0]
     assert verify._rational_diagonal(repform.RepMatrix([{0: half, 1: half}, {}])) is None
     assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {1: root2}])) is None
@@ -119,4 +119,12 @@ def test_affine_hecke_catches_a_dropped_trailing_y(monkeypatch):
 
     monkeypatch.setattr(affine, "from_word", dropped)
     ok, counts = verify._affine_hecke(random.Random(0))
-    assert not ok and counts == {"hecke_checks": 22}
+    assert not ok and counts == {"hecke_checks": 28}
+
+
+def test_affine_hecke_catches_a_lost_weight(monkeypatch):
+    # a quotient map that sends every w_i to 1 breaks only w_i s_1 = f_i s_1
+    quotient = affine.hecke_quotient
+    monkeypatch.setattr(affine, "hecke_quotient", lambda a, f: quotient(a, {i: 1 for i in f}))
+    ok, counts = verify._affine_hecke(random.Random(0))
+    assert not ok and counts == {"hecke_checks": 28}

@@ -272,6 +272,9 @@ def test_oracle_one_strand_or_one_dimension_passes_every_suite(capsys, n, N):
     assert all(e["ok"] for e in report)
 
 
+_AXES = "(numpy arrays have at most 64 axes)"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -280,6 +283,10 @@ def test_oracle_one_strand_or_one_dimension_passes_every_suite(capsys, n, N):
         (["--n", "40", "--N", "40", "--suite", "hom", "--trials", "1"], "oracle takes N^n <= 4096, got n=40, N=40"),
         (["--n", "5", "--N", "5", "--suite", "rank"], "the rank suite takes (2n-1)!! N^n <= 1000000, got n=5, N=5"),
         (["--n", "8", "--N", "1"], "the rank suite takes (2n-1)!! N^n <= 1000000, got n=8, N=1"),
+        # at N = 1 only the bound on n stops numpy's own "maximum supported dimension" error
+        (["--n", "64", "--N", "1", "--suite", "hom"], f"oracle takes n <= 63 {_AXES}, got n=64"),
+        (["--n", "64", "--N", "1", "--suite", "casimir"], f"oracle takes n <= 63 {_AXES}, got n=64"),
+        (["--n", "65", "--N", "1", "--suite", "spectrum"], f"oracle takes n <= 63 {_AXES}, got n=65"),
     ],
 )
 def test_oracle_refuses_a_size_past_its_bounds_at_once(capsys, monkeypatch, argv, message):
@@ -299,8 +306,10 @@ def test_oracle_bounds_are_inclusive():
     # 945 * 4^5 = 967,680 and 10,395 * 2^6 = 665,280 ones; 945 * 5^5 and 135,135 * 2^7 are past the bound
     assert refusal(5, 4, True) is None and refusal(6, 2, True) is None and refusal(7, 1, True) is None
     assert refusal(5, 5, True) and refusal(7, 2, True) and refusal(8, 1, True) and refusal(5, 5, False) is None
-    # N = 1 is a one-dimensional space for every n; a huge n with N >= 2 is refused without its power
-    assert refusal(10**9, 1, False) is None and refusal(10**9, 2, False) and refusal(10**9, 1, True)
+    # N = 1 is a one-dimensional space for every n, but numpy's arrays take n <= 63; a huge n with
+    # N >= 2 is refused without its power
+    assert refusal(63, 1, False) is None and refusal(64, 1, False) and refusal(10**9, 1, False)
+    assert refusal(10**9, 2, False) and refusal(10**9, 1, True)
 
 
 def test_oracle_product_that_could_pass_int64_is_exit_2(capsys, monkeypatch):

@@ -22,10 +22,6 @@ rationals = st.builds(
 )
 
 
-def surd(terms):
-    return SurdSum({r: Fraction(c) for r, c in terms})
-
-
 def test_squarefree_decomposition():
     assert squarefree_decomposition(60) == (2, 15)
     assert squarefree_decomposition(1) == (1, 1)
@@ -34,12 +30,13 @@ def test_squarefree_decomposition():
 
 
 def test_surd_mul_examples():
-    root2 = surd([(2, 1)])
+    root2 = SurdSum(1, 2)
     assert root2 * root2 == SurdSum.rational(2)
-    x = surd([(3, Fraction(1, 2)), (1, 5)])
+    x = SurdSum(Fraction(1, 2), 3)
     assert SurdSum.one() * x == x
-    # sqrt(6)*sqrt(10) = 2*sqrt(15)
-    assert surd([(6, 1)]) * surd([(10, 1)]) == surd([(15, 2)])
+    # sqrt(6)*sqrt(10) = 2*sqrt(15), and sqrt(12) = 2*sqrt(3) on construction
+    assert SurdSum(1, 6) * SurdSum(1, 10) == SurdSum(2, 15)
+    assert SurdSum(1, 12) == SurdSum(2, 3) and (SurdSum(1, 12).num, SurdSum(1, 12).rad) == (2, 3)
 
 
 def test_surd_mul_matches_generic_reduction():
@@ -50,28 +47,40 @@ def test_surd_mul_matches_generic_reduction():
         for r2 in range(1, 61):
             c1 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
             c2 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
-            a, b = SurdSum({r1: c1}), SurdSum({r2: c2})
-            assert a * b == SurdSum({r1 * r2: c1 * c2}), (r1, r2)
-    # sums: the product expands termwise and cancels to the normal form
+            a, b = SurdSum(c1, r1), SurdSum(c2, r2)
+            assert a * b == SurdSum(c1 * c2, r1 * r2), (r1, r2)
+    # sums on one radicand each: the product distributes over them and
+    # cancels to the normal form
     for _ in range(300):
-        xs = {rng.randint(1, 60): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
-        ys = {rng.randint(1, 60): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
+        r1, r2 = rng.randint(1, 60), rng.randint(1, 60)
+        xs = [SurdSum(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), r1 * m * m) for m in (1, 2, 3)]
+        ys = [SurdSum(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), r2 * m * m) for m in (1, 2, 3)]
         expect = SurdSum.zero()
-        for r1, c1 in xs.items():
-            for r2, c2 in ys.items():
-                expect = expect + SurdSum({r1 * r2: c1 * c2})
-        product = SurdSum(xs) * SurdSum(ys)
+        for x in xs:
+            for y in ys:
+                expect = expect + x * y
+        product = sum(xs, SurdSum.zero()) * sum(ys, SurdSum.zero())
         assert product == expect
-        assert all(product.terms.values())
-        assert all(squarefree_decomposition(r)[0] == 1 for r in product.terms)
-    assert SurdSum({2: 1}) * 3 == SurdSum({2: 3})
-    assert 3 * SurdSum({2: 1}) == SurdSum({2: 3})
+        assert_surd_normal_form(product)
+    assert SurdSum(1, 2) * 3 == SurdSum(3, 2)
+    assert 3 * SurdSum(1, 2) == SurdSum(3, 2)
+
+
+def test_surd_sum_over_two_radicands_raises():
+    root2, root3 = SurdSum(1, 2), SurdSum(1, 3)
+    for a, b in ((root2, root3), (root2, 1), (Fraction(1, 2), root3), (SurdSum(1, 8), SurdSum(1, 18) * root3)):
+        with pytest.raises(ValueError, match="two radicands"):
+            a + b
+    # a zero, on any radicand, adds to everything
+    assert root2 + SurdSum.zero() == root2 == 0 + root2
+    assert root2 + (root3 + root3 * -1) == root2
+    assert SurdSum(1, 8) + SurdSum(1, 18) == SurdSum(5, 2)
 
 
 def test_sqrt_of_rational_examples():
     assert sqrt_of_rational(Fraction(9, 4)) == SurdSum.rational(Fraction(3, 2))
     assert sqrt_of_rational(0) == SurdSum.zero()
-    assert sqrt_of_rational(Fraction(3, 4)) == surd([(3, Fraction(1, 2))])
+    assert sqrt_of_rational(Fraction(3, 4)) == SurdSum(Fraction(1, 2), 3)
     with pytest.raises(ValueError):
         sqrt_of_rational(Fraction(-1, 2))
 
@@ -84,16 +93,17 @@ def test_sqrt_squares_back():
         assert s * s == SurdSum.rational(q)
 
 
-surd_strategy = st.builds(
-    lambda pairs: SurdSum({r: c for r, c in pairs}),
-    st.lists(st.tuples(st.integers(min_value=1, max_value=30), rationals), max_size=3),
-)
+radicands = st.integers(min_value=1, max_value=30)
 
 
 @settings(max_examples=200, deadline=None)
-@given(surd_strategy, surd_strategy, surd_strategy)
-def test_surd_ring_axioms(a, b, c):
+@given(radicands, radicands, rationals, rationals, rationals, rationals)
+def test_surd_ring_axioms(r, t, ca, cb, cc, cd):
+    # a, b and d on one radicand, c on any
+    a, b, c, d = SurdSum(ca, r), SurdSum(cb, r), SurdSum(cc, t), SurdSum(cd, r)
     assert (a + b) * c == a * c + b * c
+    assert a + b == b + a
+    assert (a + b) + d == a + (b + d)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + a * -1 == SurdSum.zero()
@@ -102,13 +112,13 @@ def test_surd_ring_axioms(a, b, c):
 def test_surd_rational_hashes_like_its_value():
     assert Fraction(3, 2) in {SurdSum.rational(Fraction(3, 2))}
     assert 0 in {SurdSum.zero()}
-    root3 = SurdSum({3: 1})
+    root3 = SurdSum(1, 3)
     for x, value in (
         (SurdSum.rational(Fraction(3, 2)), Fraction(3, 2)),
         (SurdSum.zero(), 0),
         (SurdSum.one(), 1),
         (SurdSum.rational(Fraction(-6, 3)), -2),
-        (SurdSum({4: Fraction(1, 2)}), 1),
+        (SurdSum(Fraction(1, 2), 4), 1),
         # rational values that arithmetic produces
         (root3 * (root3 * Fraction(1, 6)), Fraction(1, 2)),
         (root3 + root3 * -1, 0),
@@ -116,8 +126,8 @@ def test_surd_rational_hashes_like_its_value():
     ):
         assert x == value and x == Fraction(value)
         assert hash(x) == hash(value) == hash(Fraction(value))
-    assert len({SurdSum.rational(2), 2, Fraction(2), SurdSum({4: 1})}) == 1
-    assert root3 != 3 and hash(root3 * 2) == hash(SurdSum({12: 1}))
+    assert len({SurdSum.rational(2), 2, Fraction(2), SurdSum(1, 4)}) == 1
+    assert root3 != 3 and hash(root3 * 2) == hash(SurdSum(1, 12))
 
 
 def test_npoly_basics():
@@ -248,41 +258,51 @@ def ref_surd_mul(a, b):
 
 
 def assert_surd_normal_form(x):
-    assert type(x.den) is int and x.den > 0, x.den
-    assert all(type(c) is int and c != 0 for c in x.num.values()), x.num
-    assert all(r > 0 and squarefree_decomposition(r)[0] == 1 for r in x.num), x.num
-    assert gcd(x.den, *x.num.values()) == 1, (x.num, x.den)
+    assert all(type(v) is int for v in (x.num, x.den, x.rad)), (x.num, x.den, x.rad)
+    assert x.den > 0 and gcd(x.num, x.den) == 1, (x.num, x.den)
+    assert x.rad > 0 and squarefree_decomposition(x.rad)[0] == 1, x.rad
+    assert x.num or (x.den, x.rad) == (1, 1), (x.num, x.den, x.rad)
 
 
-raw_surd = st.dictionaries(st.integers(min_value=1, max_value=60), mixed_coeffs, max_size=4)
+upto_60 = st.integers(min_value=1, max_value=60)
+small = st.integers(min_value=1, max_value=4)
 nonzero_rationals = st.one_of(st.integers(min_value=-30, max_value=30), rationals).filter(bool)
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw_surd, raw_surd, nonzero_rationals)
-def test_surd_matches_reference(da, db, q):
-    a, b = ref_surd(da), ref_surd(db)
-    x, y = SurdSum(da), SurdSum(db)
-    neg = lambda d: {r: -c for r, c in d.items()}
+@given(upto_60, small, small, mixed_coeffs, mixed_coeffs, upto_60, mixed_coeffs, nonzero_rationals)
+def test_surd_matches_reference(r, mx, my, cx, cy, rz, cz, q):
+    # x and y on one squarefree radicand, given as r times different squares;
+    # z on any radicand
+    dx, dy, dz = {r * mx * mx: cx}, {r * my * my: cy}, {rz: cz}
+    a, b, e = ref_surd(dx), ref_surd(dy), ref_surd(dz)
+    x, y, z = SurdSum(cx, r * mx * mx), SurdSum(cy, r * my * my), SurdSum(cz, rz)
+    neg = lambda d: {t: -c for t, c in d.items()}
     results = {
         "x": (x, a),
         "y": (y, b),
+        "z": (z, e),
         "+": (x + y, ref_surd_sum([a, b])),
         "-": (x + y * -1, ref_surd_sum([a, neg(b)])),
-        "*": (x * y, ref_surd_mul(a, b)),
+        "*": (x * z, ref_surd_mul(a, e)),
         "neg": (x * -1, neg(a)),
-        "/q": (x * (1 / Fraction(q)), {r: c / Fraction(q) for r, c in a.items()}),
+        "/q": (x * (1 / Fraction(q)), {t: c / Fraction(q) for t, c in a.items()}),
     }
     for c in (3, Fraction(3), Fraction(-5, 6), q):
         results[f"x*{c!r}"] = (x * c, ref_surd_mul(a, {1: Fraction(c)}))
         results[f"{c!r}*x"] = (c * x, ref_surd_mul(a, {1: Fraction(c)}))
-        results[f"x+{c!r}"] = (x + c, ref_surd_sum([a, {1: Fraction(c)}]))
-        results[f"x-{c!r}"] = (x + -c, ref_surd_sum([a, {1: -Fraction(c)}]))
-        results[f"{c!r}-x"] = (c + x * -1, ref_surd_sum([{1: Fraction(c)}, neg(a)]))
+        if a.keys() <= {1}:
+            results[f"x+{c!r}"] = (x + c, ref_surd_sum([a, {1: Fraction(c)}]))
+            results[f"x-{c!r}"] = (x + -c, ref_surd_sum([a, {1: -Fraction(c)}]))
+            results[f"{c!r}-x"] = (c + x * -1, ref_surd_sum([{1: Fraction(c)}, neg(a)]))
+        else:
+            with pytest.raises(ValueError, match="two radicands"):
+                x + c
     for op, (got, want) in results.items():
         assert dict(got.terms) == want, op
         assert_surd_normal_form(got)
-        rebuilt = SurdSum(want)
+        [(radicand, coefficient)] = want.items() or [(1, 0)]
+        rebuilt = SurdSum(coefficient, radicand)
         assert got == rebuilt and hash(got) == hash(rebuilt), op
         if want.keys() <= {1}:
             value = want.get(1, Fraction(0))
