@@ -233,7 +233,8 @@ def cmd_verify_all(args) -> int:
     else:
         for r in reports:
             status = "PASS" if r["ok"] else "FAIL"
-            print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s)")
+            rss = f"  peak RSS {r['peak_rss_mb']} MB" if "peak_rss_mb" in r else ""
+            print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s){rss}")
             for name, c in r.get("memos", {}).items():
                 print(f"      {name:32s} hits {c['hits']:>8}  misses {c['misses']:>8}")
     return 0 if ok else 1
@@ -306,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_affine_check)
 
     p = sub.add_parser("verify-all", parents=[common], help="run every acceptance criterion")
-    p.add_argument("--stats", action="store_true", help="also report each criterion's memo hits and misses")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="also report each criterion's memo hits and misses and the peak RSS after it",
+    )
     p.set_defaults(fn=cmd_verify_all)
 
     return parser

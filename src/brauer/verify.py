@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -449,7 +450,8 @@ ALL_CRITERIA = [
 
 
 # Every memo of the package, as module.function: `verify-all --stats` reports
-# the hits and misses each criterion adds to their `cache_info()`.
+# the hits and misses each criterion adds to their `cache_info()`, and the
+# process's peak RSS after each criterion.
 MEMOS = (
     "affine._hecke_push_v",
     "affine._jm_power",
@@ -471,6 +473,7 @@ MEMOS = (
     "shapes.enumerate_paths",
     "shapes.path_counts",
     "tensor._casimir_matrix",
+    "tensor._digits",
     "tensor._jm_sum_matrix",
     "tensor.diagram_matrix",
 )
@@ -491,7 +494,8 @@ def _memo_counts() -> dict[str, tuple[int, int]]:
 
 def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
     """Every criterion's report; with stats, each also has "memos": the
-    hits and misses it added to each memo it used."""
+    hits and misses it added to each memo it used, and "peak_rss_mb": the
+    process's peak RSS once it has run."""
     out = []
     for label, fn in ALL_CRITERIA:
         before = _memo_counts() if stats else {}
@@ -506,5 +510,7 @@ def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
                 hits0, misses0 = before.get(name, (0, 0))
                 if (hits, misses) != (hits0, misses0):
                     rep["memos"][name] = {"hits": hits - hits0, "misses": misses - misses0}
+            # the process's high-water mark so far; Linux gives ru_maxrss in KiB
+            rep["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         out.append(rep)
     return out

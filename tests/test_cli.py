@@ -388,9 +388,13 @@ def test_verify_all_stats_reports_each_criterion_s_memo_deltas(capsys, monkeypat
     monkeypatch.setattr(verify, "ALL_CRITERIA", [("0 composes", composes)])
     diagrams._compose_cached.cache_clear()
     code, out = run(capsys, "verify-all", "--stats", "--format", "json")
-    assert code == 0 and json.loads(out)[0]["memos"] == {"diagrams._compose_cached": {"hits": 1, "misses": 1}}
+    (rep,) = json.loads(out)
+    assert code == 0 and rep["memos"] == {"diagrams._compose_cached": {"hits": 1, "misses": 1}}
+    assert rep["peak_rss_mb"] > 0
     code, out = run(capsys, "verify-all", "--stats")
     assert code == 0 and out.splitlines()[1].split() == ["diagrams._compose_cached", "hits", "2", "misses", "0"]
+    head = out.splitlines()[0].split()
+    assert head[-4:-2] == ["peak", "RSS"] and float(head[-2]) > 0 and head[-1] == "MB"
     # without --stats the output keeps its shape
     code, out = run(capsys, "verify-all", "--format", "json")
     assert code == 0 and set(json.loads(out)[0]) == {"name", "ok", "seconds", "details", "criterion"}

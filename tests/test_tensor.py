@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from scipy import sparse
 
 from brauer import shapes, tensor, verify
+from brauer.cli import main
 from brauer.diagrams import (
     AlgebraElement,
     BrauerDiagram,
@@ -18,6 +21,7 @@ from brauer.diagrams import (
     jucys_murphy,
     partial_closure,
     random_diagram,
+    s_diagram,
     sbar_diagram,
     transposition,
     _token_diagram,
@@ -226,6 +230,44 @@ def test_homomorphism_answers_a_repeated_pair_by_its_first_check(monkeypatch):
     # and criterion 6 fails on a grid of that one point
     monkeypatch.setattr(verify, "_tensor_grid", lambda: [(n, N)])
     assert not verify.criterion_6_tensor(seed=5)["ok"]
+
+
+@pytest.mark.parametrize("n, N", [(12, 2), (6, 4), (2, 64)])
+def test_generator_pairs_build_each_generator_matrix_once(monkeypatch, n, N):
+    # the bounded memo holds every generator matrix through the generator
+    # pairs, so each is built once, and it never holds more than 64 matrices
+    built = Counter()
+    entry_indices = tensor._entry_indices
+
+    def counted(g, N):
+        built[g] += 1
+        return entry_indices(g, N)
+
+    monkeypatch.setattr(tensor, "_entry_indices", counted)
+    diagram_matrix.cache_clear()
+    assert verify_homomorphism(n, N, 0, random.Random(3))["ok"]
+    gens = [f(k, n) for k in range(1, n) for f in (s_diagram, sbar_diagram)]
+    assert all(built[g] == 1 for g in gens)
+    assert diagram_matrix.cache_info().currsize <= 64
+
+
+def test_digits_are_shared_read_only():
+    for n, N in [(1, 5), (3, 2), (2, 3), (4, 1)]:
+        d = tensor._digits(n, N)
+        assert d.shape == (n, N**n) and d.dtype == np.int64
+        # column j is the multi-index that flattens to j
+        assert (np.ravel_multi_index(tuple(d), (N,) * n) == np.arange(N**n)).all()
+        assert tensor._digits(n, N) is d
+        with pytest.raises(ValueError):
+            d[0, 0] = 1
+
+
+def test_verify_all_stats_reports_a_non_decreasing_peak_rss(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_tensor_grid", lambda: [(2, 2), (3, 3)])
+    assert main(["verify-all", "--stats", "--format", "json"]) == 0
+    peaks = [r["peak_rss_mb"] for r in json.loads(capsys.readouterr().out)]
+    assert len(peaks) == len(verify.ALL_CRITERIA)
+    assert peaks[0] > 0 and peaks == sorted(peaks)
 
 
 def test_homomorphism_example_pair():
