@@ -98,9 +98,8 @@ def cmd_relations(args) -> int:
 
 def cmd_shapes(args) -> int:
     N = args.N
-    members = shapes.enumerate_O(args.n, N)
     counts = shapes.path_counts(args.n, N)
-    data = [{"diagram": list(lam), "paths": counts.get(lam, 0)} for lam in members]
+    data = [{"diagram": list(lam), "paths": counts[lam]} for lam in sorted(counts)]
 
     def table(rows):
         print(f"O({args.n}, {N}):")
@@ -111,7 +110,20 @@ def cmd_shapes(args) -> int:
     return 0
 
 
+# `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so at
+# most P n(n+1)/2 parts.  `rep` prints 3n - 2 dense matrices of d^2 entries
+# for d paths, and its verification holds a table of about 3.5 n^2 relations.
+# Both counts are read off the branching walk before anything is enumerated.
+# README lists the measurements behind the bounds.
+PATHS_MAX_PARTS = 2 * 10**7
+REP_MAX_ENTRIES = 10**7
+REP_MAX_N = 500
+
+
 def cmd_paths(args) -> int:
+    count = shapes.path_counts(args.n, args.N).get(args.lam, 0)
+    if count * args.n * (args.n + 1) // 2 > PATHS_MAX_PARTS:
+        raise ValueError(f"paths takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got P={count}, n={args.n}")
     paths = shapes.enumerate_paths(args.lam, args.n, args.N)
     data = [shapes.path_to_json(p) for p in paths]
 
@@ -124,7 +136,14 @@ def cmd_paths(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    rep = repform.build_representation(args.lam, args.n, args.N, verify=not args.no_verify)
+    n, N = args.n, args.N
+    if n > REP_MAX_N and not args.no_verify:
+        raise ValueError(f"rep verifies n <= {REP_MAX_N} (its relation table grows as n^2), got n={n}")
+    # a non-integer N takes the unconstrained paths, as `PathBasis.build` does
+    d = shapes.path_counts(n, N if N.denominator == 1 else 2 * n + sum(args.lam)).get(args.lam, 0)
+    if (3 * n - 2) * d * d > REP_MAX_ENTRIES:
+        raise ValueError(f"rep takes (3n-2) d^2 <= {REP_MAX_ENTRIES} for d paths, got d={d}, n={n}")
+    rep = repform.build_representation(args.lam, n, N, verify=not args.no_verify)
     _emit(repform.representation_to_json(rep), args.format)
     return 0
 

@@ -653,6 +653,16 @@ def build_representation(
         matrices[f"sbar{k}"] = sbar
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
+    # positive roots sqrt(d_a d_b) give the rank-one v v^T only on a
+    # non-negative sbar diagonal.  _sbar_block refuses a mixed-sign one; an
+    # all-negative one is refused here, after every guard of the build, so
+    # that each input those guards refuse keeps its message
+    for k in range(1, n):
+        sbar = matrices[f"sbar{k}"]
+        for fiber in basis.fibers(k):
+            if len(fiber) > 1 and any(sbar.entry(i, i).num < 0 for i in fiber):
+                mu = basis.paths[fiber[0]][k - 1]
+                raise RepresentationError(f"degenerate N={basis.N}: negative sbar diagonal on fiber over {mu}")
     rep = Representation(basis, matrices)
     if verify and n >= 2:
         verify_representation(rep)

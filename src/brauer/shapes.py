@@ -7,6 +7,17 @@ irreducible representations at level n.  An up-down path is a sequence
 starting at the empty diagram that adds or removes one box per step while
 staying inside the level sets; paths index the canonical basis vectors.
 
+O(n, N) is read off the branching walk `path_counts`: for N >= 1 the
+diagrams it reaches at level n are exactly O(n, N).  The walk only visits
+members, since `branch` keeps only members of the next level.  Conversely,
+take lam in O(n, N) with |lam| = n - 2r.  Add its boxes in any order that
+keeps a Young diagram: each sub-diagram has no more boxes in its first two
+columns than lam, so each is a member of its level.  Then remove a corner of
+lam and add it back, r times (for lam = () step through (1), a member when
+N >= 1).  So every member lies on a path from the empty diagram, and every
+edge of the walk lies on some path.  The x_k spectrum over all paths is
+therefore the set of step eigenvalues over the walk's edges into level k.
+
 Tuple comparison gives the deterministic order used everywhere: comparing
 part lists elementwise with the shorter-prefix-first rule, which coincides
 with comparing zero-padded part lists since parts are positive.
@@ -16,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Diagram = tuple[int, ...]
 Path = tuple[Diagram, ...]
@@ -43,32 +54,6 @@ def in_O(lam: Diagram, n: int, N: int) -> bool:
     """Membership in O(n, N): column bound plus n - |lam| non-negative even."""
     size = sum(lam)
     return first_two_columns(lam) <= N and n - size >= 0 and (n - size) % 2 == 0
-
-
-def partitions(m: int) -> Iterator[Diagram]:
-    """All partitions of m, largest first part first (deterministic)."""
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Diagram]:
-        if remaining == 0:
-            yield prefix
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - first, first, prefix + (first,))
-
-    yield from rec(m, m, ())
-
-
-@lru_cache(maxsize=None)
-def enumerate_O(n: int, N: int) -> tuple[Diagram, ...]:
-    """O(n, N) in the deterministic (lexicographic) order."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    found = []
-    for size in range(n % 2, n + 1, 2):
-        for lam in partitions(size):
-            if first_two_columns(lam) <= N:
-                found.append(lam)
-    return tuple(sorted(found))
 
 
 def add_corners(lam: Diagram) -> list[tuple[int, Diagram]]:
@@ -122,6 +107,17 @@ def path_counts(n: int, N: int) -> dict[Diagram, int]:
                 new[nu] = new.get(nu, 0) + c
         counts = new
     return counts
+
+
+@lru_cache(maxsize=None)
+def enumerate_O(n: int, N: int) -> tuple[Diagram, ...]:
+    """O(n, N) in the deterministic (lexicographic) order: the diagrams the
+    branching walk reaches at level n (module docstring)."""
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    if N < 1:
+        raise ValueError(f"O(n, N) is read off the branching walk, which needs N >= 1, got N={N}")
+    return tuple(sorted(path_counts(n, N)))
 
 
 @lru_cache(maxsize=None)

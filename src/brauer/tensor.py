@@ -346,12 +346,14 @@ def casimir_check(n: int, N: int) -> dict:
 
 
 def predicted_jm_spectrum(k: int, N: int) -> set[Fraction]:
-    """All +/-((N-1)/2 + content) values reachable at level k."""
-    values: set[Fraction] = set()
-    for lam in shapes.enumerate_O(k, N):
-        for path in shapes.enumerate_paths(lam, k, N):
-            values.add(jm_eigenvalue(path, k, N))
-    return values
+    """All +/-((N-1)/2 + content) values of x_k over the paths to level k:
+    the step eigenvalues of the branching walk's edges into level k, each of
+    which lies on some path (`shapes` module docstring)."""
+    return {
+        jm_eigenvalue((mu, nu), 1, N)
+        for mu in shapes.path_counts(k - 1, N)
+        for nu in shapes.branch(mu, k, N)
+    }
 
 
 def spectrum_annihilation_check(k: int, n: int, N: int) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brauer
-from brauer import affine, cli, verify
+from brauer import affine, cli, shapes, verify
 from brauer.cli import main
 from brauer.diagrams import AlgebraElement
 
@@ -320,6 +320,53 @@ def test_oracle_product_that_could_pass_int64_is_exit_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "could pass int64" in captured.err
+
+
+def test_oracle_spectrum_at_the_largest_n(capsys):
+    # at N = 1 the branching walk has one diagram per level, so the predicted
+    # spectra of all 63 levels cost little
+    code, out = run(capsys, "oracle", "--n", "63", "--N", "1", "--suite", "spectrum", "--format", "json")
+    [entry] = json.loads(out)
+    assert code == 0 and entry["ok"] is True
+
+
+def test_rep_refuses_a_negative_sbar_diagonal(capsys):
+    # the level-2 fiber of V((1), 3) over (1) has an all-negative sbar
+    # diagonal at N = -5/2, which positive roots cannot make rank one
+    code = main(["rep", "--lambda", "1", "--n", "3", "--N=-5/2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: degenerate N=-5/2: negative sbar diagonal on fiber over (1,)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["paths", "--lambda", "", "--n", "20", "--N", "40"],
+            "paths takes P n(n+1)/2 <= 20000000 for P paths, got P=654729075, n=20",
+        ),
+        (["rep", "--lambda", "2,1", "--n", "9", "--N", "18"], "rep takes (3n-2) d^2 <= 10000000 for d paths, got d=2520, n=9"),
+        # a non-integer N counts the unconstrained paths
+        (["rep", "--lambda", "2,1", "--n", "9", "--N", "5/2"], "rep takes (3n-2) d^2 <= 10000000 for d paths, got d=2520, n=9"),
+        (["rep", "--lambda", "1", "--n", "501", "--N", "1"], "rep verifies n <= 500 (its relation table grows as n^2), got n=501"),
+    ],
+)
+def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypatch, argv, message):
+    # refused from the path count, before a path is enumerated
+    def refuse(*args):
+        raise AssertionError("paths were enumerated")
+
+    monkeypatch.setattr(shapes, "enumerate_paths", refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_rep_bound_on_n_is_lifted_by_no_verify(capsys):
+    code, out = run(capsys, "rep", "--lambda", "1", "--n", "501", "--N", "1", "--no-verify", "--format", "json")
+    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 501 - 2
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from brauer.repform import (
     x_matrix,
     z_series,
 )
+from test_shapes import partitions
 
 F = Fraction
 
@@ -281,7 +282,7 @@ def test_memoised_blocks_change_no_value():
     for Nv in (F(7, 2), F(9, 4)):
         for n in (1, 2, 3, 4):
             for size in range(n % 2, n + 1, 2):
-                cases += [(lam, n, Nv) for lam in shapes.partitions(size)]
+                cases += [(lam, n, Nv) for lam in partitions(size)]
     assert len(cases) == 131 + 32
     for memo in _LOCAL_MEMOS + _PATH_MEMOS:
         memo.cache_clear()
@@ -301,6 +302,17 @@ def test_a_degenerate_N_is_never_memoised():
                 build_representation(lam, n, Nv)
             messages.append(str(info.value))
         assert messages == [f"degenerate N={Nv}: negative product of sbar diagonals on fiber over {lam}"] * 2
+
+
+def test_an_all_negative_sbar_diagonal_is_refused_after_every_build_guard():
+    # V((1), 3) at N = -5/2: sbar_2's fiber over (1) has diagonal -2/5, -7/4, -7/20
+    for check in (True, False):
+        with pytest.raises(RepresentationError) as info:
+            build_representation((1,), 3, F(-5, 2), verify=check)
+        assert str(info.value) == "degenerate N=-5/2: negative sbar diagonal on fiber over (1,)"
+    # V((2), 4) at N = -7/2 has such a fiber at level 2, yet keeps the mixed-sign
+    # message of its level-3 fiber over (2) (test_a_degenerate_N_is_never_memoised)
+    assert max(repform._sbar_block((1,), ((), (1, 1), (2,)), F(-7, 2))[0]) < 0
 
 
 def _random_surd(rng: random.Random, radicand: int) -> SurdSum:
@@ -471,7 +483,7 @@ def test_gauge_exists_at_rational_N():
         built = 0
         for n in (2, 3, 4):
             for size in range(n % 2, n + 1, 2):
-                for lam in shapes.partitions(size):
+                for lam in partitions(size):
                     rep = build_representation(lam, n, Nv)
                     classes, gens = rep._gauged
                     assert len(classes) == rep.basis.dim and all(c >= 1 for c in classes)
@@ -567,7 +579,7 @@ def _small_representations():
                 yield lam, n, Nv
     for n in (1, 2, 3, 4):
         for size in range(n % 2, n + 1, 2):
-            for lam in shapes.partitions(size):
+            for lam in partitions(size):
                 yield lam, n, F(7, 2)
 
 
@@ -637,7 +649,7 @@ def _fiber_report_cases():
     for Nv in (F(7, 2), F(9, 4)):
         for n in (2, 3, 4):
             for size in range(n % 2, n + 1, 2):
-                for lam in shapes.partitions(size):
+                for lam in partitions(size):
                     yield lam, n, Nv
 
 

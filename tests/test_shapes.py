@@ -11,6 +11,7 @@ from brauer.shapes import (
     content_of_difference,
     enumerate_O,
     enumerate_paths,
+    first_two_columns,
     in_O,
     parse_partition,
     path_counts,
@@ -27,12 +28,43 @@ def test_in_O():
     assert in_O((2, 1), 3, 3)
 
 
+def partitions(m, cap=None):
+    """All partitions of m with parts at most cap (default m), largest first part first."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m if cap is None else cap, m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _filtered_O(n, Nv):
+    """O(n, N) by its definition: every partition of n - 2r, filtered by the column bound."""
+    return tuple(
+        sorted(lam for size in range(n % 2, n + 1, 2) for lam in partitions(size) if first_two_columns(lam) <= Nv)
+    )
+
+
 def test_enumerate_O():
     assert enumerate_O(2, 5) == ((), (1, 1), (2,))
     assert enumerate_O(1, 1) == ((1,),)
     # (2,1) has three boxes in its first two columns, so it is out at N=2
     assert enumerate_O(3, 2) == ((1,), (3,))
     assert enumerate_O(3, 6) == ((1,), (1, 1, 1), (2, 1), (3,))
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        enumerate_O(-1, 3)
+    # below N = 1 no path leaves the empty diagram, so the walk cannot give O(n, N)
+    with pytest.raises(ValueError, match="needs N >= 1"):
+        enumerate_O(2, 0)
+
+
+def test_enumerate_O_is_the_filtered_definition():
+    for n in range(13):
+        for Nv in range(1, 16):
+            assert enumerate_O(n, Nv) == _filtered_O(n, Nv), (n, Nv)
+    # even size <= 60 and at most 4 boxes in the first two columns: (), (1,1), (1,1,1,1),
+    # and (m), (m,1), (m,1,1), (m,k) with m, k >= 2: 3 + 30 + 29 + 29 + 435 diagrams
+    assert len(enumerate_O(60, 4)) == 526
 
 
 def test_branch():

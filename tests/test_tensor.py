@@ -26,6 +26,7 @@ from brauer.diagrams import (
     transposition,
     _token_diagram,
 )
+from brauer.repform import jm_eigenvalue
 from brauer.tensor import (
     TensorVector,
     casimir_apply,
@@ -341,6 +342,18 @@ def test_spectrum_annihilation():
         for k in range(1, n + 1):
             rep = spectrum_annihilation_check(k, n, N)
             assert rep["ok"] and rep["eigenvalues"] == sorted(tensor.predicted_jm_spectrum(k, N))
+
+
+def test_predicted_spectrum_is_the_all_paths_spectrum():
+    # the walk's edges into level k against x_k on every path to level k
+    for k in range(1, 9):
+        for N in range(1, 10):
+            every_path = {
+                jm_eigenvalue(path, k, N)
+                for lam in shapes.enumerate_O(k, N)
+                for path in shapes.enumerate_paths(lam, k, N)
+            }
+            assert tensor.predicted_jm_spectrum(k, N) == every_path, (k, N)
 
 
 def test_spectrum_product_fails_without_one_eigenvalue(monkeypatch):
