@@ -302,7 +302,7 @@ def sbar_elem(k: int, n: int) -> AffineElement:
     return AffineElement.from_diagram(sbar_diagram(k, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
     """w_i as a polynomial in w_0=N and the even w's, for odd i >= 1.
 
@@ -349,7 +349,7 @@ def w_elem(i: int, n: int) -> AffineElement:
 # the rewriting engine
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _route_y(d: BrauerDiagram, m: int, from_right: bool):
     """Move one y through d along its strand, by exact relation applications.
 
@@ -692,7 +692,11 @@ def from_word(atoms: list[Atom], n: int) -> AffineElement:
 # the central series w_k^(i)
 
 
-_CAP_SERIES: dict[tuple[int, int], list[AffineElement]] = {}
+@lru_cache(maxsize=16)
+def _cap_series(n: int, k: int) -> list[AffineElement]:
+    """The longest w_k series computed so far at n; `cap_series` fills it in
+    place."""
+    return []
 
 
 def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
@@ -706,9 +710,9 @@ def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
     """
     if k < 1:
         raise ValueError("strand index must be positive")
-    cached = _CAP_SERIES.get((n, k))
-    if cached is not None and len(cached) > order:
-        return cached[: order + 1]
+    known = _cap_series(n, k)
+    if len(known) > order:
+        return known[: order + 1]
     if k == 1:
         series = [w_elem(i, n) for i in range(order + 1)]
     else:
@@ -727,7 +731,7 @@ def cap_series(n: int, k: int, order: int) -> list[AffineElement]:
     for i, elem in enumerate(series):
         if elem.y_degree() > max(i - 1, 0):
             raise AssertionError("cap series degree bound violated")
-    _CAP_SERIES[(n, k)] = series
+    known[:] = series
     return series
 
 
@@ -750,7 +754,7 @@ def atom_image(atom: Atom, n: int, m: int) -> AlgebraElement:
     raise ValueError(f"unknown atom {atom}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _jm_power(k: int, total: int, exp: int) -> AlgebraElement:
     return jucys_murphy(k, total).power(exp)
 
@@ -851,7 +855,6 @@ class HeckeElement(Combination):
         return f"v^{list(vexp)}*perm{list(perm)}"
 
 
-@lru_cache(maxsize=None)
 def _hecke_push_v(perm: tuple[int, ...], m: int) -> tuple[tuple[int, int | None, tuple[int, ...]], ...]:
     """perm * v_m as [(sign, arrival strand or None, permutation)].
 

@@ -82,7 +82,9 @@ def _emit(data, fmt: str, table_fn=None):
     if fmt == "table" and table_fn is not None:
         table_fn(data)
     else:
-        print(json.dumps(data, indent=2, default=str))
+        # written chunk by chunk, so no copy of the whole text is held
+        json.dump(data, sys.stdout, indent=2, default=str)
+        sys.stdout.write("\n")
 
 
 def cmd_mult(args) -> int:

@@ -189,12 +189,12 @@ def bar_transposition(k: int, l: int, n: int) -> BrauerDiagram:
     return BrauerDiagram(n, tuple(pairing))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def s_diagram(k: int, n: int) -> BrauerDiagram:
     return transposition(k, k + 1, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def sbar_diagram(k: int, n: int) -> BrauerDiagram:
     return bar_transposition(k, k + 1, n)
 
@@ -383,7 +383,7 @@ def sbar_elem(k: int, n: int) -> AlgebraElement:
 # Jucys-Murphy elements and the conditional expectation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def jucys_murphy(k: int, n: int) -> AlgebraElement:
     """x_k = (N-1)/2 + sum_{l<k} [(k,l) - bar(k,l)], embedded in B(n, N)."""
     if not 1 <= k <= n:
@@ -421,7 +421,7 @@ def partial_closure(b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._trusted(k - 1, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def z_element(k: int, i: int) -> AlgebraElement:
     """The central element z_k^(i) of B(k-1, N): closure of x_k^i."""
     if k < 1 or i < 0:

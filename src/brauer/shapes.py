@@ -96,7 +96,7 @@ def branch(mu: Diagram, k: int, N: int) -> tuple[Diagram, ...]:
     return tuple(sorted(d for d in candidates if in_O(d, k, N)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def path_counts(n: int, N: int) -> dict[Diagram, int]:
     """Number of up-down paths from the empty diagram to each member of O(n, N)."""
     counts: dict[Diagram, int] = {EMPTY: 1}
@@ -109,7 +109,6 @@ def path_counts(n: int, N: int) -> dict[Diagram, int]:
     return counts
 
 
-@lru_cache(maxsize=None)
 def enumerate_O(n: int, N: int) -> tuple[Diagram, ...]:
     """O(n, N) in the deterministic (lexicographic) order: the diagrams the
     branching walk reaches at level n (module docstring)."""
@@ -120,7 +119,7 @@ def enumerate_O(n: int, N: int) -> tuple[Diagram, ...]:
     return tuple(sorted(path_counts(n, N)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_paths(lam: Diagram, n: int, N: int) -> tuple[Path, ...]:
     """All up-down paths from the empty diagram to lam, in path-lex order.
 

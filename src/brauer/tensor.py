@@ -15,8 +15,10 @@ each output, no duplicates).  It reads the base-N digits of every flat index
 from `_digits`, computed once per (n, N).  `diagram_matrix` wraps those pairs
 as a CSR matrix without a COO step or a sort, and the homomorphism sweep
 compares the structure of a product with that of the composite's matrix.
-Its memo holds one grid point's working set and no more, because a sweep
-never returns to an earlier point.  `centralizer_rank` reads the same index
+Both memos are scoped to one (n, N) point: a sweep never returns to a point
+it has left, so the first call at a new point drops the previous point's
+digits and matrices, and `diagram_matrix` holds at most 64 matrices within
+a point.  `centralizer_rank` reads the same index
 arrays and eliminates integer rows in place, which gives the rank over Q.
 
 The Casimir and spectrum checks are full matrix identities, with both sides
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +75,7 @@ class TensorVector(NamedTuple):
 # the action: one list of index pairs per diagram
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _digits(n: int, N: int) -> np.ndarray:
     """The base-N digits of every flat index, shape (n, N**n), i_1 first:
     column j holds the multi-index flattened to j.  Read-only, since every
@@ -121,14 +123,50 @@ def _entry_indices(g: BrauerDiagram, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(w_out, dtype=np.int64) @ labels, np.array(w_in, dtype=np.int64) @ labels
 
 
-# Sized to one (n, N) point of a sweep, which never returns to an earlier
-# point, so a larger memo only holds dead matrices of up to 64 KB each.
-# Measured working set: `tensor_grid` (default seed) makes 439 hits in 936
-# lookups, every one within a single grid point, at any bound of 8 or more;
-# criterion 6 keeps at most 22 generator matrices hot (at n = 12) while it
-# walks the generator pairs, and makes 13,600 hits in 22,173 lookups against
-# 14,780 at a bound of 1,024.
-@lru_cache(maxsize=64)
+def _point_memo(maxsize: int):
+    """`lru_cache(maxsize)` for a function of (g, N) that holds one (g.n, N)
+    point: the first call at another point drops every result held.
+    `cache_info()` counts the hits and misses of the dropped points too, and
+    `cache_clear()` drops everything, counts included."""
+
+    def decorate(fn):
+        memo = lru_cache(maxsize=maxsize)(fn)
+        point = None
+        hits = misses = 0  # of the points dropped
+
+        @wraps(fn)
+        def scoped(g: BrauerDiagram, N: int):
+            nonlocal point, hits, misses
+            if (g.n, N) != point:
+                info = memo.cache_info()
+                hits, misses = hits + info.hits, misses + info.misses
+                memo.cache_clear()
+                point = (g.n, N)
+            return memo(g, N)
+
+        def cache_info():
+            info = memo.cache_info()
+            return info._replace(hits=hits + info.hits, misses=misses + info.misses)
+
+        def cache_clear() -> None:
+            nonlocal point, hits, misses
+            memo.cache_clear()
+            point, hits, misses = None, 0, 0
+
+        scoped.cache_info, scoped.cache_clear = cache_info, cache_clear
+        return scoped
+
+    return decorate
+
+
+# A sweep never returns to an earlier point, so matrices of a point it has
+# left are dead (up to 64 KB each) and are dropped.  Measured working set
+# within a point: `tensor_grid` (default seed) makes 439 hits in 936 lookups,
+# every one within a single grid point, at any bound of 8 or more; criterion
+# 6 keeps at most 22 generator matrices hot (at n = 12) while it walks the
+# generator pairs, and makes 8,573 misses in 22,173 lookups at a bound of 64
+# against 11,313 at a bound of 8.
+@_point_memo(maxsize=64)
 def diagram_matrix(g: BrauerDiagram, N: int):
     """scipy CSR int64 matrix of the diagram action (exact integers).
 

@@ -452,8 +452,44 @@ ALL_CRITERIA = [
 # Every memo of the package, as module.function: `verify-all --stats` reports
 # the hits and misses each criterion adds to their `cache_info()`, and the
 # process's peak RSS after each criterion.
+#
+# Every memo is bounded.  A bound is at or above the memo's working set: the
+# largest LRU stack distance (the smallest bound that adds no miss) over the
+# four benchmark workloads, verify-all and each slow test.  Two memos are
+# held below it, to one (n, N) point each.  `diagram_matrix` keeps at most 64
+# matrices: at one point criterion 6 reuses a matrix after 313 others, and
+# 64 costs it 1,180 misses against an unbounded memo (8 would cost 3,920).
+# `_digits` keeps one point: the ten points revisited after the sweep, 104
+# points later, are computed again.  (The slow suite run as one process
+# reuses compose pairs 11,238 apart; each slow test alone, 6,722 apart.)
+# Hits/misses at seed 7031995, each run in a fresh process; "-" is unused:
+#
+# | memo                            | bound  | work set | tensor_grid | rep_sweep  | affine_words | brauer_products | verify-all   |
+# | ------------------------------- | ------ | -------- | ----------- | ---------- | ------------ | --------------- | ------------ |
+# | affine._cap_series              | 16     | 6        | -           | -          | 1,312/6      | -               | 309/3        |
+# | affine._jm_power                | 64     | 53       | -           | -          | 198/25       | -               | 85/21        |
+# | affine._odd_w_expansion         | 16     | 4        | -           | -          | 96/2         | -               | 58/2         |
+# | affine._route_y                 | 8,192  | 6,314    | -           | -          | 8,248/431    | -               | 1,767/40     |
+# | coeffs.squarefree_decomposition | 4,096  | 266      | -           | 10,867/274 | -            | -               | 10,118/259   |
+# | diagrams._compose_cached        | 8,192  | 6,722    | 187/92      | 9/29       | 14,460/3,813 | 256/1,090       | 16,304/6,147 |
+# | diagrams.factor_diagram         | 65,536 | 3,067    | -           | 601/18     | 4,250/123    | -               | 1,657/20     |
+# | diagrams.jucys_murphy           | 32     | 18       | 6/6         | 127/4      | 235/12       | 22/22           | 216/13       |
+# | diagrams.s_diagram              | 128    | 66       | -           | 24/7       | 6,725/8      | 1,308/21        | 1,528/66     |
+# | diagrams.sbar_diagram           | 128    | 66       | -           | 3/4        | 2,691/8      | 1,005/21        | 1,224/66     |
+# | diagrams.z_element              | 32     | 28       | -           | -          | 240/6        | -               | 156/28       |
+# | repform._relations              | 8      | 4        | -           | 127/4      | -            | -               | 127/4        |
+# | repform._s_block                | 1,024  | 193      | -           | 1,213/215  | -            | -               | 1,241/215    |
+# | repform._sbar_block             | 256    | 40       | -           | 228/40     | -            | -               | 462/40       |
+# | repform._step_eigenvalue        | 1,024  | 288      | -           | 3,091/189  | -            | -               | 6,026/323    |
+# | shapes.branch                   | 512    | 93       | 6/15        | 1,228/93   | -            | -               | 1,915/146    |
+# | shapes.enumerate_paths          | 256    | 178      | -           | 0/131      | -            | -               | 274/178      |
+# | shapes.path_counts              | 64     | 32       | 0/6         | -          | -            | -               | 66/36        |
+# | tensor._casimir_matrix          | 64     | 1        | 65/6        | -          | -            | -               | 0/6          |
+# | tensor._digits                  | 1      | 104      | 463/116     | -          | -            | -               | 8,539/116    |
+# | tensor._jm_sum_matrix           | 64     | 1        | 65/6        | -          | -            | -               | 0/6          |
+# | tensor.diagram_matrix           | 64     | 313      | 439/497     | -          | -            | -               | 13,600/8,573 |
 MEMOS = (
-    "affine._hecke_push_v",
+    "affine._cap_series",
     "affine._jm_power",
     "affine._odd_w_expansion",
     "affine._route_y",
@@ -469,7 +505,6 @@ MEMOS = (
     "repform._sbar_block",
     "repform._step_eigenvalue",
     "shapes.branch",
-    "shapes.enumerate_O",
     "shapes.enumerate_paths",
     "shapes.path_counts",
     "tensor._casimir_matrix",

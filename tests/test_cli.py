@@ -421,6 +421,42 @@ def test_memos_name_every_memo_of_the_package():
     assert found == set(verify.MEMOS)
 
 
+def test_every_memo_is_bounded():
+    for name in verify.MEMOS:
+        module, attr = name.split(".")
+        memo = getattr(importlib.import_module(f"brauer.{module}"), attr)
+        assert memo.cache_info().maxsize is not None, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--lambda", "1", "--n", "5", "--N", "3"],
+        ["rep", "--lambda", "2", "--n", "4", "--N", "3"],
+        ["relations", "--n", "3"],
+        ["shapes", "--n", "5", "--N", "3"],
+        ["mult", "--n", "3", "--word", "sbar1 s2 sbar1"],
+    ],
+)
+def test_json_is_written_in_chunks_with_the_one_shot_bytes(capsys, monkeypatch, argv):
+    emitted = []
+    dump = json.dump
+
+    def spy(data, fp, **kwargs):
+        emitted.append(data)
+        dump(data, fp, **kwargs)
+
+    def whole_text(*args, **kwargs):
+        raise AssertionError("the whole JSON text was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", spy)
+        patch.setattr(json, "dumps", whole_text)
+        code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(emitted) == 1
+    assert out == json.dumps(emitted[0], indent=2, default=str) + "\n"
+
+
 def test_verify_all_stats_reports_each_criterion_s_memo_deltas(capsys, monkeypatch):
     from brauer import diagrams
 

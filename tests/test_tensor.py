@@ -235,8 +235,8 @@ def test_homomorphism_answers_a_repeated_pair_by_its_first_check(monkeypatch):
 
 @pytest.mark.parametrize("n, N", [(12, 2), (6, 4), (2, 64)])
 def test_generator_pairs_build_each_generator_matrix_once(monkeypatch, n, N):
-    # the bounded memo holds every generator matrix through the generator
-    # pairs, so each is built once, and it never holds more than 64 matrices
+    # the memo holds every generator matrix through the generator pairs, so
+    # each is built once, and it holds this point's matrices, at most 64
     built = Counter()
     entry_indices = tensor._entry_indices
 
@@ -249,7 +249,35 @@ def test_generator_pairs_build_each_generator_matrix_once(monkeypatch, n, N):
     assert verify_homomorphism(n, N, 0, random.Random(3))["ok"]
     gens = [f(k, n) for k in range(1, n) for f in (s_diagram, sbar_diagram)]
     assert all(built[g] == 1 for g in gens)
-    assert diagram_matrix.cache_info().currsize <= 64
+    assert diagram_matrix.cache_info().currsize == min(len(built), 64)
+
+
+def test_a_new_point_drops_the_previous_point_s_matrices(monkeypatch):
+    built = Counter()
+    entry_indices = tensor._entry_indices
+
+    def counted(g, N):
+        built[g, N] += 1
+        return entry_indices(g, N)
+
+    monkeypatch.setattr(tensor, "_entry_indices", counted)
+    diagram_matrix.cache_clear()
+    rng = random.Random(3)
+    assert verify_homomorphism(3, 2, 20, rng)["ok"]
+    first = diagram_matrix.cache_info()
+    assert verify_homomorphism(3, 3, 20, rng)["ok"]
+    info = diagram_matrix.cache_info()
+    # only the second point's matrices are held (B(3) has 15 diagrams)
+    assert info.currsize == sum(1 for _, N in built if N == 3)
+    # the counts run on across the drop: every miss built one matrix
+    assert info.misses == sum(built.values()) > first.misses
+    assert info.hits > first.hits > 0
+    # a matrix of the first point is built again, and it is all that is held
+    g = next(g for g, N in built if N == 2)
+    diagram_matrix(g, 2)
+    assert built[g, 2] == 2 and diagram_matrix.cache_info().currsize == 1
+    diagram_matrix.cache_clear()
+    assert diagram_matrix.cache_info()[:2] == (0, 0)
 
 
 def test_digits_are_shared_read_only():
