@@ -329,10 +329,22 @@ def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
     return tuple((k, v * half) for k, v in acc.items())
 
 
+# The largest w index taken: an odd w_i expands through every odd index below
+# it, and the time doubles with each odd index, 2.2 s at w_33, 4.7 s at w_35
+# and 9.5 s at w_37 (README).
+W_MAX_INDEX = 33
+
+
+def _check_w_index(i: int) -> None:
+    if i > W_MAX_INDEX:
+        raise ValueError(f"w index must be at most {W_MAX_INDEX}, got w{i}")
+
+
 def w_elem(i: int, n: int) -> AffineElement:
     """The central generator w_i, with odd indices eliminated."""
     if i < 0:
         raise ValueError("w index must be non-negative")
+    _check_w_index(i)
     zero = (0,) * n
     ident = BrauerDiagram.identity(n)
     if i == 0:
@@ -668,6 +680,7 @@ def _check_atom(atom: Atom, n: int) -> None:
     elif kind == "y":
         ok = 1 <= k <= n
     elif kind == "w":
+        _check_w_index(k)
         ok = k >= 0
     else:
         raise ValueError(f"unknown atom {atom}")

@@ -114,12 +114,10 @@ def cmd_shapes(args) -> int:
 
 # `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so at
 # most P n(n+1)/2 parts.  `rep` prints 3n - 2 dense matrices of d^2 entries
-# for d paths, and its verification holds a table of about 3.5 n^2 relations.
-# Both counts are read off the branching walk before anything is enumerated.
-# README lists the measurements behind the bounds.
+# for d paths.  Both counts are read off the branching walk before anything
+# is enumerated.  README lists the measurements behind the bounds.
 PATHS_MAX_PARTS = 2 * 10**7
 REP_MAX_ENTRIES = 10**7
-REP_MAX_N = 500
 
 
 def cmd_paths(args) -> int:
@@ -139,8 +137,6 @@ def cmd_paths(args) -> int:
 
 def cmd_rep(args) -> int:
     n, N = args.n, args.N
-    if n > REP_MAX_N and not args.no_verify:
-        raise ValueError(f"rep verifies n <= {REP_MAX_N} (its relation table grows as n^2), got n={n}")
     # a non-integer N takes the unconstrained paths, as `PathBasis.build` does
     d = shapes.path_counts(n, N if N.denominator == 1 else 2 * n + sum(args.lam)).get(args.lam, 0)
     if (3 * n - 2) * d * d > REP_MAX_ENTRIES:
@@ -150,7 +146,15 @@ def cmd_rep(args) -> int:
     return 0
 
 
+# The highest --order that `central` takes: its series products take time a
+# little over quadratic in it, 2.4 s at order 500 and 11 s at order 1000 for
+# mu = (3, 2, 1), N = 7 (README).
+CENTRAL_MAX_ORDER = 500
+
+
 def cmd_central(args) -> int:
+    if args.order > CENTRAL_MAX_ORDER:
+        raise ValueError(f"central takes --order <= {CENTRAL_MAX_ORDER}, got {args.order}")
     pair = repform.central_series(args.mu, args.N, args.order)
     data = {
         "mu": list(args.mu),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Union
 
 Scalar = Union[int, Fraction, "NPoly"]
@@ -392,29 +392,54 @@ class Combination:
 # quadratic surds
 
 
+# The largest trial divisor: a radicand with no prime factor up to it and below
+# its cube has at most two prime factors, which `isqrt` tells apart.  Trial
+# division to 10^6 takes 0.1 s (README).
+SQUAREFREE_TRIAL_BOUND = 10**6
+
+
 @lru_cache(maxsize=4096)
 def squarefree_decomposition(r: int) -> tuple[int, int]:
     """Write r = m^2 * s with s squarefree; returns (m, s).
 
-    Trial division is plenty: radicands come from products of half-integers
-    bounded at desk scale, and the few distinct ones are memoised (the
-    acceptance sweep and every level-6 representation at N = 4, 7 meet 360).
+    Trial division up to SQUAREFREE_TRIAL_BOUND: radicands come from the
+    corner values of diagrams, whose prime factors stay below the bound
+    unless N is large.  A cofactor with no prime factor up to the bound is
+    p, p^2 or p*q when it is below the bound's cube; a larger one raises
+    ValueError naming r.  Products of two squarefree numbers take
+    `squarefree_product` instead.
     """
     if r <= 0:
         raise ValueError("radicand must be positive")
+    bound = SQUAREFREE_TRIAL_BOUND
     m, s = 1, 1
     d = 2
-    while d * d <= r:
-        if r % d == 0:
+    rest = r
+    while d * d <= rest:
+        if d > bound:
+            if rest >= bound**3:
+                raise ValueError(f"radicand {r} has a cofactor past {bound}^3 with no prime factor up to {bound}")
+            root = isqrt(rest)
+            if root * root == rest:
+                return m * root, s
+            break
+        if rest % d == 0:
             count = 0
-            while r % d == 0:
-                r //= d
+            while rest % d == 0:
+                rest //= d
                 count += 1
             m *= d ** (count // 2)
             if count % 2:
                 s *= d
         d += 1
-    return m, s * r
+    return m, s * rest
+
+
+def squarefree_product(a: int, b: int) -> tuple[int, int]:
+    """(g, s) with a * b = g^2 * s and s squarefree, for squarefree a, b >= 1:
+    g = gcd(a, b), and a/g, b/g are coprime and squarefree."""
+    g = gcd(a, b)
+    return g, (a // g) * (b // g)
 
 
 class SurdSum:
@@ -495,8 +520,8 @@ class SurdSum:
 
     def __mul__(self, other) -> SurdSum:
         other = SurdSum.coerce(other)
-        m, rad = squarefree_decomposition(self.rad * other.rad)
-        return SurdSum._reduced(self.num * other.num * m, self.den * other.den, rad)
+        g, rad = squarefree_product(self.rad, other.rad)
+        return SurdSum._reduced(self.num * other.num * g, self.den * other.den, rad)
 
     __rmul__ = __mul__
 

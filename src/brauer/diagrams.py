@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
@@ -493,47 +494,47 @@ def _token_diagram(token: tuple[str, int], n: int) -> BrauerDiagram:
 
 Word = tuple[tuple[str, int], ...]
 Side = list[tuple[int | NPoly, Word]]
+Relation = tuple[str, Side, Side]
 
 
-def presentation_relations(n: int) -> list[tuple[str, Side, Side]]:
+def presentation_relations(n: int) -> Iterator[Relation]:
     """All generator-indexed instances of the defining relations of B(n, N).
 
     Each side is a list of (coefficient, word) pairs, words over tokens
     ("s", k) and ("sbar", k); the empty word is the identity.  A coefficient
     is the int 1 or -1, except the N of bar-square, an NPoly.  This table and
     `jm_relations` are the one copy of the relations that every check reads.
+    Both are generated, one relation at a time: a check takes each as it
+    comes, so no check holds the table, which grows as n^2.
     """
     N = NPoly.N()
-    rels: list[tuple[str, Side, Side]] = []
     for k in range(1, n):
         s, sb = ("s", k), ("sbar", k)
-        rels.append((f"involution k={k}", [(1, (s, s))], [(1, ())]))
-        rels.append((f"bar-square k={k}", [(1, (sb, sb))], [(N, (sb,))]))
-        rels.append((f"absorb-left k={k}", [(1, (s, sb))], [(1, (sb,))]))
-        rels.append((f"absorb-right k={k}", [(1, (sb, s))], [(1, (sb,))]))
+        yield (f"involution k={k}", [(1, (s, s))], [(1, ())])
+        yield (f"bar-square k={k}", [(1, (sb, sb))], [(N, (sb,))])
+        yield (f"absorb-left k={k}", [(1, (s, sb))], [(1, (sb,))])
+        yield (f"absorb-right k={k}", [(1, (sb, s))], [(1, (sb,))])
     for k in range(1, n - 1):
         s, s1 = ("s", k), ("s", k + 1)
         sb, sb1 = ("sbar", k), ("sbar", k + 1)
-        rels.append((f"braid k={k}", [(1, (s, s1, s))], [(1, (s1, s, s1))]))
-        rels.append((f"bar-contract-up k={k}", [(1, (sb, sb1, sb))], [(1, (sb,))]))
-        rels.append((f"bar-contract-down k={k}", [(1, (sb1, sb, sb1))], [(1, (sb1,))]))
-        rels.append((f"slide-a k={k}", [(1, (s, sb1, sb))], [(1, (s1, sb))]))
-        rels.append((f"slide-b k={k}", [(1, (sb1, sb, s1))], [(1, (sb1, s))]))
+        yield (f"braid k={k}", [(1, (s, s1, s))], [(1, (s1, s, s1))])
+        yield (f"bar-contract-up k={k}", [(1, (sb, sb1, sb))], [(1, (sb,))])
+        yield (f"bar-contract-down k={k}", [(1, (sb1, sb, sb1))], [(1, (sb1,))])
+        yield (f"slide-a k={k}", [(1, (s, sb1, sb))], [(1, (s1, sb))])
+        yield (f"slide-b k={k}", [(1, (sb1, sb, s1))], [(1, (sb1, s))])
     for k in range(1, n):
         for l in range(k + 2, n):
             s, t = ("s", k), ("s", l)
             sb, tb = ("sbar", k), ("sbar", l)
-            rels.append((f"commute-ss k={k} l={l}", [(1, (s, t))], [(1, (t, s))]))
-            rels.append((f"commute-bar-s k={k} l={l}", [(1, (sb, t))], [(1, (t, sb))]))
-            rels.append((f"commute-bar-bar k={k} l={l}", [(1, (sb, tb))], [(1, (tb, sb))]))
-    return rels
+            yield (f"commute-ss k={k} l={l}", [(1, (s, t))], [(1, (t, s))])
+            yield (f"commute-bar-s k={k} l={l}", [(1, (sb, t))], [(1, (t, sb))])
+            yield (f"commute-bar-bar k={k} l={l}", [(1, (sb, tb))], [(1, (tb, sb))])
 
 
-def jm_relations(n: int) -> list[tuple[str, Side, Side]]:
+def jm_relations(n: int) -> Iterator[Relation]:
     """Instances of the mixed relations between generators and the x_k, in
     the format of `presentation_relations`; read with x_k as y_k, they are
     relations of the affine algebra."""
-    rels: list[tuple[str, Side, Side]] = []
     for k in range(1, n):
         s, sb = ("s", k), ("sbar", k)
         xk, xk1 = ("x", k), ("x", k + 1)
@@ -541,13 +542,12 @@ def jm_relations(n: int) -> list[tuple[str, Side, Side]]:
             if l in (k, k + 1):
                 continue
             xl = ("x", l)
-            rels.append((f"x-commute-s k={k} l={l}", [(1, (s, xl))], [(1, (xl, s))]))
-            rels.append((f"x-commute-bar k={k} l={l}", [(1, (sb, xl))], [(1, (xl, sb))]))
-        rels.append((f"x-cross-a k={k}", [(1, (s, xk)), (-1, (xk1, s))], [(1, (sb,)), (-1, ())]))
-        rels.append((f"x-cross-b k={k}", [(1, (s, xk1)), (-1, (xk, s))], [(1, ()), (-1, (sb,))]))
-        rels.append((f"x-kill-left k={k}", [(1, (sb, xk)), (1, (sb, xk1))], []))
-        rels.append((f"x-kill-right k={k}", [(1, (xk, sb)), (1, (xk1, sb))], []))
-    return rels
+            yield (f"x-commute-s k={k} l={l}", [(1, (s, xl))], [(1, (xl, s))])
+            yield (f"x-commute-bar k={k} l={l}", [(1, (sb, xl))], [(1, (xl, sb))])
+        yield (f"x-cross-a k={k}", [(1, (s, xk)), (-1, (xk1, s))], [(1, (sb,)), (-1, ())])
+        yield (f"x-cross-b k={k}", [(1, (s, xk1)), (-1, (xk, s))], [(1, ()), (-1, (sb,))])
+        yield (f"x-kill-left k={k}", [(1, (sb, xk)), (1, (sb, xk1))], [])
+        yield (f"x-kill-right k={k}", [(1, (xk, sb)), (1, (xk1, sb))], [])
 
 
 def generator_element(token: tuple[str, int], n: int) -> AlgebraElement:
@@ -573,7 +573,7 @@ def evaluate_side(side: Side, n: int) -> AlgebraElement:
     return AlgebraElement._trusted(n, total)
 
 
-def _report(n: int, relations: list[tuple[str, Side, Side]], extra: Iterable[tuple[str, bool]] = ()) -> dict:
+def _report(n: int, relations: Iterable[Relation], extra: Iterable[tuple[str, bool]] = ()) -> dict:
     """Check each relation of a table with N symbolic, then take each
     (name, ok) of `extra` as it comes, into one report."""
     results = [{"relation": name, "ok": evaluate_side(lhs, n) == evaluate_side(rhs, n)} for name, lhs, rhs in relations]
@@ -587,7 +587,7 @@ def verify_presentation(n: int, max_cases: int | None = None) -> dict:
         raise ValueError("need n >= 2 for generators")
     if max_cases is not None and max_cases < 0:
         raise ValueError(f"max_cases must be at least 0, got {max_cases}")
-    return _report(n, presentation_relations(n)[:max_cases])
+    return _report(n, islice(presentation_relations(n), max_cases))
 
 
 def verify_jm_relations(n: int) -> dict:

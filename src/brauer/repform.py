@@ -85,6 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
 
 from . import shapes
@@ -98,7 +99,7 @@ from .coeffs import (
     linear_fraction_series,
     monic_product,
     sqrt_of_rational,
-    squarefree_decomposition,
+    squarefree_product,
 )
 from .diagrams import (
     AlgebraElement,
@@ -552,7 +553,7 @@ def _gauge(
             for token, rows in walked:
                 for j, value in rows[i].items():
                     if not classes[j]:
-                        classes[j] = squarefree_decomposition(classes[i] * value.rad)[1]
+                        classes[j] = squarefree_product(classes[i], value.rad)[1]
                         stack.append(j)
     gens = {}
     for token, rows in walked:
@@ -560,7 +561,7 @@ def _gauge(
         for i, row in enumerate(rows):
             ci = classes[i]
             for j, value in row.items():
-                root, s = squarefree_decomposition(ci * value.rad)
+                root, s = squarefree_product(ci, value.rad)
                 if s != classes[j]:
                     raise RepresentationError(
                         f"entry ({i}, {j}) of {token[0]}{token[1]} {where} does not fit a diagonal gauge"
@@ -577,17 +578,9 @@ def _gauge(
     return classes, gens
 
 
-@lru_cache(maxsize=8)
-def _relations(n: int) -> list:
-    """Every relation of `presentation_relations(n)` and `jm_relations(n)`,
-    as the tables hold them: (name, lhs, rhs), each side a list of
-    (coefficient, word).  `_at` evaluates the one NPoly coefficient, the N of
-    bar-square.  One entry per n serves every N, which keeps the cache small."""
-    return presentation_relations(n) + jm_relations(n)
-
-
 def _at(side: list, N: Fraction) -> list:
-    """The (coefficient at N, word) terms of a relation side, zeros dropped."""
+    """The (coefficient at N, word) terms of a relation side, zeros dropped;
+    the one NPoly coefficient of the tables is the N of bar-square."""
     return [(c, word) for coeff, word in side if (c := coeff.eval(N) if coeff.__class__ is NPoly else coeff)]
 
 
@@ -622,7 +615,7 @@ def _combination(terms, gens: dict[tuple[str, int], IntMatrix], d: int) -> IntMa
 
 def verify_representation(rep: Representation) -> None:
     """Check that every s_k and sbar_k is symmetric, then every defining and
-    Jucys-Murphy relation, in the diagonal gauge.
+    Jucys-Murphy relation as the tables generate it, in the diagonal gauge.
 
     Raises RepresentationError naming the first violated check.
     """
@@ -633,7 +626,7 @@ def verify_representation(rep: Representation) -> None:
             if not rep.matrices[name].is_symmetric():
                 raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
     gens = rep._gauged[1]
-    for name, lhs, rhs in _relations(n):
+    for name, lhs, rhs in chain(presentation_relations(n), jm_relations(n)):
         if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
             raise RepresentationError(
                 f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
@@ -682,14 +675,17 @@ def representation_action(rep: Representation, element: AlgebraElement) -> RepMa
     classes, gens = rep._gauged
     terms = [(c, factor_diagram(d)) for d, coeff in element.terms.items() if (c := coeff.eval(basis.N))]
     gauged = _combination(terms, gens, basis.dim)
-    # entry q at (i, j) is q*sqrt(c_i*c_j)/c_j in the orthogonal form
+    # entry q at (i, j) is q*sqrt(c_i*c_j)/c_j = q*g*sqrt(s)/c_j in the
+    # orthogonal form, for c_i*c_j = g^2*s
     den = gauged.den
-    return RepMatrix(
-        [
-            {j: SurdSum(Fraction(q, den * classes[j]), ci * classes[j]) for j, q in row.items()}
-            for ci, row in zip(classes, gauged.rows)
-        ]
-    )
+    rows = []
+    for ci, row in zip(classes, gauged.rows):
+        entries = {}
+        for j, q in row.items():
+            g, s = squarefree_product(ci, classes[j])
+            entries[j] = SurdSum._reduced(q * g, den * classes[j], s)
+        rows.append(entries)
+    return RepMatrix(rows)
 
 
 def scalar_of(matrix: RepMatrix) -> Fraction:

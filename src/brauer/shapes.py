@@ -18,6 +18,20 @@ N >= 1).  So every member lies on a path from the empty diagram, and every
 edge of the walk lies on some path.  The x_k spectrum over all paths is
 therefore the set of step eigenvalues over the walk's edges into level k.
 
+`enumerate_paths` prunes backwards from lam and expands forwards from the
+empty diagram.  Being one box apart is symmetric: mu in O(k, N) is in
+`branch(nu, k, N)` exactly when nu in O(k + 1, N) is in `branch(mu, k + 1,
+N)`.  Keep, at each level, the diagrams from which lam is reached by steps
+inside the level sets: at level n that is lam alone, and at level k it is
+the union of `branch(nu, k, N)` over the diagrams nu kept at level k + 1.
+From a kept mu the steps that still reach lam go to exactly the kept nu it
+was found from.  A path to lam takes only such steps, and every chain of
+them from the empty diagram is a path to lam.  The chains start at the empty
+diagram, so a kept diagram that it does not reach is never expanded, and
+the reachability argument above is not needed.  Taking each level's kept
+diagrams in sorted order keeps every step's list sorted, so the paths come
+out already in path-lex order and the final sort is one pass.
+
 Tuple comparison gives the deterministic order used everywhere: comparing
 part lists elementwise with the shorter-prefix-first rule, which coincides
 with comparing zero-padded part lists since parts are positive.
@@ -88,7 +102,8 @@ def remove_corners(lam: Diagram) -> list[tuple[int, Diagram]]:
     return out
 
 
-# rep_sweep leaves 93 entries here, the n = 6 levels at N = 4 and 7 leave 53
+# rep_sweep leaves 137 entries here, the n = 6 levels at N = 4 and 7 leave 102:
+# `path_counts` steps forward from each diagram, `enumerate_paths` backward
 @lru_cache(maxsize=512)
 def branch(mu: Diagram, k: int, N: int) -> tuple[Diagram, ...]:
     """All members of O(k, N) differing from mu by one box, sorted."""
@@ -127,20 +142,19 @@ def enumerate_paths(lam: Diagram, n: int, N: int) -> tuple[Path, ...]:
     """
     if not in_O(lam, n, N):
         raise ValueError(f"{lam} is not in O({n}, {N})")
-    # steps[k][mu]: the level-(k+1) neighbours of the level-k diagram mu,
-    # pruned backwards to those from which lam is still reachable
-    steps: list[dict[Diagram, tuple[Diagram, ...]]] = []
-    level = {EMPTY}
-    for k in range(1, n + 1):
-        steps.append({mu: branch(mu, k, N) for mu in level})
-        level = {nu for nus in steps[-1].values() for nu in nus}
-    keep = {lam}
+    # steps[k][mu]: the diagrams at level k + 1 one box from mu that still
+    # reach lam, in sorted order (module docstring)
+    steps: list[dict[Diagram, list[Diagram]]] = [{} for _ in range(n)]
+    keep: Iterable[Diagram] = (lam,)
     for k in range(n - 1, -1, -1):
-        steps[k] = {mu: tuple(nu for nu in nus if nu in keep) for mu, nus in steps[k].items()}
-        keep = {mu for mu, nus in steps[k].items() if nus}
-    paths: list[Path] = [(EMPTY,)]
-    for k in range(n):
-        paths = [p + (nu,) for p in paths for nu in steps[k][p[-1]]]
+        for nu in sorted(keep):
+            for mu in branch(nu, k, N):
+                steps[k].setdefault(mu, []).append(nu)
+        keep = steps[k]
+    # every diagram a path reaches is kept, so a key of the next step
+    paths: list[Path] = [(EMPTY,)] if EMPTY in keep else []
+    for step in steps:
+        paths = [p + (nu,) for p in paths for nu in step[p[-1]]]
     return tuple(sorted(paths))
 
 

@@ -470,18 +470,17 @@ ALL_CRITERIA = [
 # | affine._jm_power                | 64     | 53       | -           | -          | 198/25       | -               | 85/21        |
 # | affine._odd_w_expansion         | 16     | 4        | -           | -          | 96/2         | -               | 58/2         |
 # | affine._route_y                 | 8,192  | 6,314    | -           | -          | 8,248/431    | -               | 1,767/40     |
-# | coeffs.squarefree_decomposition | 4,096  | 266      | -           | 10,867/274 | -            | -               | 10,118/259   |
+# | coeffs.squarefree_decomposition | 4,096  | 74       | -           | 96/90      | -            | -               | 96/90        |
 # | diagrams._compose_cached        | 8,192  | 6,722    | 187/92      | 9/29       | 14,460/3,813 | 256/1,090       | 16,304/6,147 |
 # | diagrams.factor_diagram         | 65,536 | 3,067    | -           | 601/18     | 4,250/123    | -               | 1,657/20     |
 # | diagrams.jucys_murphy           | 32     | 18       | 6/6         | 127/4      | 235/12       | 22/22           | 216/13       |
 # | diagrams.s_diagram              | 128    | 66       | -           | 24/7       | 6,725/8      | 1,308/21        | 1,528/66     |
 # | diagrams.sbar_diagram           | 128    | 66       | -           | 3/4        | 2,691/8      | 1,005/21        | 1,224/66     |
 # | diagrams.z_element              | 32     | 28       | -           | -          | 240/6        | -               | 156/28       |
-# | repform._relations              | 8      | 4        | -           | 127/4      | -            | -               | 127/4        |
 # | repform._s_block                | 1,024  | 193      | -           | 1,213/215  | -            | -               | 1,241/215    |
 # | repform._sbar_block             | 256    | 40       | -           | 228/40     | -            | -               | 462/40       |
 # | repform._step_eigenvalue        | 1,024  | 288      | -           | 3,091/189  | -            | -               | 6,026/323    |
-# | shapes.branch                   | 512    | 93       | 6/15        | 1,228/93   | -            | -               | 1,915/146    |
+# | shapes.branch                   | 512    | 147      | 6/15        | 681/137    | -            | -               | 1,057/290    |
 # | shapes.enumerate_paths          | 256    | 178      | -           | 0/131      | -            | -               | 274/178      |
 # | shapes.path_counts              | 64     | 32       | 0/6         | -          | -            | -               | 66/36        |
 # | tensor._casimir_matrix          | 64     | 1        | 65/6        | -          | -            | -               | 0/6          |
@@ -500,7 +499,6 @@ MEMOS = (
     "diagrams.s_diagram",
     "diagrams.sbar_diagram",
     "diagrams.z_element",
-    "repform._relations",
     "repform._s_block",
     "repform._sbar_block",
     "repform._step_eigenvalue",

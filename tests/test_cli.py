@@ -9,6 +9,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -168,6 +169,26 @@ def test_affine_nf_out_of_range_index_is_usage_error(capsys, word):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "out of range for n=2" in captured.err
+
+
+@pytest.mark.parametrize("index", [affine.W_MAX_INDEX + 1, 1001, 10**18])
+def test_w_index_past_its_bound_is_usage_error_without_a_traceback(index):
+    # an odd w_i expands through every odd index below it: w1001 ended in a
+    # RecursionError, and w10^18 built a tuple of 5*10^17 entries
+    src = str(pathlib.Path(brauer.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauer.cli", "affine", "nf", "--n", "1", "--word", f"w{index}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: w index must be at most {affine.W_MAX_INDEX}, got w{index}\n"
+
+
+def test_w_index_bound_is_inclusive():
+    affine._check_atom(("w", affine.W_MAX_INDEX), 1)
+    for check in (lambda i: affine._check_atom(("w", i), 1), lambda i: affine.w_elem(i, 1)):
+        with pytest.raises(ValueError, match=f"w index must be at most {affine.W_MAX_INDEX}, got w"):
+            check(affine.W_MAX_INDEX + 1)
 
 
 def test_oracle(capsys):
@@ -349,7 +370,6 @@ def test_rep_refuses_a_negative_sbar_diagonal(capsys):
         (["rep", "--lambda", "2,1", "--n", "9", "--N", "18"], "rep takes (3n-2) d^2 <= 10000000 for d paths, got d=2520, n=9"),
         # a non-integer N counts the unconstrained paths
         (["rep", "--lambda", "2,1", "--n", "9", "--N", "5/2"], "rep takes (3n-2) d^2 <= 10000000 for d paths, got d=2520, n=9"),
-        (["rep", "--lambda", "1", "--n", "501", "--N", "1"], "rep verifies n <= 500 (its relation table grows as n^2), got n=501"),
     ],
 )
 def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypatch, argv, message):
@@ -364,9 +384,39 @@ def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypat
     assert captured.err == f"error: {message}\n"
 
 
-def test_rep_bound_on_n_is_lifted_by_no_verify(capsys):
-    code, out = run(capsys, "rep", "--lambda", "1", "--n", "501", "--N", "1", "--no-verify", "--format", "json")
-    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 501 - 2
+def test_rep_verifies_past_n_500(capsys):
+    # each relation is checked as it is generated, so n no longer has a bound
+    code, out = run(capsys, "rep", "--lambda", "", "--n", "502", "--N", "1", "--format", "json")
+    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 502 - 2
+
+
+@pytest.mark.parametrize(
+    "lam, n, code, err",
+    [
+        ("1", "3", 0, ""),
+        ("2,1", "5", 2, "has a cofactor past 1000000^3 with no prime factor up to 1000000\n"),
+    ],
+)
+def test_rep_at_a_large_integer_N_finishes_in_seconds(capsys, lam, n, code, err):
+    # products of squarefree radicands reduce through a gcd; a lone radicand
+    # that trial division to 10^6 does not settle is refused, naming it
+    start = time.perf_counter()
+    got = main(["rep", "--lambda", lam, "--n", n, "--N", str(10**12), "--format", "json"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 10
+    assert got == code and captured.err.endswith(err)
+    if code == 2:
+        assert captured.err.startswith("error: radicand ") and captured.out == ""
+
+
+def test_central_order_past_its_bound_is_usage_error(capsys):
+    bound = cli.CENTRAL_MAX_ORDER
+    code, out = run(capsys, "central", "--mu", "", "--N", "3", "--order", str(bound), "--format", "json")
+    assert code == 0 and len(json.loads(out)["Q"]) == bound + 1
+    code = main(["central", "--mu", "3,2,1", "--N", "7", "--order", str(10**9)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: central takes --order <= {bound}, got {10**9}\n"
 
 
 @pytest.mark.parametrize(

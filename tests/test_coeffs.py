@@ -14,6 +14,8 @@ from brauer.coeffs import (
     n_minus_1_half,
     sqrt_of_rational,
     squarefree_decomposition,
+    squarefree_product,
+    SQUAREFREE_TRIAL_BOUND,
     _mul_into,
 )
 
@@ -27,6 +29,29 @@ def test_squarefree_decomposition():
     assert squarefree_decomposition(1) == (1, 1)
     assert squarefree_decomposition(49) == (7, 1)
     assert squarefree_decomposition(18) == (3, 2)
+
+
+def test_squarefree_decomposition_past_the_trial_bound():
+    # three primes just above the bound: a cofactor of two of them, or a
+    # square of one, is below the bound's cube and settled; three are refused
+    p, q, r = 1000003, 1000033, 1000037
+    assert SQUAREFREE_TRIAL_BOUND < p
+    assert squarefree_decomposition(12 * p * q) == (2, 3 * p * q)
+    assert squarefree_decomposition(18 * p * p) == (3 * p, 2)
+    assert squarefree_decomposition(5 * q) == (1, 5 * q)
+    with pytest.raises(ValueError, match=f"radicand {p * q * r} has a cofactor past"):
+        squarefree_decomposition(p * q * r)
+
+
+def test_squarefree_product_matches_the_decomposition():
+    squarefree = [r for r in range(1, 200) if squarefree_decomposition(r)[0] == 1]
+    for a in squarefree:
+        for b in squarefree:
+            assert squarefree_product(a, b) == squarefree_decomposition(a * b), (a, b)
+    # a gcd needs no factoring: the three primes above are refused by trial
+    # division but not here
+    big = 1000003 * 1000033 * 1000037
+    assert squarefree_product(6 * big, 10 * big) == (2 * big, 15)
 
 
 def test_surd_mul_examples():

@@ -85,18 +85,45 @@ def test_enumerate_paths():
         enumerate_paths((2, 1), 3, 2)
 
 
-def _unpruned_paths(lam, n, Nv):
+def _up_down_sequences(n, Nv):
+    """Every sequence from the empty diagram that adds or removes one box per
+    step and stays in O(k, N), by the definitions alone, keyed by its end."""
+
+    def member(parts, k):
+        while parts and parts[-1] == 0:
+            parts.pop()
+        d = tuple(parts)
+        if any(p <= 0 for p in d) or any(a < b for a, b in zip(d, d[1:])):
+            return None
+        fits = len(d) + sum(p >= 2 for p in d) <= Nv and k >= sum(d) and (k - sum(d)) % 2 == 0
+        return d if fits else None
+
     level = [((),)]
     for k in range(1, n + 1):
-        level = [p + (nu,) for p in level for nu in branch(p[-1], k, Nv)]
-    return tuple(sorted(p for p in level if p[-1] == lam))
+        longer = []
+        for p in level:
+            for row in range(len(p[-1]) + 1):
+                for step in (1, -1):
+                    parts = [*p[-1], 0]
+                    parts[row] += step
+                    d = member(parts, k)
+                    if d is not None:
+                        longer.append(p + (d,))
+        level = longer
+    ends = {}
+    for p in sorted(level):
+        ends.setdefault(p[-1], []).append(p)
+    return ends
 
 
 def test_enumerate_paths_matches_unpruned():
-    for n in range(7):
-        for Nv in range(1, 6):
+    # the paths pruned back from lam are every up-down sequence to lam
+    for n in range(8):
+        for Nv in range(1, 7):
+            ends = _up_down_sequences(n, Nv)
+            assert sorted(ends) == list(enumerate_O(n, Nv)), (n, Nv)
             for lam in enumerate_O(n, Nv):
-                assert enumerate_paths(lam, n, Nv) == _unpruned_paths(lam, n, Nv), (lam, n, Nv)
+                assert enumerate_paths(lam, n, Nv) == tuple(ends[lam]), (lam, n, Nv)
 
 
 def test_every_path_step_in_O():
