@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import affine, repform, shapes, verify
 from .coeffs import format_rational
-from .diagrams import element_to_json, evaluate_side, verify_presentation
+from .diagrams import element_to_json, evaluate_side, relation_count, verify_presentation
 from .shapes import parse_partition
 
 
@@ -115,9 +115,13 @@ def cmd_shapes(args) -> int:
 # `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so at
 # most P n(n+1)/2 parts.  `rep` prints 3n - 2 dense matrices of d^2 entries
 # for d paths.  Both counts are read off the branching walk before anything
-# is enumerated.  README lists the measurements behind the bounds.
+# is enumerated.  `rep` also verifies the about 3.5 n^2 relations of
+# `relation_count(n)` unless told not to, and its time grows with their
+# number: 16.6 s for the 3,499,495 relations at n = 1000.  README lists the
+# measurements behind the bounds.
 PATHS_MAX_PARTS = 2 * 10**7
 REP_MAX_ENTRIES = 10**7
+REP_MAX_RELATIONS = 35 * 10**5
 
 
 def cmd_paths(args) -> int:
@@ -137,8 +141,12 @@ def cmd_paths(args) -> int:
 
 def cmd_rep(args) -> int:
     n, N = args.n, args.N
-    # a non-integer N takes the unconstrained paths, as `PathBasis.build` does
-    d = shapes.path_counts(n, N if N.denominator == 1 else 2 * n + sum(args.lam)).get(args.lam, 0)
+    relations = relation_count(n)
+    if not args.no_verify and relations > REP_MAX_RELATIONS:
+        raise ValueError(
+            f"rep verifies at most {REP_MAX_RELATIONS} relations (--no-verify skips them), got {relations} at n={n}"
+        )
+    d = shapes.path_counts(n, repform.walk_level(args.lam, n, N)).get(args.lam, 0)
     if (3 * n - 2) * d * d > REP_MAX_ENTRIES:
         raise ValueError(f"rep takes (3n-2) d^2 <= {REP_MAX_ENTRIES} for d paths, got d={d}, n={n}")
     rep = repform.build_representation(args.lam, n, N, verify=not args.no_verify)

@@ -11,26 +11,41 @@ assembled fiberwise:
   * on a fiber with equal endpoints mu, sbar_k is the rank-one block with
     rational diagonal d given by residues of the central series over the
     corner data of mu and positive square-root off-diagonal entries
-    sqrt(d_i d_j).  s_k is read off that block through
-    s_k x_k - x_{k+1} s_k = sbar_k - 1: with b_i the x_k eigenvalue, the
-    diagonal is (d_i - 1)/(2 b_i) and the off-diagonal entry is
-    sbar(i, j) * 1/(b_i + b_j), except on the self-paired branch (N odd,
-    associated diagrams, b_i = 0), whose diagonal entry 1 - sum d_t/b_t over
-    the other paths t follows from s_k sbar_k = sbar_k.  So each sbar_k is
-    built once per basis, its diagonal d is stored beside it, and the s_k
-    block of a fiber reads the sbar_k block of the same fiber.
+    sqrt(d_i d_j).  s_k is read off that block.  With b_i the x_k
+    eigenvalue of path i (x_{k+1} is -b_i there), entry (i, j) of
+    s_k x_k - x_{k+1} s_k = sbar_k - 1 pins s(i, j) = sbar(i, j)/(b_i + b_j)
+    for i != j, and entry (i, i) of s_k sbar_k = sbar_k,
+    d_i s(i, i) + sum_{t != i} s(i, t) sbar(t, i) = d_i, pins
+    s(i, i) = 1 - sum_{t != i} d_t/(b_i + b_t) for every i, b_i = 0
+    included.  So each sbar_k is built once per basis, its diagonal d is
+    stored beside it, and the s_k block of a fiber reads the sbar_k block of
+    the same fiber.
+
+The diagonal formula divides by d_i, which no path basis makes 0.  d_i = 0
+needs a corner value b_j = -b_i of mu other than b_i (the factor 2b+1 is
+dropped at b = -1/2).  With h = (N-1)/2 and mu' the column lengths of mu,
+an addable corner in column j has value h + c, c = j - 1 - mu'_j, and a
+removable one -h - e, e = j - mu'_j.  Addable and removable contents
+alternate along the rim, so a mixed pair sums to c - e != 0.  For j < j',
+two addable corners sum to 0 at N = 1 - c - c' = 3 - j - j' + mu'_j + mu'_j'
+and two removable ones at N = 1 - e - e' = 1 - j - j' + mu'_j + mu'_j':
+never at a non-integer N, and at an integer N >= mu'_1 + mu'_2 (mu is in
+its level set) only for the addable corners of columns 1 and 2 at
+N = mu'_1 + mu'_2, whose steps leave O(k, N).  So also b_i + b_j != 0 for
+two paths of a fiber: the one guard of an equal-endpoint fiber, a zero
+b_i + b_j, fires only on a block that no path basis builds, and raises a
+`RepresentationError` naming mu and N instead of dividing by zero.
 
 Both bullets are local.  On a level-k fiber every quantity they use is read
 off the diagram before it (level k-1), the diagram after it (level k+1), its
 level-k diagrams in path order and N: the x_k and x_{k+1} eigenvalues of
-its paths are those of the steps into and out of level k, and each step's
-eigenvalue is read off its two diagrams and N; the corner values of mu are
-`b_list(mu, N)`; and the guard of the self-paired branch is N odd with
-`are_associated(mu, middle, N)`.  So the block of s_k on a fiber is a pure
-function of (before, middles, after, N), `_s_block`, the block of sbar_k of
-(mu, middles, N), `_sbar_block`, and a step eigenvalue of (before, after,
-N), `_step_eigenvalue`.  Each is computed once per key in a bounded memo,
-and the builders only place the cached entries.  `lru_cache` stores no
+its paths are those of the steps into and out of level k, each step's
+eigenvalue is read off its two diagrams and N, and the corner values of mu
+are `b_list(mu, N)`.  So the block of s_k on a fiber is a pure function of
+(before, middles, after, N), `_s_block`, the block of sbar_k of (mu,
+middles, N), `_sbar_block`, and a step eigenvalue of (before, after, N),
+`_step_eigenvalue`.  Each is computed once per key in a bounded memo, and
+the builders only place the cached entries.  `lru_cache` stores no
 exception, so a degenerate N raises the same `RepresentationError`, whose
 message names only mu and N, on every build.  The memo cannot hide a wrong
 block either: every built representation is still checked relation by
@@ -138,12 +153,6 @@ def central_content_eigenvalue(lam: Diagram, n: int, N: int | Fraction) -> Fract
     """Eigenvalue of x_1 + ... + x_n on V(lam, n)."""
     N = as_fraction(N)
     return (N - 1) / 2 * sum(lam) + sum(shapes.contents(lam))
-
-
-def are_associated(lam: Diagram, mu: Diagram, N: int) -> bool:
-    """First columns summing to N, all other columns equal."""
-    trim = lambda d: tuple(p - 1 for p in d if p >= 2)
-    return trim(lam) == trim(mu) and len(lam) + len(mu) == N
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +310,13 @@ class IntMatrix:
 # path basis and fibers
 
 
+def walk_level(lam: Diagram, n: int, N: Fraction) -> int:
+    """The level of the branching walk whose paths to lam index V(lam, n) at
+    N: N itself, or at a non-integer N, where no column bound applies,
+    2n + |lam|, which bounds no diagram on a path of n steps."""
+    return int(N) if N.denominator == 1 else 2 * n + sum(lam)
+
+
 @dataclass(frozen=True)
 class PathBasis:
     """Ordered list of up-down paths indexing rows and columns of matrices."""
@@ -325,20 +341,15 @@ class PathBasis:
     def build(lam: Diagram, n: int, N: int | Fraction) -> PathBasis:
         N = as_fraction(N)
         if N.denominator != 1:
-            # formal specialization: no column bound can be applied through a
-            # non-integer N, so only reachability is checked and the paths are
-            # the unconstrained (large-N) set
+            # only reachability is checked: see `walk_level`
             size = sum(lam)
             if size > n or (n - size) % 2:
                 raise ValueError(f"{lam} not in O({n}, {N})")
-            paths = shapes.enumerate_paths(lam, n, 2 * n + size)
         elif N < 1:
             raise ValueError(f"an integer N must be at least 1, got {N}")
         elif not shapes.in_O(lam, n, int(N)):
             raise ValueError(f"{lam} not in O({n}, {N})")
-        else:
-            paths = shapes.enumerate_paths(lam, n, int(N))
-        return PathBasis(lam, n, N, paths)
+        return PathBasis(lam, n, N, shapes.enumerate_paths(lam, n, walk_level(lam, n, N)))
 
     @property
     def dim(self) -> int:
@@ -437,40 +448,21 @@ def _s_block(
             s = sqrt_of_rational(radicand)
             entries += ((0, 1, s), (1, 0, s))
         return tuple(entries)
-    # s(i, j) (b_i + b_j) = sbar(i, j) - delta_ij, from the relation
-    # s_k x_k - x_{k+1} s_k = sbar_k - 1 with x_k = b, x_{k+1} = -b
+    # the equal-endpoint formulas of the module docstring: x_k = b and
+    # x_{k+1} = -b on each path, and no d_i is 0
     mu = before
     diagonal, sbar_entries = _sbar_block(mu, middles, N)
     sbar = {(a, c): value for a, c, value in sbar_entries}
     bs = [_step_eigenvalue(mu, middle, N) for middle in middles]
-    for a in range(len(middles)):
-        for c in range(len(middles)):
-            denom = bs[a] + bs[c]
-            if denom != 0:
-                if a == c:
-                    entries.append((a, a, SurdSum.rational((diagonal[a] - 1) / denom)))
-                else:
-                    entries.append((a, c, sbar[a, c] * (1 / denom)))
-                continue
-            # x_k = 0: the self-paired branch, legal only on the diagonal
-            # for odd integer N with associated step diagrams, where
-            # s_k sbar_k = sbar_k forces
-            #   s_k(L,L) = 1 - sum_{L'' != L} sbar(L'',L'')/x_k(L'')
-            if not (
-                a == c
-                and N.denominator == 1
-                and int(N) % 2 == 1
-                and are_associated(mu, middles[a], int(N))
-            ):
-                raise RepresentationError(
-                    f"zero denominator outside the guarded branch (N={N}, mu={mu})"
-                )
-            others = [t for t in range(len(middles)) if t != a]
-            if any(bs[t] == 0 for t in others):
-                raise RepresentationError(
-                    f"repeated zero eigenvalue on fiber over {mu} at N={N}"
-                )
-            entries.append((a, a, SurdSum.rational(1 - sum(diagonal[t] / bs[t] for t in others))))
+    for a, b in enumerate(bs):
+        diag = Fraction(1)
+        for c, bc in enumerate(bs):
+            if c != a:
+                if b + bc == 0:
+                    raise RepresentationError(f"two x_k eigenvalues sum to 0 on the fiber over {mu} at N={N}")
+                diag -= diagonal[c] / (b + bc)
+                entries.append((a, c, sbar[a, c] * (1 / (b + bc))))
+        entries.append((a, a, SurdSum.rational(diag)))
     return tuple(entries)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import brauer
 from brauer import affine, cli, shapes, verify
 from brauer.cli import main
-from brauer.diagrams import AlgebraElement
+from brauer.diagrams import AlgebraElement, relation_count
 
 
 def run(capsys, *argv):
@@ -128,7 +128,7 @@ def test_rep_rational_N(capsys):
 
 # sha256 of `rep --format json`, pinned so that a change to how the
 # orthogonal form is built cannot change the printed matrices unnoticed;
-# V((1), 3) at N = 3 takes the self-paired branch
+# V((1), 3) at N = 3 has a path with x_2 = 0, where the s_2 diagonal is 1/2
 REP_JSON_SHA256 = {
     ("2,1", "5", "4"): "7d965f71623ead820ae932bd6f3bc44495272c0cb778af6b8e479f657ae6d5f3",
     ("1", "5", "9"): "d10a056d4b9720bf77ac2271f084a999bdeb7305438f7726915e6b94b98804b9",
@@ -382,6 +382,32 @@ def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypat
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_rep_refuses_to_verify_past_its_relation_bound_at_once(capsys, monkeypatch):
+    # refused from the relation count, before a path is counted or enumerated
+    def refuse(*args):
+        raise AssertionError("paths were walked")
+
+    monkeypatch.setattr(shapes, "path_counts", refuse)
+    monkeypatch.setattr(shapes, "enumerate_paths", refuse)
+    start = time.perf_counter()
+    code = main(["rep", "--lambda", "", "--n", "100000", "--N", "1"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: rep verifies at most 3500000 relations (--no-verify skips them), got 34999949995 at n=100000\n"
+    )
+
+
+def test_rep_relation_bound_is_inclusive():
+    assert relation_count(1000) <= cli.REP_MAX_RELATIONS < relation_count(1001)
+
+
+def test_rep_without_verification_keeps_only_the_size_bounds(capsys):
+    code, out = run(capsys, "rep", "--lambda", "", "--n", "1002", "--N", "1", "--no-verify", "--format", "json")
+    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 1002 - 2
 
 
 def test_rep_verifies_past_n_500(capsys):

@@ -25,6 +25,7 @@ from brauer.diagrams import (
     perm_word,
     presentation_relations,
     random_diagram,
+    relation_count,
     s_diagram,
     s_elem,
     sbar_diagram,
@@ -323,6 +324,11 @@ def test_relation_tables_are_generated():
     assert time.perf_counter() - t0 < 1.0
     assert report["checked"] == 3 and report["all_ok"]
     assert [r["relation"] for r in report["results"]] == ["involution k=1", "bar-square k=1", "absorb-left k=1"]
+
+
+def test_relation_count_is_what_the_tables_yield():
+    for n in range(12):
+        assert relation_count(n) == sum(1 for _ in chain(presentation_relations(n), jm_relations(n)))
 
 
 def test_presentation_mutation_sensitivity(monkeypatch):

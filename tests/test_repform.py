@@ -117,13 +117,41 @@ def test_zero_block_when_endpoints_differ():
 
 
 def test_associated_self_paired_branch():
-    # V((1), 3) at N=3 exercises the x_k = 0 diagonal; forced by
-    # s_k sbar_k = sbar_k, its value here is 1/2
+    # V((1), 3) at N=3 has a path with x_2 = 0; the one diagonal formula
+    # 1 - sum_{t != i} d_t/(b_i + b_t), pinned by s_k sbar_k = sbar_k, takes
+    # it like any other path, and its value here is 1/2
     rep = build_representation((1,), 3, 3)
     basis = rep.basis
     idx = [i for i, p in enumerate(basis.paths) if p[2] == (1, 1)]
     assert len(idx) == 1
     assert rep.matrices["s2"].entry(idx[0], idx[0]) == SurdSum.rational(F(1, 2))
+
+
+def test_equal_endpoint_guard_names_mu_and_N():
+    # at N = 1 the steps (1) -> (1, 1) and (1) -> (2) have x_k = -1 and 1;
+    # (1, 1) is not in O(2, 1), so no path basis builds this block, and a
+    # direct call raises instead of dividing by zero
+    with pytest.raises(RepresentationError) as info:
+        repform._s_block((1,), ((1, 1), (2,)), (1,), F(1))
+    assert str(info.value) == "two x_k eigenvalues sum to 0 on the fiber over (1,) at N=1"
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), F(7, 2), F(-5, 3), F(1, 4)])
+def test_equal_endpoint_fibers_have_no_zero_sbar_diagonal(N):
+    # the s_k diagonal divides by d_i; the module docstring shows that no
+    # fiber of a path basis has d_i = 0 or b_i + b_j = 0 for two paths
+    N = F(N)
+    for mu in (lam for size in range(7) for lam in partitions(size)):
+        if N.denominator == 1 and shapes.first_two_columns(mu) > N:
+            continue
+        middles = shapes.branch(mu, sum(mu) + 1, repform.walk_level(mu, sum(mu) + 1, N))
+        bs = [repform._step_eigenvalue(mu, nu, N) for nu in middles]
+        assert all(b + c for i, b in enumerate(bs) for c in bs[i + 1 :])
+        try:
+            diagonal = repform._sbar_block(mu, middles, N)[0]
+        except RepresentationError:
+            continue  # a mixed-sign diagonal at a degenerate rational N
+        assert all(diagonal)
 
 
 def test_full_sweep_small():
