@@ -11,12 +11,12 @@ assembled fiberwise:
   * on a fiber with equal endpoints mu, sbar_k is the rank-one block with
     rational diagonal d given by residues of the central series over the
     corner data of mu and positive square-root off-diagonal entries
-    sqrt(d_i d_j).  s_k is read off that block.  With b_i the x_k
-    eigenvalue of path i (x_{k+1} is -b_i there), entry (i, j) of
-    s_k x_k - x_{k+1} s_k = sbar_k - 1 pins s(i, j) = sbar(i, j)/(b_i + b_j)
-    for i != j, and entry (i, i) of s_k sbar_k = sbar_k,
-    d_i s(i, i) + sum_{t != i} s(i, t) sbar(t, i) = d_i, pins
-    s(i, i) = 1 - sum_{t != i} d_t/(b_i + b_t) for every i, b_i = 0
+    sqrt(d_i d_j), refused on a negative d_i.  s_k is read off that block.
+    With b_i the x_k eigenvalue of path i (x_{k+1} is -b_i there), entry
+    (i, j) of s_k x_k - x_{k+1} s_k = sbar_k - 1 pins
+    s(i, j) = sbar(i, j)/(b_i + b_j) for i != j, and entry (i, i) of
+    s_k sbar_k = sbar_k, d_i s(i, i) + sum_{t != i} s(i, t) sbar(t, i) = d_i,
+    pins s(i, i) = 1 - sum_{t != i} d_t/(b_i + b_t) for every i, b_i = 0
     included.  So each sbar_k is built once per basis, its diagonal d is
     stored beside it, and the s_k block of a fiber reads the sbar_k block of
     the same fiber.
@@ -35,6 +35,22 @@ N = mu'_1 + mu'_2, whose steps leave O(k, N).  So also b_i + b_j != 0 for
 two paths of a fiber: the one guard of an equal-endpoint fiber, a zero
 b_i + b_j, fires only on a block that no path basis builds, and raises a
 `RepresentationError` naming mu and N instead of dividing by zero.
+
+A split fiber, from mu at level k-1 to nu != mu at level k+1, has at most
+two paths and x_k != x_{k+1} on each, so the first bullet needs no guard
+but the sign of its square.  If nu adds boxes a and b to mu, a middle is
+mu + a or mu + b; if it removes two, likewise; if nu = mu + a - b, a middle
+mu + x with nu = mu + x - y has x = a and y = b, and one mu - y + x the same,
+so it is mu + a or mu - b.  The two boxes of a two-box skew shape lie on
+different diagonals, so on an add/add or remove/remove path
+x_{k+1} - x_k = +/-(c_b - c_a) != 0 for their contents.  For nu = mu + a - b
+to be a diagram, a is an addable and b a removable corner of mu in columns
+j != j' (b just above a would leave a hanging), and x_{k+1} - x_k =
++/-(N - 1 + c_a + c_b) with c_a = j - 1 - mu'_j and c_b = j' - mu'_j'.  It
+is 0 only at N = 2 - j - j' + mu'_j + mu'_j': never at a non-integer N, and
+at an integer one it needs N <= mu'_1 + mu'_2 - 1, since mu'_j - j is at
+most mu'_1 - 1 for the smaller column and mu'_2 - 2 for the larger, below
+the column bound mu'_1 + mu'_2 <= N that mu in O(k-1, N) meets.
 
 Both bullets are local.  On a level-k fiber every quantity they use is read
 off the diagram before it (level k-1), the diagram after it (level k+1), its
@@ -101,7 +117,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import shapes
 from .coeffs import (
@@ -387,34 +403,33 @@ def _sbar_block(
     positions, in the order `build_sbar_matrix` writes them.
 
     The diagonal holds the residues of Z(mu, u)/u at u = b over the corner
-    data of mu, one per x_k eigenvalue b: (2b+1) times the product of
-    (b+b_j)/(b-b_j) over b_j != b, with the doubled-eigenvalue branch at
-    b = -1/2.  Off the diagonal the entry is sqrt(d_a d_b).
+    data of mu, one per x_k eigenvalue b: the product of the factors (2b+1),
+    or -1 at the doubled eigenvalue b = -1/2, and (b+b_j)/(b-b_j) over
+    b_j != b.  Off the diagonal the entry is sqrt(d_a d_b), the product of
+    the roots of the two entries, each the product of its factors' roots, so
+    no product of two entries is factored.  Positive roots give the rank-one
+    block only on a non-negative diagonal: a fiber of two or more paths with
+    a negative entry is refused.
     """
     values = shapes.b_list(mu, N)
-    diagonal = []
+    factors = []
     for middle in middles:
         b = _step_eigenvalue(mu, middle, N)
-        num = Fraction(1)
-        den = Fraction(1)
-        for bj in values:
-            if bj == b:
-                continue
-            num *= b + bj
-            den *= b - bj
-        diagonal.append(-num / den if b == Fraction(-1, 2) else (2 * b + 1) * num / den)
+        head = Fraction(-1) if b == Fraction(-1, 2) else 2 * b + 1
+        factors.append([head, *((b + bj) / (b - bj) for bj in values if bj != b)])
+    diagonal = tuple(prod(fs) for fs in factors)
+    if len(middles) == 1:
+        return diagonal, ((0, 0, SurdSum.rational(diagonal[0])),)
+    if min(diagonal) < 0:
+        raise RepresentationError(f"degenerate N={N}: negative sbar diagonal on fiber over {mu}")
+    roots = [prod(sqrt_of_rational(abs(f)) for f in fs) for fs in factors]
     entries = []
     for a, da in enumerate(diagonal):
         entries.append((a, a, SurdSum.rational(da)))
         for c in range(a + 1, len(diagonal)):
-            prod = da * diagonal[c]
-            if prod < 0:
-                raise RepresentationError(
-                    f"degenerate N={N}: negative product of sbar diagonals on fiber over {mu}"
-                )
-            s = sqrt_of_rational(prod)
+            s = roots[a] * roots[c]
             entries += ((a, c, s), (c, a, s))
-    return tuple(diagonal), tuple(entries)
+    return diagonal, tuple(entries)
 
 
 # rep_sweep leaves 215 entries here, the n = 6 levels at N = 4 and 7 leave 165
@@ -428,24 +443,17 @@ def _s_block(
     fiber are those of the module docstring."""
     entries = []
     if before != after:
-        if len(middles) > 2:
-            raise RepresentationError("fiber with distinct endpoints has dimension > 2")
-        deltas = []
-        for a, middle in enumerate(middles):
-            delta = _step_eigenvalue(middle, after, N) - _step_eigenvalue(before, middle, N)
-            if delta == 0:
-                raise RepresentationError(
-                    f"x_k = x_(k+1) on a split fiber at N={N}; construction breaks"
-                )
-            deltas.append(delta)
-            entries.append((a, a, SurdSum.rational(1 / delta)))
+        # at most two middles, and x_k != x_{k+1} on each (module docstring)
+        deltas = [_step_eigenvalue(middle, after, N) - _step_eigenvalue(before, middle, N) for middle in middles]
+        entries += ((a, a, SurdSum.rational(1 / delta)) for a, delta in enumerate(deltas))
         if len(middles) == 2:
-            radicand = 1 - deltas[0] ** -2
-            if radicand < 0:
+            # sqrt(1 - delta^-2) = sqrt(|delta| - 1) sqrt(|delta| + 1) / |delta|
+            delta = abs(deltas[0])
+            if delta < 1:
                 raise RepresentationError(
                     f"degenerate N={N}: negative off-diagonal square on a split fiber"
                 )
-            s = sqrt_of_rational(radicand)
+            s = sqrt_of_rational(delta - 1) * sqrt_of_rational(delta + 1) * (1 / delta)
             entries += ((0, 1, s), (1, 0, s))
         return tuple(entries)
     # the equal-endpoint formulas of the module docstring: x_k = b and
@@ -638,16 +646,6 @@ def build_representation(
         matrices[f"sbar{k}"] = sbar
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
-    # positive roots sqrt(d_a d_b) give the rank-one v v^T only on a
-    # non-negative sbar diagonal.  _sbar_block refuses a mixed-sign one; an
-    # all-negative one is refused here, after every guard of the build, so
-    # that each input those guards refuse keeps its message
-    for k in range(1, n):
-        sbar = matrices[f"sbar{k}"]
-        for fiber in basis.fibers(k):
-            if len(fiber) > 1 and any(sbar.entry(i, i).num < 0 for i in fiber):
-                mu = basis.paths[fiber[0]][k - 1]
-                raise RepresentationError(f"degenerate N={basis.N}: negative sbar diagonal on fiber over {mu}")
     rep = Representation(basis, matrices)
     if verify and n >= 2:
         verify_representation(rep)

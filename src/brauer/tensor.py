@@ -318,6 +318,16 @@ def centralizer_rank(n: int, N: int) -> int:
     return len(pivots)
 
 
+def rank_check(n: int, N: int) -> dict:
+    """The centralizer rank against its expected value, the sum of the
+    squared path counts, which in the injective regime N >= n is also
+    dim B(n) = (2n-1)!!."""
+    rank = centralizer_rank(n, N)
+    expected = sum(c * c for c in shapes.path_counts(n, N).values())
+    ok = rank == expected and (N < n or rank == math.prod(range(1, 2 * n, 2)))
+    return {"n": n, "N": N, "rank": rank, "expected": expected, "ok": ok}
+
+
 @lru_cache(maxsize=64)
 def _casimir_matrix(n: int, N: int):
     """2C = -sum_{i<j} A_ij^2, A_ij = E_ij - E_ji acting on the tensor power

@@ -7,7 +7,6 @@ check inside is exact (no tolerances anywhere).
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 import resource
@@ -244,13 +243,9 @@ def criterion_6_tensor(seed: int | None = None) -> dict:
     ranks = {}
     for n in (2, 3):
         for N in (2, 3, 4):
-            rank = tensor.centralizer_rank(n, N)
-            expect = sum(c * c for c in shapes.path_counts(n, N).values())
-            ranks[f"{n},{N}"] = rank
-            ok = ok and rank == expect
-            # the injective regime reaches the full dimension
-            if N >= n:
-                ok = ok and rank == math.prod(range(1, 2 * n, 2))
+            r = tensor.rank_check(n, N)
+            ranks[f"{n},{N}"] = r["rank"]
+            ok = ok and r["ok"]
     for n in (1, 2, 3):
         for N in (2, 3):
             ok = ok and tensor.casimir_check(n, N)["ok"]
@@ -470,7 +465,7 @@ ALL_CRITERIA = [
 # | affine._jm_power                | 64     | 53       | -           | -          | 198/25       | -               | 85/21        |
 # | affine._odd_w_expansion         | 16     | 4        | -           | -          | 96/2         | -               | 58/2         |
 # | affine._route_y                 | 8,192  | 6,314    | -           | -          | 8,248/431    | -               | 1,767/40     |
-# | coeffs.squarefree_decomposition | 4,096  | 74       | -           | 96/90      | -            | -               | 96/90        |
+# | coeffs.squarefree_decomposition | 4,096  | 16       | -           | 462/16     | -            | -               | 462/16       |
 # | diagrams._compose_cached        | 8,192  | 6,722    | 187/92      | 9/29       | 14,460/3,813 | 256/1,090       | 16,304/6,147 |
 # | diagrams.factor_diagram         | 65,536 | 3,067    | -           | 601/18     | 4,250/123    | -               | 1,657/20     |
 # | diagrams.jucys_murphy           | 32     | 18       | 6/6         | 127/4      | 235/12       | 22/22           | 216/13       |

@@ -417,17 +417,19 @@ def test_rep_verifies_past_n_500(capsys):
 
 
 @pytest.mark.parametrize(
-    "lam, n, code, err",
+    "lam, n, N, code, err",
     [
-        ("1", "3", 0, ""),
-        ("2,1", "5", 2, "has a cofactor past 1000000^3 with no prime factor up to 1000000\n"),
+        ("1", "3", 10**12, 0, ""),
+        ("2,1", "5", 10**12, 0, ""),
+        ("2,1", "5", 10**21, 2, "has a cofactor past 1000000^3 with no prime factor up to 1000000\n"),
     ],
 )
-def test_rep_at_a_large_integer_N_finishes_in_seconds(capsys, lam, n, code, err):
-    # products of squarefree radicands reduce through a gcd; a lone radicand
-    # that trial division to 10^6 does not settle is refused, naming it
+def test_rep_at_a_large_integer_N_finishes_in_seconds(capsys, lam, n, N, code, err):
+    # each entry's root is taken factor by factor and products of squarefree
+    # radicands reduce through a gcd; a factor that trial division to 10^6
+    # does not settle (10^21 + 2 = 2 * 3 * 107 * m, m > 10^18) is refused, naming it
     start = time.perf_counter()
-    got = main(["rep", "--lambda", lam, "--n", n, "--N", str(10**12), "--format", "json"])
+    got = main(["rep", "--lambda", lam, "--n", n, "--N", str(N), "--format", "json"])
     captured = capsys.readouterr()
     assert time.perf_counter() - start < 10
     assert got == code and captured.err.endswith(err)

@@ -150,8 +150,28 @@ def test_equal_endpoint_fibers_have_no_zero_sbar_diagonal(N):
         try:
             diagonal = repform._sbar_block(mu, middles, N)[0]
         except RepresentationError:
-            continue  # a mixed-sign diagonal at a degenerate rational N
+            continue  # a negative diagonal at a degenerate rational N
         assert all(diagonal)
+
+
+@pytest.mark.parametrize("N", [*range(1, 12), F(7, 2), F(-5, 3), F(1, 4)])
+def test_split_fibers_have_at_most_two_paths_and_x_k_never_x_k_plus_1(N):
+    # the module docstring's two claims, on which the split-fiber block of
+    # s_k rests with no guard for its size or for dividing by x_{k+1} - x_k
+    N = F(N)
+    for n in range(2, 8):
+        for size in range(n % 2, n + 1, 2):
+            for lam in partitions(size):
+                if N.denominator == 1 and not shapes.in_O(lam, n, int(N)):
+                    continue
+                basis = PathBasis.build(lam, n, N)
+                for k in range(1, n):
+                    xk, xk1 = basis.eigenvalues(k), basis.eigenvalues(k + 1)
+                    for fiber in basis.fibers(k):
+                        p0 = basis.paths[fiber[0]]
+                        if p0[k - 1] != p0[k + 1]:
+                            assert len(fiber) <= 2, (lam, n, k, fiber)
+                            assert all(xk[i] != xk1[i] for i in fiber), (lam, n, k, fiber)
 
 
 def test_full_sweep_small():
@@ -323,24 +343,23 @@ def test_memoised_blocks_change_no_value():
 
 
 def test_a_degenerate_N_is_never_memoised():
+    # V((2), 4) at N = -7/2 is refused at its all-negative level-2 fiber over
+    # (1), before its mixed-sign level-3 fiber over (2)
     for lam, n, Nv in (((1,), 3, F(-3, 2)), ((2,), 4, F(-7, 2))):
         messages = []
         for _ in range(2):
             with pytest.raises(RepresentationError) as info:
                 build_representation(lam, n, Nv)
             messages.append(str(info.value))
-        assert messages == [f"degenerate N={Nv}: negative product of sbar diagonals on fiber over {lam}"] * 2
+        assert messages == [f"degenerate N={Nv}: negative sbar diagonal on fiber over (1,)"] * 2
 
 
-def test_an_all_negative_sbar_diagonal_is_refused_after_every_build_guard():
+def test_an_all_negative_sbar_diagonal_is_refused():
     # V((1), 3) at N = -5/2: sbar_2's fiber over (1) has diagonal -2/5, -7/4, -7/20
     for check in (True, False):
         with pytest.raises(RepresentationError) as info:
             build_representation((1,), 3, F(-5, 2), verify=check)
         assert str(info.value) == "degenerate N=-5/2: negative sbar diagonal on fiber over (1,)"
-    # V((2), 4) at N = -7/2 has such a fiber at level 2, yet keeps the mixed-sign
-    # message of its level-3 fiber over (2) (test_a_degenerate_N_is_never_memoised)
-    assert max(repform._sbar_block((1,), ((), (1, 1), (2,)), F(-7, 2))[0]) < 0
 
 
 def _random_surd(rng: random.Random, radicand: int) -> SurdSum:
