@@ -1,10 +1,14 @@
 """Command-line front end: every subsystem behind one `brauer` entry point.
 
 Exit codes: 0 all checks pass / output produced, 1 a check failed, 2 usage
-error.  `--seed` fixes every randomized suite, making runs reproducible from
-their flag set.  Without it the BRAUER_SEED environment variable is used, and
-without either the library's default seed; a non-integer BRAUER_SEED is a
-usage error.
+error.  Each subcommand takes only the options it reads.  `--seed` is taken
+by the three commands that draw random numbers, `oracle`, `affine check` and
+`verify-all`, and fixes their randomized suites, making runs reproducible
+from their flag set.  Without it the BRAUER_SEED environment variable is
+used, and without either the library's default seed; a non-integer
+BRAUER_SEED is a usage error of those three commands.  `--format table` is
+taken, and is the default, where a table layout exists (`shapes`, `paths`,
+`central` and `verify-all`); every other command prints JSON only.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ def _generator_word(text: str) -> list[affine.Atom]:
 
 
 def _emit(data, fmt: str, table_fn=None):
-    """Print data as JSON, or through table_fn for `--format table` when the
-    command has a table layout."""
-    if fmt == "table" and table_fn is not None:
+    """Print data as JSON, or through table_fn for `--format table`, which
+    only the commands with a table layout take."""
+    if fmt == "table":
         table_fn(data)
     else:
         # written chunk by chunk, so no copy of the whole text is held
@@ -259,17 +263,17 @@ def cmd_affine_check(args) -> int:
 
 def cmd_verify_all(args) -> int:
     reports = verify.run_all(seed=args.seed, stats=args.stats)
-    ok = all(r["ok"] for r in reports)
-    if args.format == "json":
-        _emit(reports, "json")
-    else:
-        for r in reports:
+
+    def table(rows):
+        for r in rows:
             status = "PASS" if r["ok"] else "FAIL"
             rss = f"  peak RSS {r['peak_rss_mb']} MB" if "peak_rss_mb" in r else ""
             print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s){rss}")
             for name, c in r.get("memos", {}).items():
                 print(f"      {name:32s} hits {c['hits']:>8}  misses {c['misses']:>8}")
-    return 0 if ok else 1
+
+    _emit(reports, args.format, table)
+    return 0 if all(r["ok"] for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,46 +281,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="brauer",
         description="Exact computations in the Brauer centralizer algebra and its affine extension.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    common.add_argument("--format", choices=("json", "table"), default="table")
+    # each subcommand takes the parents of the options it reads
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("json", "table"), default="table")
+    json_only = argparse.ArgumentParser(add_help=False)
+    json_only.add_argument("--format", choices=("json",), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mult", parents=[common], help="multiply diagram generators")
+    p = sub.add_parser("mult", parents=[json_only], help="multiply diagram generators")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--word", required=True, type=_generator_word, help='e.g. "s1 sbar2 s1"')
     p.set_defaults(fn=cmd_mult)
 
-    p = sub.add_parser("relations", parents=[common], help="check the defining relations symbolically")
+    p = sub.add_parser("relations", parents=[json_only], help="check the defining relations symbolically")
     p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--max-cases", type=_int_at_least(0), default=None)
     p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("shapes", parents=[common], help="list O(n, N) with path counts")
+    p = sub.add_parser("shapes", parents=[tabular], help="list O(n, N) with path counts")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_shapes)
 
-    p = sub.add_parser("paths", parents=[common], help="list up-down paths to a diagram")
+    p = sub.add_parser("paths", parents=[tabular], help="list up-down paths to a diagram")
     p.add_argument("--lambda", dest="lam", required=True, type=_partition, help='comma list, "" for empty')
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_integer)
     p.set_defaults(fn=cmd_paths)
 
-    p = sub.add_parser("rep", parents=[common], help="build a representation in orthogonal form")
+    p = sub.add_parser("rep", parents=[json_only], help="build a representation in orthogonal form")
     p.add_argument("--lambda", dest="lam", required=True, type=_partition)
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_rational, help="integer or p/q")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_rep)
 
-    p = sub.add_parser("central", parents=[common], help="central series Z and Q coefficients")
+    p = sub.add_parser("central", parents=[tabular], help="central series Z and Q coefficients")
     p.add_argument("--mu", required=True, type=_partition)
     p.add_argument("--N", required=True, type=_rational)
     p.add_argument("--order", type=_int_at_least(0), default=8)
     p.set_defaults(fn=cmd_central)
 
-    p = sub.add_parser("oracle", parents=[common], help="tensor-action oracle suite")
+    p = sub.add_parser("oracle", parents=[seeded, json_only], help="tensor-action oracle suite")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--N", type=_int_at_least(1), required=True)
     p.add_argument("--suite", default="all", choices=("all", *ORACLE_SUITES))
@@ -330,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine", help="affine algebra operations")
     asub = p.add_subparsers(dest="affine_command", required=True)
-    q = asub.add_parser("nf", parents=[common], help="normal form of a generator word")
+    q = asub.add_parser("nf", parents=[json_only], help="normal form of a generator word")
     q.add_argument("--n", type=_int_at_least(0), required=True)
     q.add_argument("--word", required=True, help='e.g. "s1 y1 y1 sbar1"')
     q.set_defaults(fn=cmd_affine_nf)
-    q = asub.add_parser("check", parents=[common], help="run the affine property suites")
+    q = asub.add_parser("check", parents=[seeded, json_only], help="run the affine property suites")
     q.add_argument("--suite", default="all", choices=("all", *verify.AFFINE_SUITES))
     q.set_defaults(fn=cmd_affine_check)
 
-    p = sub.add_parser("verify-all", parents=[common], help="run every acceptance criterion")
+    p = sub.add_parser("verify-all", parents=[seeded, tabular], help="run every acceptance criterion")
     p.add_argument(
         "--stats",
         action="store_true",
@@ -353,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = verify._seed(args.seed)
+        if "seed" in args:
+            args.seed = verify._seed(args.seed)
         return args.fn(args)
     except ValueError as exc:  # RepresentationError among them
         print(f"error: {exc}", file=sys.stderr)

@@ -803,8 +803,32 @@ def surd_to_json(s: SurdSum) -> list[list]:
     return [[r, format_rational(c)] for r, c in s.terms.items()]
 
 
+class _DenseRows(list):
+    """A matrix's dense JSON rows, each built when it is read.
+
+    `json.dump` with an indent reads a list only through `len` and
+    iteration, so it writes the same bytes as for the list of rows while
+    holding one row at a time.  Nothing else reads it: the list proper is
+    empty, so comparison and indexing do not see the rows.
+    """
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: RepMatrix):
+        super().__init__()
+        self.m = m
+
+    def __len__(self) -> int:
+        return self.m.dim
+
+    def __iter__(self):
+        m = self.m
+        for i in range(m.dim):
+            yield [surd_to_json(m.entry(i, j)) for j in range(m.dim)]
+
+
 def matrix_to_json(m: RepMatrix) -> list[list]:
-    return [[surd_to_json(m.entry(i, j)) for j in range(m.dim)] for i in range(m.dim)]
+    return _DenseRows(m)
 
 
 def representation_to_json(rep: Representation) -> dict:

@@ -19,7 +19,7 @@ Both memos are scoped to one (n, N) point: a sweep never returns to a point
 it has left, so the first call at a new point drops the previous point's
 digits and matrices, and `diagram_matrix` holds at most 64 matrices within
 a point.  `centralizer_rank` reads the same index
-arrays and eliminates integer rows in place, which gives the rank over Q.
+arrays as integer rows, whose rank over Q `elimination.integer_rank` takes.
 
 The Casimir and spectrum checks are full matrix identities, with both sides
 doubled to clear the halves in x_k = (N-1)/2 + sum_{l<k} (s_lk - sbar_lk):
@@ -53,6 +53,7 @@ from .diagrams import (
     sbar_diagram,
     s_diagram,
 )
+from .elimination import integer_rank
 from .repform import jm_eigenvalue
 
 
@@ -280,42 +281,16 @@ def verify_homomorphism(n: int, N: int, trials: int, rng) -> dict:
 
 
 def centralizer_rank(n: int, N: int) -> int:
-    """Rank over Q of the span of the diagram actions, by integer elimination.
-
-    Against a pivot p with lead entry a, a row r becomes a*r - r[lead]*p and
-    is divided by its content (the gcd of its entries); a != 0, so the span
-    over Q, hence the rank, is unchanged.  The row dict is updated in place:
-    it is scaled only when a != 1, and only p's keys change.
-    """
+    """Rank over Q of the span of the diagram actions: each diagram's 0/1
+    matrix is one integer row, eliminated by `elimination.integer_rank`."""
     dim = N**n
-    pivots: dict[int, dict[int, int]] = {}
-    for g in all_diagrams(n):
-        out, inp = _entry_indices(g, N)
-        row = dict.fromkeys((out * dim + inp).tolist(), 1)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                # a copy sized to the row: the in-place updates leave the
-                # working dict's table far larger than its entries
-                pivots[lead] = dict(row)
-                break
-            a, b = pivot[lead], row[lead]
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in pivot.items():
-                # b v != 0, so a key new to the row never cancels
-                x = row.get(k, 0) - b * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            content = math.gcd(*row.values())
-            if content > 1:
-                for k in row:
-                    row[k] //= content
-    return len(pivots)
+
+    def rows():
+        for g in all_diagrams(n):
+            out, inp = _entry_indices(g, N)
+            yield dict.fromkeys((out * dim + inp).tolist(), 1)
+
+    return integer_rank(rows())
 
 
 def rank_check(n: int, N: int) -> dict:

@@ -6,7 +6,6 @@ check inside is exact (no tolerances anywhere).
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import resource
@@ -17,7 +16,6 @@ from fractions import Fraction
 from . import affine, repform, shapes
 from .diagrams import (
     AlgebraElement,
-    all_diagrams,
     jm_relations,
     jucys_murphy,
     multiply,
@@ -340,23 +338,10 @@ def _affine_pi(rng) -> tuple[bool, dict]:
                 words += 1
 
     monos = 0
-    for d in all_diagrams(2):
-        top_bad = {b for _, b in d.top_edges()}
-        bot_ok = {b for _, b in d.bottom_edges()}
-        for left in itertools.product(range(4), repeat=2):
-            if any(left[m - 1] and m in top_bad for m in (1, 2)):
-                continue
-            for right in itertools.product(range(4), repeat=2):
-                if any(right[m - 1] and m not in bot_ok for m in (1, 2)):
-                    continue
-                for w in [(), (1,)]:
-                    t = affine.RegularMonomial(2, left, d, right, w)
-                    if t.weight() > 3:
-                        continue
-                    e = affine.AffineElement.from_monomial(t)
-                    if not affine.pi_m(e, 3):
-                        ok = False
-                    monos += 1
+    for t in affine.regular_monomials(2, 3):
+        if not affine.pi_m(affine.AffineElement.from_monomial(t), 3):
+            ok = False
+        monos += 1
     return ok, {"words": words, "faithful_monomials": monos}
 
 

@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from brauer.affine import (
     parse_word,
     pi_m,
     pi_word,
+    regular_monomials as monomials_up_to,
     s_elem,
     sbar_elem,
     w_elem,
@@ -43,6 +45,7 @@ from brauer.diagrams import (
     sbar_diagram,
     z_element,
 )
+from brauer.elimination import integer_rank
 
 N = NPoly.N()
 H = n_minus_1_half()
@@ -475,6 +478,35 @@ def test_faithfulness_desk_scale():
         picks = rng.sample(monos, 3)
         e = AffineElement(2, {t: NPoly.const(rng.randint(1, 4)) for t in picks})
         assert pi_m(e, e.weight())
+
+
+@pytest.mark.parametrize("n, bound", [(0, 3), (1, 3), (2, 2), (2, 3), (3, 3)])
+def test_regular_monomials_match_a_filtered_enumeration(n, bound):
+    # below weight 4 the only w's are 1 and w_2, which weight_le covers
+    got = list(monomials_up_to(n, bound))
+    assert len(got) == len(set(got)) and set(got) == set(weight_le(n, bound))
+
+
+def _pi_rank(n, bound, m, N=101):
+    """Rank of the pi_m images at N of every regular monomial of weight <= bound."""
+
+    def rows():
+        for t in monomials_up_to(n, bound):
+            values = {d: c.eval(N) for d, c in pi_m(AffineElement.from_monomial(t), m).terms.items()}
+            scale = math.lcm(*(v.denominator for v in values.values()))
+            yield {d: int(v * scale) for d, v in values.items() if v}
+
+    return integer_rank(rows())
+
+
+@pytest.mark.slow
+def test_normal_forms_are_unique_at_small_weight():
+    # the certificate of the `affine` docstring: the pi_m images of all
+    # regular monomials of weight <= w are linearly independent
+    assert len(list(monomials_up_to(2, 4))) == 69 and _pi_rank(2, 4, 4) == 69
+    assert len(list(monomials_up_to(3, 3))) == 360 and _pi_rank(3, 3, 3) == 360
+    # negative control: pi_2 is not injective at weight 3
+    assert _pi_rank(2, 3, 2) == 33 < 39
 
 
 def test_nonzero_monomial_example():

@@ -489,6 +489,43 @@ def test_seed_flag_beats_environment(monkeypatch):
     assert seen == [5, 9, verify.DEFAULT_SEED]
 
 
+def test_non_integer_brauer_seed_leaves_commands_without_seed_alone(capsys, monkeypatch):
+    code, out = run(capsys, "shapes", "--n", "2", "--N", "2")
+    monkeypatch.setenv("BRAUER_SEED", "abc")
+    assert code == 0 and run(capsys, "shapes", "--n", "2", "--N", "2") == (0, out)
+
+
+_SEEDED_COMMANDS = {"oracle", "affine check", "verify-all"}
+_TABLE_COMMANDS = {"shapes", "paths", "central", "verify-all"}
+_SMALL_ARGV = {
+    "mult": ["mult", "--n", "2", "--word", "s1"],
+    "relations": ["relations", "--n", "2"],
+    "shapes": ["shapes", "--n", "2", "--N", "2"],
+    "paths": ["paths", "--lambda", "1", "--n", "1", "--N", "2"],
+    "rep": ["rep", "--lambda", "1", "--n", "1", "--N", "2"],
+    "central": ["central", "--mu", "1", "--N", "3"],
+    "oracle": ["oracle", "--n", "2", "--N", "2"],
+    "affine nf": ["affine", "nf", "--n", "2", "--word", "y1"],
+    "affine check": ["affine", "check"],
+    "verify-all": ["verify-all"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_ARGV))
+def test_seed_and_table_are_taken_only_where_they_are_read(capsys, command):
+    parser = cli.build_parser()
+    argv = _SMALL_ARGV[command]
+    for extra, takers in ((["--seed", "1"], _SEEDED_COMMANDS), (["--format", "table"], _TABLE_COMMANDS)):
+        if command in takers:
+            parser.parse_args(argv + extra)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + extra)
+            assert exc.value.code == 2
+    assert parser.parse_args(argv).format == ("table" if command in _TABLE_COMMANDS else "json")
+    capsys.readouterr()
+
+
 def test_memos_name_every_memo_of_the_package():
     found = set()
     for info in pkgutil.iter_modules(brauer.__path__):
@@ -607,7 +644,9 @@ def _cli_argv(draw) -> list[str]:
         ["verify-all"] + draw(st.sampled_from([[], ["--stats"]])),
     ]
     argv = draw(st.sampled_from(commands))
-    return argv + ["--format", draw(st.sampled_from(["json", "table"])), "--seed", count]
+    command = " ".join(argv[:2]) if argv[0] == "affine" else argv[0]
+    argv += ["--format", draw(st.sampled_from(["json", "table"] if command in _TABLE_COMMANDS else ["json"]))]
+    return argv + ["--seed", count] if command in _SEEDED_COMMANDS else argv
 
 
 def _reports_failure(out: str) -> bool:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from brauer import shapes, tensor, verify
@@ -26,6 +27,7 @@ from brauer.diagrams import (
     transposition,
     _token_diagram,
 )
+from brauer.elimination import integer_rank
 from brauer.repform import jm_eigenvalue
 from brauer.tensor import (
     TensorVector,
@@ -322,6 +324,29 @@ def test_centralizer_ranks():
         for N in (1, 2, 3, 4):
             expect = sum(c * c for c in shapes.path_counts(n, N).values())
             assert centralizer_rank(n, N) == expect
+
+
+def _fraction_rank(matrix) -> int:
+    """Rank by Gaussian elimination over Fraction, the reference for `integer_rank`."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=7))
+def test_integer_rank_matches_fraction_elimination(matrix):
+    rows = [{j: x for j, x in enumerate(r) if x} for r in matrix]
+    assert integer_rank(rows) == _fraction_rank(matrix)
 
 
 def _dense_doubled_casimir(n, N):
