@@ -1,20 +1,24 @@
 """Command-line front end: every subsystem behind one `brauer` entry point.
 
 Exit codes: 0 all checks pass / output produced, 1 a check failed, 2 usage
-error.  Each subcommand takes only the options it reads.  `--seed` is taken
-by the three commands that draw random numbers, `oracle`, `affine check` and
-`verify-all`, and fixes their randomized suites, making runs reproducible
-from their flag set.  Without it the BRAUER_SEED environment variable is
-used, and without either the library's default seed; a non-integer
-BRAUER_SEED is a usage error of those three commands.  `--format table` is
-taken, and is the default, where a table layout exists (`shapes`, `paths`,
-`central` and `verify-all`); every other command prints JSON only.
+error, 141 (128 + SIGPIPE, as a shell reports a pipe writer killed by that
+signal) stdout closed before the output was written, as by `| head`; then
+nothing is printed to stderr.  Each subcommand takes only the options it
+reads.  `--seed` is taken by the three commands that draw random numbers,
+`oracle`, `affine check` and `verify-all`, and fixes their randomized
+suites, making runs reproducible from their flag set.  Without it the
+BRAUER_SEED environment variable is used, and without either the library's
+default seed; a non-integer BRAUER_SEED is a usage error of those three
+commands.  `--format table` is taken, and is the default, where a table
+layout exists (`shapes`, `paths`, `central` and `verify-all`); every other
+command prints JSON only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from . import affine, repform, shapes, verify
 from .coeffs import format_rational
-from .diagrams import element_to_json, evaluate_side, relation_count, verify_presentation
+from .diagrams import element_to_json, evaluate_side, verify_presentation
 from .shapes import parse_partition
 
 
@@ -117,21 +121,34 @@ def cmd_shapes(args) -> int:
 
 
 # `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so at
-# most P n(n+1)/2 parts.  `rep` prints 3n - 2 dense matrices of d^2 entries
-# for d paths.  Both counts are read off the branching walk before anything
-# is enumerated.  `rep` also verifies the about 3.5 n^2 relations of
-# `relation_count(n)` unless told not to, and its time grows with their
-# number: 16.6 s for the 3,499,495 relations at n = 1000.  README lists the
-# measurements behind the bounds.
+# most P n(n+1)/2 parts.  `rep` prints the same P paths as its basis, and
+# 3n - 2 dense matrices of d^2 entries for d = P.  Both counts are read off
+# the branching walk before anything is enumerated, and since P >= 1 for
+# any path to print, n(n+1)/2 alone is checked before the walk: n <= 6324.
+# `rep` verifies its 13n - 18 near relations by products and the far ones
+# in time linear in its entries (the `repform` docstring), so it has no
+# bound of its own on n.  README lists the measurements behind the bounds.
 PATHS_MAX_PARTS = 2 * 10**7
 REP_MAX_ENTRIES = 10**7
-REP_MAX_RELATIONS = 35 * 10**5
+
+
+def _bounded_path_count(command: str, lam: shapes.Diagram, n: int, level: int) -> int:
+    """The number P of paths to lam of n steps in the walk at level; raises
+    unless P n(n+1)/2 <= PATHS_MAX_PARTS, before the walk when n(n+1)/2
+    alone passes it."""
+    parts = n * (n + 1) // 2
+    if parts > PATHS_MAX_PARTS:
+        raise ValueError(
+            f"{command} takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got n={n}, whose n(n+1)/2 alone passes it"
+        )
+    count = shapes.path_counts(n, level).get(lam, 0)
+    if count * parts > PATHS_MAX_PARTS:
+        raise ValueError(f"{command} takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got P={count}, n={n}")
+    return count
 
 
 def cmd_paths(args) -> int:
-    count = shapes.path_counts(args.n, args.N).get(args.lam, 0)
-    if count * args.n * (args.n + 1) // 2 > PATHS_MAX_PARTS:
-        raise ValueError(f"paths takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got P={count}, n={args.n}")
+    _bounded_path_count("paths", args.lam, args.n, args.N)
     paths = shapes.enumerate_paths(args.lam, args.n, args.N)
     data = [shapes.path_to_json(p) for p in paths]
 
@@ -145,15 +162,10 @@ def cmd_paths(args) -> int:
 
 def cmd_rep(args) -> int:
     n, N = args.n, args.N
-    relations = relation_count(n)
-    if not args.no_verify and relations > REP_MAX_RELATIONS:
-        raise ValueError(
-            f"rep verifies at most {REP_MAX_RELATIONS} relations (--no-verify skips them), got {relations} at n={n}"
-        )
-    d = shapes.path_counts(n, repform.walk_level(args.lam, n, N)).get(args.lam, 0)
+    d = _bounded_path_count("rep", args.lam, n, repform.walk_level(args.lam, n, N))
     if (3 * n - 2) * d * d > REP_MAX_ENTRIES:
         raise ValueError(f"rep takes (3n-2) d^2 <= {REP_MAX_ENTRIES} for d paths, got d={d}, n={n}")
-    rep = repform.build_representation(args.lam, n, N, verify=not args.no_verify)
+    rep = repform.build_representation(args.lam, n, N)
     _emit(repform.representation_to_json(rep), args.format)
     return 0
 
@@ -315,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True, type=_partition)
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--N", required=True, type=_rational, help="integer or p/q")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_rep)
 
     p = sub.add_parser("central", parents=[tabular], help="central series Z and Q coefficients")
@@ -363,10 +374,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "seed" in args:
             args.seed = verify._seed(args.seed)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # inside the try: a closed stdout raises here
+        return code
     except ValueError as exc:  # RepresentationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -497,6 +497,11 @@ Side = list[tuple[int | NPoly, Word]]
 Relation = tuple[str, Side, Side]
 
 
+# the far commutations a_k b_l = b_l a_k: (family, kind of a, kind of b)
+_FAR_GENERATOR_PAIRS = (("commute-ss", "s", "s"), ("commute-bar-s", "sbar", "s"), ("commute-bar-bar", "sbar", "sbar"))
+_FAR_X_PAIRS = (("x-commute-s", "s", "x"), ("x-commute-bar", "sbar", "x"))
+
+
 def presentation_relations(n: int) -> Iterator[Relation]:
     """All generator-indexed instances of the defining relations of B(n, N).
 
@@ -505,8 +510,38 @@ def presentation_relations(n: int) -> Iterator[Relation]:
     is the int 1 or -1, except the N of bar-square, an NPoly.  This table and
     `jm_relations` are the one copy of the relations that every check reads.
     Both are generated, one relation at a time: a check takes each as it
-    comes, so no check holds the table, which grows as n^2.
+    comes, so no check holds the table, which grows as n^2.  Each table is
+    its near relations, from `near_presentation_relations` and
+    `near_jm_relations`, with the far commutations of `far_relations`
+    chained in.
     """
+    yield from near_presentation_relations(n)
+    for k in range(1, n):
+        yield from far_relations(k, range(k + 2, n), _FAR_GENERATOR_PAIRS)
+
+
+def jm_relations(n: int) -> Iterator[Relation]:
+    """Instances of the mixed relations between generators and the x_k, in
+    the format of `presentation_relations`; read with x_k as y_k, they are
+    relations of the affine algebra."""
+    for k in range(1, n):
+        yield from far_relations(k, (l for l in range(1, n + 1) if l not in (k, k + 1)), _FAR_X_PAIRS)
+        yield from near_jm_relations(k)
+
+
+def far_relations(k: int, ls: Iterable[int], pairs) -> Iterator[Relation]:
+    """The far commutations a_k b_l = b_l a_k, for each l of ls and each
+    (family, a, b) of pairs: the relations between generators at distance 2
+    or more, and between s_k or sbar_k and x_l for l not k or k + 1."""
+    for l in ls:
+        for family, a, b in pairs:
+            left, right = (a, k), (b, l)
+            yield (f"{family} k={k} l={l}", [(1, (left, right))], [(1, (right, left))])
+
+
+def near_presentation_relations(n: int) -> Iterator[Relation]:
+    """The defining relations of B(n, N) other than the far commutations:
+    4(n - 1) on one index and 5(n - 2) on two adjacent ones."""
     N = NPoly.N()
     for k in range(1, n):
         s, sb = ("s", k), ("sbar", k)
@@ -522,40 +557,16 @@ def presentation_relations(n: int) -> Iterator[Relation]:
         yield (f"bar-contract-down k={k}", [(1, (sb1, sb, sb1))], [(1, (sb1,))])
         yield (f"slide-a k={k}", [(1, (s, sb1, sb))], [(1, (s1, sb))])
         yield (f"slide-b k={k}", [(1, (sb1, sb, s1))], [(1, (sb1, s))])
-    for k in range(1, n):
-        for l in range(k + 2, n):
-            s, t = ("s", k), ("s", l)
-            sb, tb = ("sbar", k), ("sbar", l)
-            yield (f"commute-ss k={k} l={l}", [(1, (s, t))], [(1, (t, s))])
-            yield (f"commute-bar-s k={k} l={l}", [(1, (sb, t))], [(1, (t, sb))])
-            yield (f"commute-bar-bar k={k} l={l}", [(1, (sb, tb))], [(1, (tb, sb))])
 
 
-def jm_relations(n: int) -> Iterator[Relation]:
-    """Instances of the mixed relations between generators and the x_k, in
-    the format of `presentation_relations`; read with x_k as y_k, they are
-    relations of the affine algebra."""
-    for k in range(1, n):
-        s, sb = ("s", k), ("sbar", k)
-        xk, xk1 = ("x", k), ("x", k + 1)
-        for l in range(1, n + 1):
-            if l in (k, k + 1):
-                continue
-            xl = ("x", l)
-            yield (f"x-commute-s k={k} l={l}", [(1, (s, xl))], [(1, (xl, s))])
-            yield (f"x-commute-bar k={k} l={l}", [(1, (sb, xl))], [(1, (xl, sb))])
-        yield (f"x-cross-a k={k}", [(1, (s, xk)), (-1, (xk1, s))], [(1, (sb,)), (-1, ())])
-        yield (f"x-cross-b k={k}", [(1, (s, xk1)), (-1, (xk, s))], [(1, ()), (-1, (sb,))])
-        yield (f"x-kill-left k={k}", [(1, (sb, xk)), (1, (sb, xk1))], [])
-        yield (f"x-kill-right k={k}", [(1, (xk, sb)), (1, (xk1, sb))], [])
-
-
-def relation_count(n: int) -> int:
-    """How many relations `presentation_relations(n)` and `jm_relations(n)`
-    yield together, about 3.5 n^2, counted without generating them."""
-    if n < 2:
-        return 0
-    return 4 * (n - 1) + 5 * (n - 2) + 3 * (n - 2) * (n - 3) // 2 + 2 * n * (n - 1)
+def near_jm_relations(k: int) -> Iterator[Relation]:
+    """The relations of `jm_relations` between s_k or sbar_k and x_k, x_{k+1}."""
+    s, sb = ("s", k), ("sbar", k)
+    xk, xk1 = ("x", k), ("x", k + 1)
+    yield (f"x-cross-a k={k}", [(1, (s, xk)), (-1, (xk1, s))], [(1, (sb,)), (-1, ())])
+    yield (f"x-cross-b k={k}", [(1, (s, xk1)), (-1, (xk, s))], [(1, ()), (-1, (sb,))])
+    yield (f"x-kill-left k={k}", [(1, (sb, xk)), (1, (sb, xk1))], [])
+    yield (f"x-kill-right k={k}", [(1, (xk, sb)), (1, (xk1, sb))], [])
 
 
 def generator_element(token: tuple[str, int], n: int) -> AlgebraElement:

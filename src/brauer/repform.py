@@ -64,19 +64,55 @@ middles, N), `_sbar_block`, and a step eigenvalue of (before, after, N),
 the builders only place the cached entries.  `lru_cache` stores no
 exception, so a degenerate N raises the same `RepresentationError`, whose
 message names only mu and N, on every build.  The memo cannot hide a wrong
-block either: every built representation is still checked relation by
-relation.
+block either: every built representation is still checked, as below.
+
+The far relations follow from that locality, so they are checked through it
+and not multiplied out.  They are the commutations of s_k or sbar_k with s_l
+or sbar_l for |k - l| >= 2, and with x_l for l not k or k + 1: about 3.5 n^2
+of the relations, against 13n - 18 near ones.  `verify_representation`
+checks three properties of the orthogonal matrices, for every k and l:
+
+  * support: s_k and sbar_k are non-zero only at (i, j) with paths i and j
+    in one level-k fiber, that is equal away from level k;
+  * locality: two level-k fibers with the same diagrams at levels k-1 and
+    k+1 carry the same block of s_k and of sbar_k, with each entry keyed by
+    the level-k diagrams of its row and column paths;
+  * x: x_l is diagonal, and its entry on path i depends only on levels l-1
+    and l of path i.
+
+They imply every far relation.  Let a_k be s_k or sbar_k, so a_k(i, j) =
+A(i_{k-1}, i_{k+1}; i_k, j_k) when i and j agree away from level k, and 0
+otherwise, writing i_t for the level-t diagram of path i.  For l not k or
+k + 1, levels l-1 and l are not level k, so x_l(i) = x_l(j) wherever a_k(i, j)
+is non-zero, and a_k x_l = x_l a_k entry by entry.  For b_l another s_l or
+sbar_l with l >= k + 2, entry (i, j) of a_k b_l and of b_l a_k is 0 unless i
+and j agree away from levels k and l.  Then the only path m with a_k(i, m)
+b_l(m, j) possibly non-zero is i with its level-k diagram replaced by j_k,
+and the only m' for b_l(i, m') a_k(m', j) is i with its level-l diagram
+replaced by j_l.  Both are paths of the basis: each step of m is a step of i
+or of j (levels k-1 and k+1 of i and j agree, since l >= k + 2), and so is
+each step of m'; each of their diagrams lies in its level set, and the basis
+holds every up-down path to lambda through the level sets.  Their levels
+k-1 and k+1 are those of i, and so are their levels l-1 and l+1, so
+locality gives a_k(i, m) = A(i_{k-1}, i_{k+1}; i_k, j_k) = a_k(m', j) and
+b_l(m, j) = B(i_{l-1}, i_{l+1}; i_l, j_l) = b_l(i, m'), and the two entries
+are equal, whichever of s and sbar a and b are.  The three checks take
+time linear in the number of entries, and only the near relations are
+multiplied out, in the gauge below: the relation table draws the far
+families from `diagrams.far_relations`, which the verifier does not walk.
 
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
 non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
 sbar_k are block-diagonal over the level-k fibers and x_k is diagonal.
 
-Every constructed representation is re-verified against the defining and
-Jucys-Murphy relations, exactly; a failure raises with the violated relation
-named.  The check runs in a diagonal gauge (a seminormal form, as in Leduc
-and Ram, Adv. Math. 125 (1997)), not on the surds themselves.  Each path
-index i gets a squarefree class c_i: walking the non-zero entries of every
-matrix, an entry a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
+Every constructed representation is verified, exactly: its s_k and sbar_k
+are symmetric, the three properties above hold, and every near relation
+holds; a failure raises, naming the violated relation, or the generator and
+the fiber or path where a property fails.  The relations are checked in a
+diagonal gauge (a seminormal form, as in Leduc and Ram, Adv. Math. 125
+(1997)), not on the surds themselves.  Each path index i gets a squarefree
+class c_i: walking the non-zero entries of every matrix, an entry
+a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
 With D = diag(sqrt(c_i)), the entry of D^-1 M D at (i, j) is
 a*sqrt(r*c_i*c_j)/(e*c_i), rational because r*c_i*c_j is a square.  So every
 gauged generator is an `IntMatrix`: integer rows over one denominator.  A
@@ -95,8 +131,9 @@ Why the gauge is exact: M -> D^-1 M D is linear, multiplicative
 (D^-1 A D D^-1 B D = D^-1 AB D), fixes the identity and is invertible.  A
 relation is a polynomial identity in the generators with scalar (N-valued)
 coefficients, so it holds for the gauged matrices exactly when it holds for
-the orthogonal ones.  Symmetry of s_k and sbar_k is the one checked property
-the gauge does not preserve, so it is checked on the orthogonal matrices.
+the orthogonal ones.  The gauge keeps neither symmetry nor locality (it
+scales entry (i, j) by sqrt(c_j/c_i), and the classes are not local), so
+symmetry and the three properties are checked on the orthogonal matrices.
 `representation_action` also works in the gauge and maps its result back
 once: entry q at (i, j) becomes q*sqrt(c_i*c_j)/c_j.  `sbar_fiber_report`
 gauges each equal-endpoint sbar_k block on its own and reads rank, trace and
@@ -135,8 +172,8 @@ from .coeffs import (
 from .diagrams import (
     AlgebraElement,
     factor_diagram,
-    jm_relations,
-    presentation_relations,
+    near_jm_relations,
+    near_presentation_relations,
 )
 from .shapes import Diagram, Path
 
@@ -613,9 +650,60 @@ def _combination(terms, gens: dict[tuple[str, int], IntMatrix], d: int) -> IntMa
     return IntMatrix(rows, den)
 
 
+def _check_locality(rep: Representation) -> None:
+    """Check support and locality of every s_k and sbar_k and the x
+    property of every x_l (module docstring), in time linear in the entries.
+
+    Raises RepresentationError naming the generator and the fiber or path.
+    """
+    basis = rep.basis
+    paths, n = basis.paths, basis.n
+    where = f"on V({basis.lam}, {n}) at N={basis.N}"
+    fiber_of = [0] * basis.dim
+    for k in range(1, n):
+        fibers = basis.fibers(k)
+        for f, fiber in enumerate(fibers):
+            for i in fiber:
+                fiber_of[i] = f
+        for name in (f"s{k}", f"sbar{k}"):
+            rows = rep.matrices[name].rows
+            # (level k-1, level k+1) -> the first fiber there and its block
+            blocks: dict[tuple[Diagram, Diagram], tuple[int, dict]] = {}
+            for f, fiber in enumerate(fibers):
+                block = {}
+                for i in fiber:
+                    for j, value in rows[i].items():
+                        if fiber_of[j] != f:
+                            raise RepresentationError(
+                                f"{name} has entry ({i}, {j}) outside the level-{k} fiber of path {i} {where}"
+                            )
+                        block[paths[i][k], paths[j][k]] = value
+                p0 = paths[fiber[0]]
+                first, first_block = blocks.setdefault((p0[k - 1], p0[k + 1]), (fiber[0], block))
+                if block != first_block:
+                    raise RepresentationError(
+                        f"{name} differs on the level-{k} fibers of paths {first} and {fiber[0]},"
+                        f" both from {p0[k - 1]} to {p0[k + 1]}, {where}"
+                    )
+    for l in range(1, n + 1):
+        # (level l-1, level l) -> the first path there and its x_l entry
+        steps: dict[tuple[Diagram, Diagram], tuple[int, SurdSum]] = {}
+        for i, row in enumerate(rep.matrices[f"x{l}"].rows):
+            if row.keys() - {i}:
+                raise RepresentationError(f"x{l} has an entry off the diagonal in row {i} {where}")
+            p = paths[i]
+            value = row.get(i, _ZERO)
+            first, first_value = steps.setdefault((p[l - 1], p[l]), (i, value))
+            if value != first_value:
+                raise RepresentationError(
+                    f"x{l} differs on paths {first} and {i}, both stepping from {p[l - 1]} to {p[l]}, {where}"
+                )
+
+
 def verify_representation(rep: Representation) -> None:
-    """Check that every s_k and sbar_k is symmetric, then every defining and
-    Jucys-Murphy relation as the tables generate it, in the diagonal gauge.
+    """Check that every s_k and sbar_k is symmetric, the support, locality
+    and x properties, which imply every far relation, and then every near
+    relation of the tables, in the diagonal gauge (module docstring).
 
     Raises RepresentationError naming the first violated check.
     """
@@ -625,18 +713,19 @@ def verify_representation(rep: Representation) -> None:
         for name in (f"s{k}", f"sbar{k}"):
             if not rep.matrices[name].is_symmetric():
                 raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
+    _check_locality(rep)
     gens = rep._gauged[1]
-    for name, lhs, rhs in chain(presentation_relations(n), jm_relations(n)):
+    near = chain(near_presentation_relations(n), *(near_jm_relations(k) for k in range(1, n)))
+    for name, lhs, rhs in near:
         if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
             raise RepresentationError(
                 f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
             )
 
 
-def build_representation(
-    lam: Diagram, n: int, N: int | Fraction, verify: bool = True
-) -> Representation:
-    """Matrices for s_1..s_{n-1}, sbar_1..sbar_{n-1} and diagonal x_1..x_n."""
+def build_representation(lam: Diagram, n: int, N: int | Fraction) -> Representation:
+    """Matrices for s_1..s_{n-1}, sbar_1..sbar_{n-1} and diagonal x_1..x_n,
+    verified by `verify_representation`."""
     basis = PathBasis.build(lam, n, N)
     matrices: dict[str, RepMatrix] = {}
     for k in range(1, n):
@@ -647,8 +736,7 @@ def build_representation(
     for k in range(1, n + 1):
         matrices[f"x{k}"] = x_matrix(basis, k)
     rep = Representation(basis, matrices)
-    if verify and n >= 2:
-        verify_representation(rep)
+    verify_representation(rep)
     return rep
 
 

@@ -194,7 +194,7 @@ def criterion_5_series() -> dict:
             zk = [z_element(k, i) for i in range(7)]
             for mu in shapes.enumerate_O(k - 1, N):
                 zs = repform.z_series(mu, N, 6)
-                rep = repform.build_representation(mu, k - 1, N, verify=False)
+                rep = repform.build_representation(mu, k - 1, N)
                 for i in range(7):
                     scal = repform.scalar_of(repform.representation_action(rep, zk[i]))
                     ok = ok and scal == zs[i]

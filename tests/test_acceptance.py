@@ -43,8 +43,8 @@ def test_criterion_3_fails_on_an_off_diagonal_x_entry_or_a_wrong_central_value(m
     assert verify.criterion_3_representations()["ok"]
     build = repform.build_representation
 
-    def off_diagonal(lam, n, N, verify=True):
-        rep = build(lam, n, N, verify)
+    def off_diagonal(lam, n, N):
+        rep = build(lam, n, N)
         x1 = repform.RepMatrix([dict(row) for row in rep.matrices["x1"].rows])
         x1.set(0, x1.dim - 1, SurdSum.one())
         return repform.Representation(rep.basis, {**rep.matrices, "x1": x1})

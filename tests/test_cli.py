@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brauer
-from brauer import affine, cli, shapes, verify
+from brauer import affine, cli, repform, shapes, verify
 from brauer.cli import main
-from brauer.diagrams import AlgebraElement, relation_count
+from brauer.diagrams import AlgebraElement
 
 
 def run(capsys, *argv):
@@ -32,6 +32,24 @@ def test_relations(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_ok"] and data["checked"] == 13
+
+
+# sha256 of `relations` output, pinned when the far commutations moved to
+# their own generator: the tables keep their relations and their order
+RELATIONS_SHA256 = {
+    ("2",): "4ef5a86a161a972d93a99ae9215ea064226de1459162ed0c8e91208d6d5f866f",
+    ("3",): "5859b92bd09b7d7e9daf5b959d5e73f8ea7d3db334bf7c4821ffefa098ba4252",
+    ("4",): "776e032366309cb6725c85a81d33c27fd8dfd4186e75d6a97fe9caa691c47168",
+    ("5",): "db20c9e702a82cc1951b074051818c171cb618ca80ced4dba60c180bcf555ac5",
+    ("6",): "7a8d40065ed77b0d7b6c7dcda5f754fcb7dfdc2c78ef4d4d6d493fdc9d3e5c82",
+    ("6", "--max-cases", "3"): "746c0851c8d9d2f18c1ec3f12fc0bcaff45a6bcf80e461c2fc20860ba86bb12e",
+}
+
+
+@pytest.mark.parametrize("args", list(RELATIONS_SHA256))
+def test_relations_digest(capsys, args):
+    code, out = run(capsys, "relations", "--n", *args, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == RELATIONS_SHA256[args]
 
 
 def test_mult(capsys):
@@ -384,36 +402,68 @@ def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypat
     assert captured.err == f"error: {message}\n"
 
 
-def test_rep_refuses_to_verify_past_its_relation_bound_at_once(capsys, monkeypatch):
-    # refused from the relation count, before a path is counted or enumerated
+@pytest.mark.parametrize("command", ["paths", "rep"])
+def test_paths_and_rep_refuse_a_large_n_before_walking(capsys, monkeypatch, command):
+    # n(n+1)/2 alone passes the paths bound, so nothing is walked or enumerated
     def refuse(*args):
         raise AssertionError("paths were walked")
 
     monkeypatch.setattr(shapes, "path_counts", refuse)
     monkeypatch.setattr(shapes, "enumerate_paths", refuse)
     start = time.perf_counter()
-    code = main(["rep", "--lambda", "", "--n", "100000", "--N", "1"])
+    code = main([command, "--lambda", "", "--n", "100000", "--N", "1"])
     captured = capsys.readouterr()
     assert time.perf_counter() - start < 1
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        "error: rep verifies at most 3500000 relations (--no-verify skips them), got 34999949995 at n=100000\n"
+        f"error: {command} takes P n(n+1)/2 <= 20000000 for P paths, got n=100000, whose n(n+1)/2 alone passes it\n"
     )
 
 
-def test_rep_relation_bound_is_inclusive():
-    assert relation_count(1000) <= cli.REP_MAX_RELATIONS < relation_count(1001)
+def test_paths_bound_on_n_alone_is_inclusive(capsys, monkeypatch):
+    # 6324 * 6325 / 2 = 19,999,650 is the last n(n+1)/2 within the bound
+    walked = []
+
+    def counts(n, N):
+        walked.append(n)
+        return {}
+
+    monkeypatch.setattr(shapes, "path_counts", counts)
+    for command in ("paths", "rep"):
+        for n in ("6324", "6325"):
+            main([command, "--lambda", "1", "--n", n, "--N", "1"])
+    capsys.readouterr()
+    assert walked == [6324, 6324]
 
 
-def test_rep_without_verification_keeps_only_the_size_bounds(capsys):
-    code, out = run(capsys, "rep", "--lambda", "", "--n", "1002", "--N", "1", "--no-verify", "--format", "json")
-    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 1002 - 2
+@pytest.mark.parametrize("command", [["shapes"], ["paths", "--lambda", ""], ["rep", "--lambda", ""]])
+def test_a_walk_past_its_budget_is_usage_error(capsys, monkeypatch, command):
+    # `shapes --n 1000 --N 6` ran for more than 6 minutes before the budget
+    monkeypatch.setattr(shapes, "WALK_MAX_STEPS", 761)
+    shapes.path_counts.cache_clear()
+    code = main([*command, "--n", "10", "--N", "20"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the branching walk takes at most 761 steps, passed at level 10 of 10 at N=20\n"
+
+
+# sha256 of `rep --lambda "" --n 502 --N 1 --format json`, as written when
+# every far commutation was still multiplied out
+REP_502_SHA256 = "ec521782c797540678f64d894494c70e0603a116da3995cdae56e0c359995a48"
 
 
 def test_rep_verifies_past_n_500(capsys):
-    # each relation is checked as it is generated, so n no longer has a bound
+    # the far relations are checked through locality, in time linear in n
     code, out = run(capsys, "rep", "--lambda", "", "--n", "502", "--N", "1", "--format", "json")
-    assert code == 0 and len(json.loads(out)["matrices"]) == 3 * 502 - 2
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == REP_502_SHA256
+
+
+def test_rep_past_the_old_relation_bound_is_verified(capsys, monkeypatch):
+    verified = []
+    check = repform.verify_representation
+    monkeypatch.setattr(repform, "verify_representation", lambda rep: verified.append(check(rep)))
+    code, out = run(capsys, "rep", "--lambda", "", "--n", "1002", "--N", "1", "--format", "json")
+    assert code == 0 and verified == [None] and len(json.loads(out)["matrices"]) == 3 * 1002 - 2
 
 
 @pytest.mark.parametrize(
@@ -636,7 +686,7 @@ def _cli_argv(draw) -> list[str]:
         ["relations", "--n", n, "--max-cases", count],
         ["shapes", "--n", n, "--N", N],
         ["paths", "--lambda", lam, "--n", n, "--N", N],
-        ["rep", "--lambda", lam, "--n", n, "--N", N] + draw(st.sampled_from([[], ["--no-verify"]])),
+        ["rep", "--lambda", lam, "--n", n, "--N", N],
         ["central", "--mu", lam, "--N", N, "--order", count],
         ["oracle", "--n", n, "--N", N, "--trials", count, "--suite", draw(st.sampled_from(["all", *cli.ORACLE_SUITES]))],
         ["affine", "nf", "--n", n, "--word", word],
@@ -779,6 +829,31 @@ def test_numpy_and_scipy_load_only_with_the_oracle(argv, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--lambda", "", "--n", "12", "--N", "24"],
+        ["paths", "--lambda", "", "--n", "12", "--N", "24", "--format", "json"],
+        ["rep", "--lambda", "1", "--n", "7", "--N", "3"],
+    ],
+    ids=["paths-table", "paths-json", "rep"],
+)
+def test_a_closed_stdout_exits_141_quietly(argv):
+    # each output is at least 1 MB, far past a 64 KB pipe buffer, so the
+    # command is still writing when the reader closes the pipe
+    src = str(pathlib.Path(brauer.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "brauer.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141
 
 
 def test_import_leaves_dataclasses_unloaded():

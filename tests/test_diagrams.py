@@ -17,15 +17,17 @@ from brauer.diagrams import (
     diagram_to_json,
     element_to_json,
     factor_diagram,
+    far_relations,
     from_permutation,
     jm_relations,
     jucys_murphy,
     multiply,
+    near_jm_relations,
+    near_presentation_relations,
     partial_closure,
     perm_word,
     presentation_relations,
     random_diagram,
-    relation_count,
     s_diagram,
     s_elem,
     sbar_diagram,
@@ -326,9 +328,31 @@ def test_relation_tables_are_generated():
     assert [r["relation"] for r in report["results"]] == ["involution k=1", "bar-square k=1", "absorb-left k=1"]
 
 
-def test_relation_count_is_what_the_tables_yield():
+def test_tables_are_the_near_relations_with_the_far_commutations_chained_in():
+    far_families = {"commute-ss", "commute-bar-s", "commute-bar-bar", "x-commute-s", "x-commute-bar"}
     for n in range(12):
-        assert relation_count(n) == sum(1 for _ in chain(presentation_relations(n), jm_relations(n)))
+        table = list(near_presentation_relations(n))
+        for k in range(1, n):
+            table += far_relations(k, range(k + 2, n), diagrams._FAR_GENERATOR_PAIRS)
+        assert list(presentation_relations(n)) == table
+        jm = []
+        for k in range(1, n):
+            jm += far_relations(k, [l for l in range(1, n + 1) if l not in (k, k + 1)], diagrams._FAR_X_PAIRS)
+            jm += near_jm_relations(k)
+        assert list(jm_relations(n)) == jm
+        # the far relations are the far families, each a_k b_l = b_l a_k
+        near = list(chain(near_presentation_relations(n), *map(near_jm_relations, range(1, n))))
+        far = [r for r in table + jm if r not in near]
+        assert all(name.split()[0] in far_families for name, _, _ in far)
+        assert not any(name.split()[0] in far_families for name, _, _ in near)
+        for name, lhs, rhs in far:
+            [(c, (a, b))], [(c2, (b2, a2))] = lhs, rhs
+            assert c == c2 == 1 and (a, b) == (a2, b2), name
+            assert abs(a[1] - b[1]) >= 2 if b[0] != "x" else b[1] not in (a[1], a[1] + 1), name
+        # 13n - 18 near relations, and about 3.5 n^2 in all
+        assert len(near) == max(13 * n - 18, 0)
+        if n >= 2:
+            assert len(table) + len(jm) == 4 * (n - 1) + 5 * (n - 2) + 3 * (n - 2) * (n - 3) // 2 + 2 * n * (n - 1)
 
 
 def test_presentation_mutation_sensitivity(monkeypatch):

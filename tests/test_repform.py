@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -8,7 +9,9 @@ from brauer.coeffs import NPoly, SurdSum, sqrt_of_rational
 from brauer.diagrams import (
     AlgebraElement,
     factor_diagram,
+    jm_relations,
     jucys_murphy,
+    presentation_relations,
     random_diagram,
     s_elem,
     sbar_elem,
@@ -21,6 +24,7 @@ from brauer.repform import (
     Representation,
     RepresentationError,
     build_representation,
+    build_s_matrix,
     build_sbar_matrix,
     central_content_eigenvalue,
     central_series,
@@ -252,14 +256,14 @@ def test_z_eigenvalues_against_diagram_side():
         for k in (2, 3):
             for mu in shapes.enumerate_O(k - 1, Nv):
                 zs = z_series(mu, Nv, 4)
-                rep = build_representation(mu, k - 1, Nv, verify=False)
+                rep = build_representation(mu, k - 1, Nv)
                 for i in range(5):
                     acted = representation_action(rep, z_element(k, i))
                     assert scalar_of(acted) == zs[i]
 
 
 def test_representation_action_general_element():
-    rep = build_representation((1,), 3, 3, verify=False)
+    rep = build_representation((1,), 3, 3)
     img = representation_action(rep, jucys_murphy(2, 3))
     assert img == rep.matrices["x2"]
 
@@ -356,10 +360,9 @@ def test_a_degenerate_N_is_never_memoised():
 
 def test_an_all_negative_sbar_diagonal_is_refused():
     # V((1), 3) at N = -5/2: sbar_2's fiber over (1) has diagonal -2/5, -7/4, -7/20
-    for check in (True, False):
-        with pytest.raises(RepresentationError) as info:
-            build_representation((1,), 3, F(-5, 2), verify=check)
-        assert str(info.value) == "degenerate N=-5/2: negative sbar diagonal on fiber over (1,)"
+    with pytest.raises(RepresentationError) as info:
+        build_representation((1,), 3, F(-5, 2))
+    assert str(info.value) == "degenerate N=-5/2: negative sbar diagonal on fiber over (1,)"
 
 
 def _random_surd(rng: random.Random, radicand: int) -> SurdSum:
@@ -501,9 +504,97 @@ def test_single_entry_corruption_is_caught(lam, n, Nv):
                             verify_representation(Representation(rep.basis, {**rep.matrices, name: bad}))
 
 
-def _with_entry(rep: Representation, name: str, cells, value: SurdSum) -> Representation:
+def _verify_by_full_table(rep: Representation) -> None:
+    """The reference verifier: symmetry, then every relation of both tables
+    multiplied out in the gauge, the about 3.5 n^2 far commutations
+    included, where `verify_representation` checks those through locality."""
+    basis = rep.basis
+    n, N, d = basis.n, basis.N, basis.dim
+    for k in range(1, n):
+        for name in (f"s{k}", f"sbar{k}"):
+            if not rep.matrices[name].is_symmetric():
+                raise RepresentationError(f"{name} is not symmetric")
+    gens = rep._gauged[1]
+    for name, lhs, rhs in chain(presentation_relations(n), jm_relations(n)):
+        if repform._combination(repform._at(lhs, N), gens, d) != repform._combination(repform._at(rhs, N), gens, d):
+            raise RepresentationError(f"relation {name} fails")
+
+
+def _unverified(lam, n, Nv) -> Representation:
+    """The matrices `build_representation` builds, before it verifies them."""
+    basis = PathBasis.build(lam, n, Nv)
+    matrices = {}
+    for k in range(1, n):
+        matrices[f"sbar{k}"] = build_sbar_matrix(basis, k)
+        matrices[f"s{k}"] = build_s_matrix(basis, k)
+    for k in range(1, n + 1):
+        matrices[f"x{k}"] = x_matrix(basis, k)
+    return Representation(basis, matrices)
+
+
+def _verdicts(rep: Representation) -> tuple[bool, bool]:
+    """Whether `verify_representation` and the reference accept rep."""
+    verdicts = []
+    for check in (verify_representation, _verify_by_full_table):
+        try:
+            check(rep)
+        except RepresentationError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return tuple(verdicts)
+
+
+def test_locality_and_full_table_accept_the_same_representations():
+    # criterion 3's sweep and the n = 6 levels at N = 4 and 7
+    level_6 = ((lam, 6, Nv) for Nv in (4, 7) for lam in shapes.enumerate_O(6, Nv))
+    checked = 0
+    for lam, n, Nv in chain(verify._rep_sweep(), level_6):
+        assert _verdicts(_unverified(lam, n, Nv)) == (True, True), (lam, n, Nv)
+        checked += 1
+    assert checked == 131 + 32
+
+
+@pytest.mark.slow
+def test_locality_and_full_table_accept_the_representation_at_n_500():
+    # 874,745 relations in the reference against 6,482 near ones
+    assert _verdicts(_unverified((), 500, 1)) == (True, True)
+
+
+def test_locality_mutants_name_the_generator_and_the_fiber():
+    # V((1), 5) at N = 5: the level-2 fibers (0, 3, 9) and (1, 4, 10) both run
+    # from (1,) to (1,), so they must carry the same block of s_2
+    rep = build_representation((1,), 5, 5)
+    s2, x3 = rep.matrices["s2"], rep.matrices["x3"]
+    assert rep.basis.fibers(2)[:2] == ((0, 3, 9), (1, 4, 10))
+    zero = SurdSum.zero()
+    a, b = s2.entry(0, 3), s2.entry(0, 0)
+    assert a and b != s2.entry(3, 3)
+    same_key = "s2 differs on the level-2 fibers of paths 0 and 1, both from (1,) to (1,),"
+    mutants = [
+        # an entry and its mirror moved from fiber (0, 3, 9) to (1, 4, 10)
+        ("s2", {(0, 3): zero, (3, 0): zero, (0, 4): a, (4, 0): a}, "s2 has entry (0, 4) outside the level-2 fiber of path 0"),
+        # one fiber's block changed, while (0, 3, 9) keeps it
+        ("s2", {(1, 1): s2.entry(1, 1) * 2}, same_key),
+        # a diagonal swapped within one fiber
+        ("s2", {(0, 0): s2.entry(3, 3), (3, 3): b}, same_key),
+        # an x_3 entry changed on one of two paths with the same step 3
+        ("x3", {(0, 0): x3.entry(0, 0) + 1}, "x3 differs on paths"),
+        ("x3", {(0, 1): SurdSum.one()}, "x3 has an entry off the diagonal in row 0"),
+    ]
+    for name, cells, message in mutants:
+        bad = _with_entries(rep, name, cells)
+        assert _verdicts(bad) == (False, False)
+        with pytest.raises(RepresentationError) as info:
+            verify_representation(bad)
+        assert str(info.value).startswith(message), str(info.value)
+        assert str(info.value).endswith("on V((1,), 5) at N=5")
+
+
+def _with_entries(rep: Representation, name: str, cells: dict) -> Representation:
+    """rep with each (i, j) of cells of generator name set to its value."""
     bad = RepMatrix([dict(row) for row in rep.matrices[name].rows])
-    for i, j in cells:
+    for (i, j), value in cells.items():
         bad.set(i, j, value)
     return Representation(rep.basis, {**rep.matrices, name: bad})
 
@@ -517,11 +608,11 @@ def test_two_term_entry_and_asymmetry_raise():
     # an irrational off-diagonal entry: it joins two paths of different classes
     i, j = next((i, j) for i, row in enumerate(s2.rows) for j, v in row.items() if not v.is_rational())
     with pytest.raises(RepresentationError, match="s2 is not symmetric"):
-        verify_representation(_with_entry(rep, "s2", [(i, j)], s2.entry(i, j) * 2))
+        verify_representation(_with_entries(rep, "s2", {(i, j): s2.entry(i, j) * 2}))
     with pytest.raises(RepresentationError, match="sbar1 is not symmetric"):
-        verify_representation(_with_entry(rep, "sbar1", [(i, j)], SurdSum.one()))
+        verify_representation(_with_entries(rep, "sbar1", {(i, j): SurdSum.one()}))
     with pytest.raises(RepresentationError, match="does not fit a diagonal gauge"):
-        verify_representation(_with_entry(rep, "s2", [(i, j), (j, i)], SurdSum.rational(F(1, 3))))
+        verify_representation(_with_entries(rep, "s2", dict.fromkeys([(i, j), (j, i)], SurdSum.rational(F(1, 3)))))
 
 
 def test_gauge_exists_at_rational_N():
@@ -654,7 +745,7 @@ def test_repform_adds_no_surd_sums(monkeypatch):
         for k in (1, 2, 3):
             for mu in shapes.enumerate_O(k - 1, Nv):
                 zs = z_series(mu, Nv, 6)
-                rep = build_representation(mu, k - 1, Nv, verify=False)
+                rep = build_representation(mu, k - 1, Nv)
                 for i in range(7):
                     assert scalar_of(representation_action(rep, z_element(k, i))) == zs[i]
 

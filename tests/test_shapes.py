@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauer import shapes
 from brauer.shapes import (
     a_list,
     b_list,
@@ -147,6 +148,15 @@ def test_sum_of_squares_is_double_factorial():
     for n in range(1, 6):
         total = sum(c * c for c in path_counts(n, 2 * n).values())
         assert total == math.prod(range(1, 2 * n, 2))
+
+
+def test_walk_budget_is_inclusive(monkeypatch):
+    # the walk to level 10 at N = 20 takes 762 steps; the memo is bypassed
+    monkeypatch.setattr(shapes, "WALK_MAX_STEPS", 762)
+    assert path_counts.__wrapped__(10, 20) == path_counts(10, 20)
+    monkeypatch.setattr(shapes, "WALK_MAX_STEPS", 761)
+    with pytest.raises(ValueError, match="^the branching walk takes at most 761 steps, passed at level 10 of 10 at N=20$"):
+        path_counts.__wrapped__(10, 20)
 
 
 def test_contents():
