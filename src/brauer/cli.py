@@ -120,49 +120,25 @@ def cmd_shapes(args) -> int:
     return 0
 
 
-# `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so at
-# most P n(n+1)/2 parts.  `rep` prints the same P paths as its basis, and
-# 3n - 2 dense matrices of d^2 entries for d = P.  Both counts are read off
-# the branching walk before anything is enumerated, and since P >= 1 for
-# any path to print, n(n+1)/2 alone is checked before the walk: n <= 6324.
-# `rep` verifies its 13n - 18 near relations by products and the far ones
-# in time linear in its entries (the `repform` docstring), so it has no
-# bound of its own on n.  README lists the measurements behind the bounds.
-PATHS_MAX_PARTS = 2 * 10**7
+# `rep` prints 3n - 2 dense matrices of d^2 entries for its d paths (README).
+# It verifies its 13n - 18 near relations by products and the far ones in
+# time linear in its entries (the `repform` docstring), so n is bounded
+# only by the paths bound, `shapes.PATHS_MAX_PARTS`.
 REP_MAX_ENTRIES = 10**7
 
 
-def _bounded_path_count(command: str, lam: shapes.Diagram, n: int, level: int) -> int:
-    """The number P of paths to lam of n steps in the walk at level; raises
-    unless P n(n+1)/2 <= PATHS_MAX_PARTS, before the walk when n(n+1)/2
-    alone passes it."""
-    parts = n * (n + 1) // 2
-    if parts > PATHS_MAX_PARTS:
-        raise ValueError(
-            f"{command} takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got n={n}, whose n(n+1)/2 alone passes it"
-        )
-    count = shapes.path_counts(n, level).get(lam, 0)
-    if count * parts > PATHS_MAX_PARTS:
-        raise ValueError(f"{command} takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got P={count}, n={n}")
-    return count
-
-
 def cmd_paths(args) -> int:
-    _bounded_path_count("paths", args.lam, args.n, args.N)
-    paths = shapes.enumerate_paths(args.lam, args.n, args.N)
-    data = [shapes.path_to_json(p) for p in paths]
-
     def table(rows):
         for i, p in enumerate(rows):
-            print(f"{i}: " + " -> ".join(str(tuple(step)) for step in p))
+            print(f"{i}: " + " -> ".join(str(step) for step in p))
 
-    _emit(data, args.format, table)
+    _emit(shapes.enumerate_paths(args.lam, args.n, args.N), args.format, table)
     return 0
 
 
 def cmd_rep(args) -> int:
     n, N = args.n, args.N
-    d = _bounded_path_count("rep", args.lam, n, repform.walk_level(args.lam, n, N))
+    d = shapes.path_count(args.lam, n, repform.walk_level(args.lam, n, N))
     if (3 * n - 2) * d * d > REP_MAX_ENTRIES:
         raise ValueError(f"rep takes (3n-2) d^2 <= {REP_MAX_ENTRIES} for d paths, got d={d}, n={n}")
     rep = repform.build_representation(args.lam, n, N)

@@ -924,6 +924,6 @@ def representation_to_json(rep: Representation) -> dict:
         "lambda": list(rep.basis.lam),
         "n": rep.basis.n,
         "N": str(rep.basis.N),
-        "basis": [shapes.path_to_json(p) for p in rep.basis.paths],
+        "basis": rep.basis.paths,
         "matrices": {name: matrix_to_json(m) for name, m in sorted(rep.matrices.items())},
     }

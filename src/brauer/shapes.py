@@ -26,11 +26,17 @@ inside the level sets: at level n that is lam alone, and at level k it is
 the union of `branch(nu, k, N)` over the diagrams nu kept at level k + 1.
 From a kept mu the steps that still reach lam go to exactly the kept nu it
 was found from.  A path to lam takes only such steps, and every chain of
-them from the empty diagram is a path to lam.  The chains start at the empty
-diagram, so a kept diagram that it does not reach is never expanded, and
-the reachability argument above is not needed.  Taking each level's kept
+them from the empty diagram is a path to lam.  Taking each level's kept
 diagrams in sorted order keeps every step's list sorted, so the paths come
 out already in path-lex order and the final sort is one pass.
+
+The pruning also counts each kept mu's chains to lam, summing the counts
+of the kept nu it was found from.  For N >= 1 the sum over a level is at
+most the number P of paths to lam, and never falls going down a level:
+each kept diagram lies on a path from the empty diagram (the reachability
+argument), so distinct chains extend back to distinct paths, and each kept
+nu above level 0 has a kept diagram one box below it.  The sum is 1 at
+level n and P at level 0, so a bound on P is checked at every level.
 
 Tuple comparison gives the deterministic order used everywhere: comparing
 part lists elementwise with the shorter-prefix-first rule, which coincides
@@ -152,25 +158,50 @@ def enumerate_O(n: int, N: int) -> tuple[Diagram, ...]:
     return tuple(sorted(path_counts(n, N)))
 
 
+# `paths` prints P paths of n + 1 diagrams, at most k parts at step k, so
+# P n(n+1)/2 parts at most, and `rep` prints them as its basis (README).
+PATHS_MAX_PARTS = 2 * 10**7
+
+
+def _pruned_walk(lam: Diagram, n: int, N: int) -> tuple[list[dict[Diagram, list[Diagram]]], int]:
+    """The steps below level n that still reach lam in O(n, N), and the number P
+    of paths to lam; raises once a lower bound on P passes PATHS_MAX_PARTS."""
+    parts = n * (n + 1) // 2
+    # steps[k][mu]: the diagrams at level k + 1 one box from mu that still
+    # reach lam, in sorted order; counts[mu]: the chains from mu to lam
+    steps: list[dict[Diagram, list[Diagram]]] = []
+    counts = {lam: 1}
+    for k in range(n, -1, -1):
+        low = sum(counts.values())
+        if low * parts > PATHS_MAX_PARTS:
+            raise ValueError(f"paths takes P n(n+1)/2 <= {PATHS_MAX_PARTS} for P paths, got P >= {low}, n={n}")
+        if k:
+            below: dict[Diagram, list[Diagram]] = {}
+            for nu in sorted(counts):
+                for mu in branch(nu, k - 1, N):
+                    below.setdefault(mu, []).append(nu)
+            steps.append(below)
+            counts = {mu: sum(counts[nu] for nu in nus) for mu, nus in below.items()}
+    return steps[::-1], counts.get(EMPTY, 0)
+
+
+def path_count(lam: Diagram, n: int, N: int) -> int:
+    """The number of up-down paths to lam, 0 outside O(n, N); raises as `enumerate_paths` does."""
+    return _pruned_walk(lam, n, N)[1] if in_O(lam, n, N) else 0
+
+
 @lru_cache(maxsize=256)
 def enumerate_paths(lam: Diagram, n: int, N: int) -> tuple[Path, ...]:
     """All up-down paths from the empty diagram to lam, in path-lex order.
 
     Paths include the starting empty diagram, so each has n+1 entries.
+    Raises ValueError when P n(n+1)/2 > PATHS_MAX_PARTS for their number P.
     """
     if not in_O(lam, n, N):
         raise ValueError(f"{lam} is not in O({n}, {N})")
-    # steps[k][mu]: the diagrams at level k + 1 one box from mu that still
-    # reach lam, in sorted order (module docstring)
-    steps: list[dict[Diagram, list[Diagram]]] = [{} for _ in range(n)]
-    keep: Iterable[Diagram] = (lam,)
-    for k in range(n - 1, -1, -1):
-        for nu in sorted(keep):
-            for mu in branch(nu, k, N):
-                steps[k].setdefault(mu, []).append(nu)
-        keep = steps[k]
+    steps, count = _pruned_walk(lam, n, N)
     # every diagram a path reaches is kept, so a key of the next step
-    paths: list[Path] = [(EMPTY,)] if EMPTY in keep else []
+    paths: list[Path] = [(EMPTY,)] if count else []
     for step in steps:
         paths = [p + (nu,) for p in paths for nu in step[p[-1]]]
     return tuple(sorted(paths))
@@ -211,14 +242,6 @@ def a_list(mu: Diagram, N: Fraction) -> list[Fraction]:
     """(N-1)/2 + content, over all boxes of mu (the alternate product form)."""
     h = Fraction(N - 1, 2)
     return [h + e for e in contents(mu)]
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def path_to_json(path: Path) -> list[list[int]]:
-    return [list(step) for step in path]
 
 
 def parse_partition(text: str) -> Diagram:

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -378,12 +379,16 @@ def test_rep_refuses_a_negative_sbar_diagonal(capsys):
     assert captured.err == "error: degenerate N=-5/2: negative sbar diagonal on fiber over (1,)\n"
 
 
+def _refuse(*args):
+    raise AssertionError("called")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
             ["paths", "--lambda", "", "--n", "20", "--N", "40"],
-            "paths takes P n(n+1)/2 <= 20000000 for P paths, got P=654729075, n=20",
+            "paths takes P n(n+1)/2 <= 20000000 for P paths, got P >= 133651, n=20",
         ),
         (["rep", "--lambda", "2,1", "--n", "9", "--N", "18"], "rep takes (3n-2) d^2 <= 10000000 for d paths, got d=2520, n=9"),
         # a non-integer N counts the unconstrained paths
@@ -391,11 +396,9 @@ def test_rep_refuses_a_negative_sbar_diagonal(capsys):
     ],
 )
 def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypatch, argv, message):
-    # refused from the path count, before a path is enumerated
-    def refuse(*args):
-        raise AssertionError("paths were enumerated")
-
-    monkeypatch.setattr(shapes, "enumerate_paths", refuse)
+    # `paths` is refused by the pruned walk on a lower bound on P = 654729075,
+    # and `rep` from the path count, before a matrix is built
+    monkeypatch.setattr(repform, "build_sbar_matrix", _refuse)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -404,39 +407,64 @@ def test_paths_and_rep_refuse_a_size_past_their_bounds_at_once(capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["paths", "rep"])
 def test_paths_and_rep_refuse_a_large_n_before_walking(capsys, monkeypatch, command):
-    # n(n+1)/2 alone passes the paths bound, so nothing is walked or enumerated
-    def refuse(*args):
-        raise AssertionError("paths were walked")
-
-    monkeypatch.setattr(shapes, "path_counts", refuse)
-    monkeypatch.setattr(shapes, "enumerate_paths", refuse)
-    start = time.perf_counter()
-    code = main([command, "--lambda", "", "--n", "100000", "--N", "1"])
-    captured = capsys.readouterr()
-    assert time.perf_counter() - start < 1
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        f"error: {command} takes P n(n+1)/2 <= 20000000 for P paths, got n=100000, whose n(n+1)/2 alone passes it\n"
-    )
+    # the pruned walk checks the paths bound at each level, so it stops at
+    # level 6000 - 2 at N = 6 and before its first step at n = 100000; the
+    # forward walk over every diagram never runs
+    monkeypatch.setattr(shapes, "path_counts", _refuse)
+    for n, N, low in (("100000", "1", 1), ("6000", "6", 3)):
+        with monkeypatch.context() as patch:
+            if low == 1:
+                patch.setattr(shapes, "branch", _refuse)
+            start = time.perf_counter()
+            code = main([command, "--lambda", "", "--n", n, "--N", N])
+            captured = capsys.readouterr()
+            assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: paths takes P n(n+1)/2 <= 20000000 for P paths, got P >= {low}, n={n}\n"
 
 
 def test_paths_bound_on_n_alone_is_inclusive(capsys, monkeypatch):
-    # 6324 * 6325 / 2 = 19,999,650 is the last n(n+1)/2 within the bound
-    walked = []
+    # 6324 * 6325 / 2 = 19,999,650 is the last n(n+1)/2 within the bound, so
+    # one path of 6324 steps is taken, and one of 6325 refused before a step
+    built = []
 
-    def counts(n, N):
-        walked.append(n)
-        return {}
+    def build(lam, n, N):
+        built.append(n)
+        raise ValueError("not built here")
 
-    monkeypatch.setattr(shapes, "path_counts", counts)
+    monkeypatch.setattr(repform, "build_representation", build)
+    code, out = run(capsys, "paths", "--lambda", "", "--n", "6324", "--N", "1", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 1
+    assert main(["rep", "--lambda", "", "--n", "6324", "--N", "1"]) == 2 and built == [6324]
+    monkeypatch.setattr(shapes, "branch", _refuse)
     for command in ("paths", "rep"):
-        for n in ("6324", "6325"):
-            main([command, "--lambda", "1", "--n", n, "--N", "1"])
-    capsys.readouterr()
-    assert walked == [6324, 6324]
+        assert main([command, "--lambda", "1", "--n", "6325", "--N", "1"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: paths takes P n(n+1)/2 <= 20000000 for P paths, got P >= 1, n=6325\n" * 2
+    )
+    assert built == [6324]
 
 
-@pytest.mark.parametrize("command", [["shapes"], ["paths", "--lambda", ""], ["rep", "--lambda", ""]])
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["paths", "--lambda", "1000", "--n", "1000", "--N", "6", "--format", "json"], 1),
+        (["rep", "--lambda", "30", "--n", "30", "--N", "60"], 1),
+        (["rep", "--lambda", "2,1", "--n", "5", "--N", "3"], 15),
+    ],
+)
+def test_paths_and_rep_walk_only_towards_lambda(capsys, monkeypatch, argv, dim):
+    # the forward walk over every diagram, `path_counts`, refuses the first
+    # input at its step budget after 2.4 s and takes 1.2 s on the second
+    monkeypatch.setattr(shapes, "path_counts", _refuse)
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    data = json.loads(out)
+    assert code == 0 and len(data if argv[0] == "paths" else data["basis"]) == dim
+
+
+@pytest.mark.parametrize("command", [["shapes"]])
 def test_a_walk_past_its_budget_is_usage_error(capsys, monkeypatch, command):
     # `shapes --n 1000 --N 6` ran for more than 6 minutes before the budget
     monkeypatch.setattr(shapes, "WALK_MAX_STEPS", 761)
@@ -773,15 +801,112 @@ def _readme_commands():
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("brauer ")]
 
 
-def test_readme_command_lines_exit_0(capsys):
-    commands = _readme_commands()
-    # verify-all's criteria run one by one in tests/test_acceptance.py
-    skipped = {argv[0] for argv in commands if argv[0] == "verify-all"}
-    assert skipped == {"verify-all"}
-    for argv in commands:
-        if argv[0] not in skipped:
-            assert main(argv) == 0, argv
-    capsys.readouterr()
+# the commands with a table layout, which take --format table beside json
+TABLE_COMMANDS = ("shapes", "paths", "central", "verify-all")
+
+# the rows of README's measurement tables marked refused that are refused
+# within a second
+README_REFUSALS = [
+    ["paths", "--lambda", "6" + ",1" * 22, "--n", "28", "--N", "56"],
+    ["paths", "--lambda", "6,2,2", "--n", "14", "--N", "28"],
+    ["rep", "--lambda", "2,1", "--n", "9", "--N", "18"],
+    ["rep", "--lambda", "1", "--n", "6325", "--N", "1"],
+    ["rep", "--lambda", "", "--n", "100000", "--N", "1"],
+    ["rep", "--lambda", "2,1", "--n", "5", "--N", str(10**21)],
+    ["oracle", "--n", "1", "--N", "16384", "--suite", "casimir"],
+    ["oracle", "--n", "2", "--N", "128", "--suite", "casimir"],
+    ["oracle", "--n", "14", "--N", "2", "--suite", "hom"],
+    ["oracle", "--n", "5", "--N", "5", "--suite", "rank"],
+    ["affine", "nf", "--n", "1", "--word", "w35"],
+    ["affine", "nf", "--n", "1", "--word", "w37"],
+    ["affine", "nf", "--n", "1", "--word", "w1001"],
+    ["central", "--mu", "3,2,1", "--N", "7", "--order", "1000"],
+    ["central", "--mu", "10,9,8,7,6,5,4,3,2,1", "--N", "21", "--order", "1000"],
+]
+
+
+def _readme_runs():
+    """Each README command line once in every format its command takes, then
+    README's refused rows."""
+    runs = []
+    for argv in _readme_commands():
+        if "--format" in argv:
+            i = argv.index("--format")
+            argv = argv[:i] + argv[i + 2 :]
+        for fmt in ("json", "table") if argv[0] in TABLE_COMMANDS else ("json",):
+            runs.append(argv + ["--format", fmt])
+    return runs + README_REFUSALS
+
+
+# a time in seconds, as a JSON value or in verify-all's table
+_SECONDS = re.compile(r'(?<="seconds": )[0-9.]+|(?<=\()[0-9.]+(?=s\))')
+
+
+def _readme_digest(capsys, argv):
+    """The exit code and the sha256 of stdout, with each time zeroed in the
+    output of the commands that report one."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    if argv[0] in ("oracle", "affine", "verify-all"):
+        out = _SECONDS.sub("0", out)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+# `_readme_digest` of each run of `_readme_runs`, keyed by its shell line,
+# pinned before `paths` and `rep` counted their paths by the pruned walk
+README_SHA256 = {
+    "relations --n 4 --format json": (0, "776e032366309cb6725c85a81d33c27fd8dfd4186e75d6a97fe9caa691c47168"),
+    "shapes --n 3 --N 2 --format json": (0, "a1cea7f9992c01116182d17aaaa8e489ed96afd367beb57574b33acc353a9b3e"),
+    "shapes --n 3 --N 2 --format table": (0, "1e6cb9a2bd8a83b8a1afbe7f87f591ee3d7b07928cf4c96105fb79ea53b5dc04"),
+    "paths --lambda 1 --n 3 --N 3 --format json": (0, "8ac8f669997c9d0d0c18d1d1ebccb30759dc4fddbdb90ad2ff523683b77f5a67"),
+    "paths --lambda 1 --n 3 --N 3 --format table": (0, "c747c6e85b613c2761cc20e6fd01d0e4f8d55ea58a53820787a55c473f1a0b77"),
+    "rep --lambda 2,1 --n 5 --N 3 --format json": (0, "df6a39fd084b8ca40ad287ab80763cd7ad6d594a6df29249a735b9b6e0dfe8d9"),
+    "central --mu '' --N 3 --order 4 --format json": (0, "9b24fd667ada1d30e0fb8f17e1fb961f31372952de1b15d70d2f59bd4e88a13d"),
+    "central --mu '' --N 3 --order 4 --format table": (0, "d0c10a467b25d8a7def840570ce227fde49dcc84351fa036caf9802c384673f7"),
+    "mult --n 2 --word 'sbar1 sbar1' --format json": (0, "bd715f96d134468e10d33e0ff605340697e627016169f36bfa13fb9b70521086"),
+    "oracle --n 3 --N 2 --suite all --format json": (0, "3e58f596a1212984e1193897206acc1c5993eb74330c8b1ba3e2899d3a1d4469"),
+    "affine nf --n 2 --word 's1 y1 y1 sbar1' --format json": (0, "135cd3c57a023eb5c585711cd2728f07abaaac1d390cd6238245c1e9bd71279e"),
+    "affine check --suite assoc --format json": (0, "18cfafdae3ec0a9dfd16d93ebc3a04ea60df69a8b360f899253fd38e40912db1"),
+    "verify-all --format json": (0, "e6c7c1859a081173fb2831448b19d1417183ed1cae3eeacc017bc3187a86dd04"),
+    "verify-all --format table": (0, "6c37f06742bb34f75d2b35fd573e6f338aaaef92b4104e701a159c2adc65b704"),
+    "paths --lambda 6,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --n 28 --N 56": (2, EMPTY_SHA256),
+    "paths --lambda 6,2,2 --n 14 --N 28": (2, EMPTY_SHA256),
+    "rep --lambda 2,1 --n 9 --N 18": (2, EMPTY_SHA256),
+    "rep --lambda 1 --n 6325 --N 1": (2, EMPTY_SHA256),
+    "rep --lambda '' --n 100000 --N 1": (2, EMPTY_SHA256),
+    "rep --lambda 2,1 --n 5 --N 1000000000000000000000": (2, EMPTY_SHA256),
+    "oracle --n 1 --N 16384 --suite casimir": (2, EMPTY_SHA256),
+    "oracle --n 2 --N 128 --suite casimir": (2, EMPTY_SHA256),
+    "oracle --n 14 --N 2 --suite hom": (2, EMPTY_SHA256),
+    "oracle --n 5 --N 5 --suite rank": (2, EMPTY_SHA256),
+    "affine nf --n 1 --word w35": (2, EMPTY_SHA256),
+    "affine nf --n 1 --word w37": (2, EMPTY_SHA256),
+    "affine nf --n 1 --word w1001": (2, EMPTY_SHA256),
+    "central --mu 3,2,1 --N 7 --order 1000": (2, EMPTY_SHA256),
+    "central --mu 10,9,8,7,6,5,4,3,2,1 --N 21 --order 1000": (2, EMPTY_SHA256),
+}
+
+
+def test_readme_command_lines_exit_0(capsys, monkeypatch):
+    # every README line and refused row, but verify-all's (the slow test below)
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    runs = {shlex.join(argv): argv for argv in _readme_runs() if argv[0] != "verify-all"}
+    assert set(runs) == {line for line in README_SHA256 if not line.startswith("verify-all")}
+    for line, argv in runs.items():
+        assert _readme_digest(capsys, argv) == README_SHA256[line], line
+
+
+@pytest.mark.slow
+def test_readme_verify_all_lines(capsys, monkeypatch):
+    # a whole verify-all takes 2-3 s; its criteria also run one by one in
+    # tests/test_acceptance.py.  --stats is not pinned: it adds memo counts,
+    # which depend on what ran before in the process, and the peak RSS
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    for argv in _readme_runs():
+        if argv[0] == "verify-all" and "--stats" not in argv:
+            assert _readme_digest(capsys, argv) == README_SHA256[shlex.join(argv)], argv
 
 
 def test_affine_check_runs_only_the_named_suite(capsys, monkeypatch):

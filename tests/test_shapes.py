@@ -16,7 +16,6 @@ from brauer.shapes import (
     in_O,
     parse_partition,
     path_counts,
-    path_to_json,
 )
 
 
@@ -143,6 +142,26 @@ def test_path_count_recurrence_matches_enumeration():
                 assert counts.get(lam, 0) == len(enumerate_paths(lam, n, Nv))
 
 
+def test_paths_bound_is_reached_exactly_at_the_path_count(monkeypatch):
+    # the pruned walk's lower bound on P never passes P: at a bound of
+    # P n(n+1)/2 every path is enumerated, and at one less the walk refuses
+    for n in range(7):
+        for Nv in range(1, 8):
+            for lam, count in path_counts(n, Nv).items():
+                parts = n * (n + 1) // 2
+                monkeypatch.setattr(shapes, "PATHS_MAX_PARTS", count * parts)
+                assert shapes.path_count(lam, n, Nv) == count
+                assert len(enumerate_paths.__wrapped__(lam, n, Nv)) == count
+                monkeypatch.setattr(shapes, "PATHS_MAX_PARTS", count * parts - 1)
+                with pytest.raises(ValueError, match=rf"^paths takes P n\(n\+1\)/2 <= {count * parts - 1} "):
+                    enumerate_paths.__wrapped__(lam, n, Nv)
+
+
+def test_path_count_is_0_outside_O():
+    assert shapes.path_count((2, 1), 3, 2) == 0 and shapes.path_count((1,), 2, 3) == 0
+    assert shapes.path_count((1,), 3, 3) == len(enumerate_paths((1,), 3, 3)) == 3
+
+
 def test_sum_of_squares_is_double_factorial():
     # at N >= 2n the column bound never binds
     for n in range(1, 6):
@@ -193,4 +212,3 @@ def test_parse_partition_and_json():
     assert parse_partition("2,1") == (2, 1)
     with pytest.raises(ValueError):
         parse_partition("1,2")
-    assert path_to_json(enumerate_paths((1,), 3, 3)[0]) == [[], [1], [], [1]]
