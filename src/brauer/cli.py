@@ -121,9 +121,10 @@ def cmd_shapes(args) -> int:
 
 
 # `rep` prints 3n - 2 dense matrices of d^2 entries for its d paths (README).
-# It verifies its 13n - 18 near relations by products and the far ones in
-# time linear in its entries (the `repform` docstring), so n is bounded
-# only by the paths bound, `shapes.PATHS_MAX_PARTS`.
+# It multiplies out 10n - 15 of its 13n - 18 near relations, takes the other
+# 3(n - 1) as their transposes, and checks the far ones in time linear in its
+# entries (the `repform` docstring), so n is bounded only by the paths
+# bound, `shapes.PATHS_MAX_PARTS`.
 REP_MAX_ENTRIES = 10**7
 
 
@@ -259,6 +260,12 @@ def cmd_verify_all(args) -> int:
             print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s){rss}")
             for name, c in r.get("memos", {}).items():
                 print(f"      {name:32s} hits {c['hits']:>8}  misses {c['misses']:>8}")
+            c = r.get("near_relations")
+            if c and any(c.values()):
+                print(
+                    f"      near relations multiplied {c['multiplied']}, transposed {c['transposed']},"
+                    f" IntMatrix products {c['products']}"
+                )
 
     _emit(reports, args.format, table)
     return 0 if all(r["ok"] for r in reports) else 1
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="also report each criterion's memo hits and misses and the peak RSS after it",
+        help="also report each criterion's memo hits and misses, its near-relation and product counts, and the peak RSS after it",
     )
     p.set_defaults(fn=cmd_verify_all)
 

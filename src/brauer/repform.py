@@ -101,6 +101,24 @@ time linear in the number of entries, and only the near relations are
 multiplied out, in the gauge below: the relation table draws the far
 families from `diagrams.far_relations`, which the verifier does not walk.
 
+Of the 13n - 18 near relations, 10n - 15 are multiplied out.  The transpose
+of a relation reverses each of its words.  Three near families are, up to
+sign, the transposes of others at the same k, each listed just after its
+partner: absorb-right of absorb-left, x-cross-b of x-cross-a and
+x-kill-right of x-kill-left.  Their 3(n - 1) relations are taken from their
+partners:
+
+  1. the checks before the products show that s_k and sbar_k are symmetric
+     and x_l is diagonal, in the orthogonal form;
+  2. a relation holds in the gauge below exactly when it holds in the
+     orthogonal form, because G = D^-1 M D is a similarity;
+  3. transposing a true relation among symmetric matrices gives a true
+     relation, since (AB)^T = B^T A^T = BA.
+
+A skipped relation comes after its partner, so a representation that fails
+one names the same first relation as a check of them all.  The families are
+read off the table itself, in `_NEAR_FAMILIES`.
+
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
 non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
 sbar_k are block-diagonal over the level-k fibers and x_k is diagonal.
@@ -400,8 +418,7 @@ class PathBasis:
                 raise ValueError(f"{lam} not in O({n}, {N})")
         elif N < 1:
             raise ValueError(f"an integer N must be at least 1, got {N}")
-        elif not shapes.in_O(lam, n, int(N)):
-            raise ValueError(f"{lam} not in O({n}, {N})")
+        # at an integer N, `enumerate_paths` refuses a lam outside O(n, N)
         return PathBasis(lam, n, N, shapes.enumerate_paths(lam, n, walk_level(lam, n, N)))
 
     @property
@@ -700,10 +717,53 @@ def _check_locality(rep: Representation) -> None:
                 )
 
 
+def _near_relations(n: int):
+    """The near relations of both tables at n, in the order they are checked."""
+    return chain(near_presentation_relations(n), *(near_jm_relations(k) for k in range(1, n)))
+
+
+def _family(name: str) -> str:
+    """The family of a relation, its name up to " k=..."."""
+    return name.partition(" ")[0]
+
+
+def _difference(lhs, rhs, step: int = 1) -> frozenset:
+    """lhs - rhs as (word, coefficient) pairs, each word read with the slice
+    step: -1 reverses it, which transposes the relation."""
+    return frozenset(chain(((word[::step], c) for c, word in lhs), ((word[::step], -c) for c, word in rhs)))
+
+
+def _near_families() -> dict[str, int | None]:
+    """Each near family -> the IntMatrix products that multiplying out one
+    of its relations takes (L - 1 for a word of L generators), or None where
+    its relations are, up to sign, the transposes of relations checked
+    before them (module docstring).  Read off the tables at n = 3, which
+    hold one instance of every family.  `_at` drops no term at an N that a
+    path basis takes: the one coefficient other than +/-1 is N, never 0."""
+    kept, families = set(), {}
+    for name, lhs, rhs in _near_relations(3):
+        if _difference(lhs, rhs, -1) in kept or _difference(rhs, lhs, -1) in kept:
+            families[_family(name)] = None
+        else:
+            kept.add(_difference(lhs, rhs))
+            families[_family(name)] = sum(len(word) - 1 for _, word in chain(lhs, rhs) if word)
+    return families
+
+
+_NEAR_FAMILIES = _near_families()
+
+# the near relations multiplied out and those taken by transposition, and
+# the IntMatrix products of the first, over every `verify_representation`;
+# `verify-all --stats` reports what each criterion adds
+NEAR_COUNTS = {"multiplied": 0, "transposed": 0, "products": 0}
+
+
 def verify_representation(rep: Representation) -> None:
     """Check that every s_k and sbar_k is symmetric, the support, locality
-    and x properties, which imply every far relation, and then every near
-    relation of the tables, in the diagonal gauge (module docstring).
+    and x properties, which imply every far relation, and then the near
+    relations of the tables, in the diagonal gauge: each one multiplied out
+    but those of the transposed families of `_NEAR_FAMILIES`, which the
+    symmetry check and the relations before them imply (module docstring).
 
     Raises RepresentationError naming the first violated check.
     """
@@ -715,12 +775,23 @@ def verify_representation(rep: Representation) -> None:
                 raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
     _check_locality(rep)
     gens = rep._gauged[1]
-    near = chain(near_presentation_relations(n), *(near_jm_relations(k) for k in range(1, n)))
-    for name, lhs, rhs in near:
-        if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
-            raise RepresentationError(
-                f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
-            )
+    multiplied = transposed = products = 0
+    try:
+        for name, lhs, rhs in _near_relations(n):
+            cost = _NEAR_FAMILIES[_family(name)]
+            if cost is None:
+                transposed += 1
+                continue
+            multiplied += 1
+            products += cost
+            if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
+                raise RepresentationError(
+                    f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
+                )
+    finally:
+        NEAR_COUNTS["multiplied"] += multiplied
+        NEAR_COUNTS["transposed"] += transposed
+        NEAR_COUNTS["products"] += products
 
 
 def build_representation(lam: Diagram, n: int, N: int | Fraction) -> Representation:

@@ -198,7 +198,7 @@ def enumerate_paths(lam: Diagram, n: int, N: int) -> tuple[Path, ...]:
     Raises ValueError when P n(n+1)/2 > PATHS_MAX_PARTS for their number P.
     """
     if not in_O(lam, n, N):
-        raise ValueError(f"{lam} is not in O({n}, {N})")
+        raise ValueError(f"{lam} not in O({n}, {N})")
     steps, count = _pruned_walk(lam, n, N)
     # every diagram a path reaches is kept, so a key of the next step
     paths: list[Path] = [(EMPTY,)] if count else []

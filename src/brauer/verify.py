@@ -507,11 +507,14 @@ def _memo_counts() -> dict[str, tuple[int, int]]:
 
 def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
     """Every criterion's report; with stats, each also has "memos": the
-    hits and misses it added to each memo it used, and "peak_rss_mb": the
-    process's peak RSS once it has run."""
+    hits and misses it added to each memo it used, "near_relations": the
+    near relations its representation checks multiplied out and took by
+    transposition, and the products those took (`repform.NEAR_COUNTS`), and
+    "peak_rss_mb": the process's peak RSS once it has run."""
     out = []
     for label, fn in ALL_CRITERIA:
         before = _memo_counts() if stats else {}
+        near_before = dict(repform.NEAR_COUNTS)
         if fn in (criterion_6_tensor, criterion_8_affine):
             rep = fn(seed=seed)
         else:
@@ -523,6 +526,7 @@ def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
                 hits0, misses0 = before.get(name, (0, 0))
                 if (hits, misses) != (hits0, misses0):
                     rep["memos"][name] = {"hits": hits - hits0, "misses": misses - misses0}
+            rep["near_relations"] = {key: count - near_before[key] for key, count in repform.NEAR_COUNTS.items()}
             # the process's high-water mark so far; Linux gives ru_maxrss in KiB
             rep["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         out.append(rep)

@@ -173,6 +173,19 @@ def test_rep_unreachable_diagram_names_the_given_N(capsys, lam):
     assert f"({lam},) not in O(2, 7/2)" in captured.err
 
 
+def test_paths_and_rep_word_a_diagram_outside_O_alike(capsys, monkeypatch):
+    # at an integer N the one check is `enumerate_paths`'s
+    calls = []
+    in_O = shapes.in_O
+    monkeypatch.setattr(shapes, "in_O", lambda *args: calls.append(args) or in_O(*args))
+    for command in ("paths", "rep"):
+        code = main([command, "--lambda", "1", "--n", "0", "--N", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == "error: (1,) not in O(0, 3)\n", command
+    # rep's d is read off `path_count`, which checks once more
+    assert calls == [((1,), 0, 3)] * 3
+
+
 def test_affine_nf(capsys):
     code, out = run(
         capsys, "affine", "nf", "--n", "2", "--word", "sbar1 y1 sbar1", "--format", "json"
@@ -676,6 +689,33 @@ def test_verify_all_stats_reports_each_criterion_s_memo_deltas(capsys, monkeypat
     assert code == 0 and set(json.loads(out)[0]) == {"name", "ok", "seconds", "details", "criterion"}
     code, out = run(capsys, "verify-all")
     assert code == 0 and len(out.splitlines()) == 1
+
+
+def test_verify_all_stats_counts_criterion_3_s_near_relations(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [("3 representations", verify.criterion_3_representations)])
+    products = 0
+    mul = repform.IntMatrix.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(repform.IntMatrix, "__mul__", counted)
+    code, out = run(capsys, "verify-all", "--stats", "--format", "json")
+    (rep,) = json.loads(out)
+    ns = [n for _, n, _ in verify._rep_sweep()]
+    assert code == 0 and len(ns) == 131
+    expected = {"multiplied": sum(10 * n - 15 for n in ns), "transposed": sum(3 * (n - 1) for n in ns)}
+    assert rep["near_relations"] == {**expected, "products": products}
+    code, out = run(capsys, "verify-all", "--stats")
+    assert code == 0 and out.splitlines()[-1].split() == [
+        "near", "relations", "multiplied", f"{expected['multiplied']},", "transposed",
+        f"{expected['transposed']},", "IntMatrix", "products", str(rep["near_relations"]["products"]),
+    ]
+    # without --stats the output keeps its shape
+    code, out = run(capsys, "verify-all", "--format", "json")
+    assert code == 0 and "near_relations" not in json.loads(out)[0]
 
 
 _TOKENS = st.sampled_from(

@@ -561,6 +561,69 @@ def test_locality_and_full_table_accept_the_representation_at_n_500():
     assert _verdicts(_unverified((), 500, 1)) == (True, True)
 
 
+def _signed_words(lhs, rhs, reverse: bool = False) -> dict:
+    """lhs - rhs as word -> coefficient, each word reversed if reverse."""
+    out = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for c, word in side:
+            key = word[::-1] if reverse else word
+            assert key not in out  # no word is on both sides of a table relation
+            out[key] = sign * c
+    return out
+
+
+def test_each_skipped_near_relation_is_a_kept_one_transposed():
+    for n in range(2, 13):
+        kept: dict[str, list[dict]] = {}  # k -> lhs - rhs of each kept relation there
+        skipped = 0
+        for name, lhs, rhs in repform._near_relations(n):
+            at_k = kept.setdefault(name.rpartition(" k=")[2], [])
+            if repform._NEAR_FAMILIES[name.partition(" ")[0]] is None:
+                transposed = _signed_words(lhs, rhs, reverse=True)
+                negated = {word: -c for word, c in transposed.items()}
+                assert transposed in at_k or negated in at_k, name
+                skipped += 1
+            else:
+                at_k.append(_signed_words(lhs, rhs))
+        assert sum(map(len, kept.values())) == 10 * n - 15 and skipped == 3 * (n - 1), n
+    transposed = {family for family, cost in repform._NEAR_FAMILIES.items() if cost is None}
+    assert transposed == {"absorb-right", "x-cross-b", "x-kill-right"}
+
+
+def _first_failing_near_relation(rep: Representation) -> str | None:
+    """The message for the first near relation, of all 13n - 18, that rep
+    fails once multiplied out, or None."""
+    basis = rep.basis
+    n, N, d = basis.n, basis.N, basis.dim
+    gens = rep._gauged[1]
+    for name, lhs, rhs in repform._near_relations(n):
+        if repform._combination(repform._at(lhs, N), gens, d) != repform._combination(repform._at(rhs, N), gens, d):
+            return f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
+    return None
+
+
+def test_a_failing_representation_names_the_first_failing_near_relation():
+    # three symmetric, local mutants, each first failing the partner of a
+    # transposed family; verification must name the relation that a check
+    # of every near relation names first
+    for lam, n, Nv in (((1,), 3, 3), ((2,), 4, F(7, 2))):
+        rep = build_representation(lam, n, Nv)
+        d = rep.basis.dim
+        xs = [f"x{k}" for k in range(1, n + 1)]
+        mutants = {
+            "absorb-left k=1": {"s1": rep.matrices["s1"].scale(-1)},
+            "x-cross-a k=1": {x: rep.matrices[x].scale(2) for x in xs},
+            "x-kill-left k=1": {x: rep.matrices[x] + RepMatrix.identity(d) for x in xs},
+        }
+        for relation, changed in mutants.items():
+            bad = Representation(rep.basis, {**rep.matrices, **changed})
+            expected = f"relation {relation} fails on V({lam}, {n}) at N={Nv}"
+            assert _first_failing_near_relation(bad) == expected
+            with pytest.raises(RepresentationError) as info:
+                verify_representation(bad)
+            assert str(info.value) == expected
+
+
 def test_locality_mutants_name_the_generator_and_the_fiber():
     # V((1), 5) at N = 5: the level-2 fibers (0, 3, 9) and (1, 4, 10) both run
     # from (1,) to (1,), so they must carry the same block of s_2
