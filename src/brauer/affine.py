@@ -331,13 +331,7 @@ class AffineElement(Combination):
 
 
 def y_elem(k: int, n: int) -> AffineElement:
-    if not 1 <= k <= n:
-        raise ValueError("y index out of range")
-    zero = (0,) * n
-    left = tuple(1 if i == k - 1 else 0 for i in range(n))
-    return AffineElement.from_monomial(
-        RegularMonomial(n, left, BrauerDiagram.identity(n), zero, ())
-    )
+    return from_word([("y", k)], n)
 
 
 def s_elem(k: int, n: int) -> AffineElement:
@@ -381,26 +375,9 @@ def _odd_w_expansion(i: int) -> tuple[tuple[WTuple, NPoly], ...]:
 W_MAX_INDEX = 33
 
 
-def _check_w_index(i: int) -> None:
-    if i > W_MAX_INDEX:
-        raise ValueError(f"w index must be at most {W_MAX_INDEX}, got w{i}")
-
-
 def w_elem(i: int, n: int) -> AffineElement:
     """The central generator w_i, with odd indices eliminated."""
-    if i < 0:
-        raise ValueError("w index must be non-negative")
-    _check_w_index(i)
-    zero = (0,) * n
-    ident = BrauerDiagram.identity(n)
-    if i == 0:
-        return AffineElement.one(n).scale(NPoly.N())
-    if i % 2 == 0:
-        return AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, _w_unit(i)))
-    out = AffineElement.zero(n)
-    for key, c in _odd_w_expansion(i):
-        out = out + AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, key), c)
-    return out
+    return from_word([("w", i)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +703,8 @@ def _check_atom(atom: Atom, n: int) -> None:
     elif kind == "y":
         ok = 1 <= k <= n
     elif kind == "w":
-        _check_w_index(k)
+        if k > W_MAX_INDEX:
+            raise ValueError(f"w index must be at most {W_MAX_INDEX}, got w{k}")
         ok = k >= 0
     else:
         raise ValueError(f"unknown atom {atom}")

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -353,7 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a token such as -5/3 as an option, not as the value of
+    # --N, so the two are joined into --N=-5/3
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--N" and re.fullmatch(r"-\d+/\d+", token):
+            joined[-1] = f"--N={token}"
+        else:
+            joined.append(token)
+    args = parser.parse_args(joined)
     try:
         if "seed" in args:
             args.seed = verify._seed(args.seed)

@@ -101,6 +101,17 @@ time linear in the number of entries, and only the near relations are
 multiplied out, in the gauge below: the relation table draws the far
 families from `diagrams.far_relations`, which the verifier does not walk.
 
+The same pass checks that s_k and sbar_k are symmetric, on one block per
+key.  Once support holds, a_k is block-diagonal over the level-k fibers,
+so it is symmetric exactly when each fiber's block is.  A block is keyed
+by the level-k diagrams of its row and column paths, which name the two
+paths within the fiber, and transposing it swaps the two diagrams of each
+key.  Locality makes the block of every fiber equal to the block of the
+first fiber with the same levels k-1 and k+1, so the blocks of a key are
+all symmetric when the first one is.  So only the first block of each key
+is checked, with one lookup of the mirrored key per entry, and an entry
+outside its fiber is named by the support message first.
+
 Of the 13n - 18 near relations, 10n - 15 are multiplied out.  The transpose
 of a relation reverses each of its words.  Three near families are, up to
 sign, the transposes of others at the same k, each listed just after its
@@ -668,8 +679,9 @@ def _combination(terms, gens: dict[tuple[str, int], IntMatrix], d: int) -> IntMa
 
 
 def _check_locality(rep: Representation) -> None:
-    """Check support and locality of every s_k and sbar_k and the x
-    property of every x_l (module docstring), in time linear in the entries.
+    """Check support, locality and symmetry of every s_k and sbar_k, the
+    last on the first block of each key, and the x property of every x_l
+    (module docstring), in time linear in the entries.
 
     Raises RepresentationError naming the generator and the fiber or path.
     """
@@ -697,7 +709,10 @@ def _check_locality(rep: Representation) -> None:
                         block[paths[i][k], paths[j][k]] = value
                 p0 = paths[fiber[0]]
                 first, first_block = blocks.setdefault((p0[k - 1], p0[k + 1]), (fiber[0], block))
-                if block != first_block:
+                if first_block is block:
+                    if any(block.get((b, a)) != value for (a, b), value in block.items()):
+                        raise RepresentationError(f"{name} is not symmetric {where}")
+                elif block != first_block:
                     raise RepresentationError(
                         f"{name} differs on the level-{k} fibers of paths {first} and {fiber[0]},"
                         f" both from {p0[k - 1]} to {p0[k + 1]}, {where}"
@@ -759,8 +774,8 @@ NEAR_COUNTS = {"multiplied": 0, "transposed": 0, "products": 0}
 
 
 def verify_representation(rep: Representation) -> None:
-    """Check that every s_k and sbar_k is symmetric, the support, locality
-    and x properties, which imply every far relation, and then the near
+    """Check the support, locality and x properties, which imply every far
+    relation, and that every s_k and sbar_k is symmetric, and then the near
     relations of the tables, in the diagonal gauge: each one multiplied out
     but those of the transposed families of `_NEAR_FAMILIES`, which the
     symmetry check and the relations before them imply (module docstring).
@@ -769,10 +784,6 @@ def verify_representation(rep: Representation) -> None:
     """
     basis = rep.basis
     n, N, d = basis.n, basis.N, basis.dim
-    for k in range(1, n):
-        for name in (f"s{k}", f"sbar{k}"):
-            if not rep.matrices[name].is_symmetric():
-                raise RepresentationError(f"{name} is not symmetric on V({basis.lam}, {n}) at N={N}")
     _check_locality(rep)
     gens = rep._gauged[1]
     multiplied = transposed = products = 0
@@ -986,15 +997,11 @@ class _DenseRows(list):
             yield [surd_to_json(m.entry(i, j)) for j in range(m.dim)]
 
 
-def matrix_to_json(m: RepMatrix) -> list[list]:
-    return _DenseRows(m)
-
-
 def representation_to_json(rep: Representation) -> dict:
     return {
         "lambda": list(rep.basis.lam),
         "n": rep.basis.n,
         "N": str(rep.basis.N),
         "basis": rep.basis.paths,
-        "matrices": {name: matrix_to_json(m) for name, m in sorted(rep.matrices.items())},
+        "matrices": {name: _DenseRows(m) for name, m in sorted(rep.matrices.items())},
     }

@@ -110,18 +110,6 @@ def _rep_sweep():
                 yield lam, n, N
 
 
-def _rational_diagonal(m: repform.RepMatrix) -> list[Fraction] | None:
-    """The diagonal of m in Fractions, or None if m has an entry off its
-    diagonal or an irrational one."""
-    out = []
-    for i, row in enumerate(m.rows):
-        x = row.get(i)
-        if row.keys() - {i} or (x is not None and not x.is_rational()):
-            return None
-        out.append(Fraction(0) if x is None else x.rational_value())
-    return out
-
-
 def criterion_3_representations() -> dict:
     """Every V(lam, n), n <= 5, N in {2,3,4,5,7,9}: exact relations, diagonal
     x-action with the content eigenvalues, scalar central sum."""
@@ -138,7 +126,7 @@ def criterion_3_representations() -> dict:
         basis = rep.basis
         eigenvalues = [basis.eigenvalues(k) for k in range(1, n + 1)]
         for k, expect in enumerate(eigenvalues, 1):
-            if _rational_diagonal(rep.matrices[f"x{k}"]) != list(expect):
+            if rep.matrices[f"x{k}"] != repform.RepMatrix.diagonal(expect):
                 ok = False
         # with every x_k diagonal, the sum is c times the identity when each path's eigenvalues add to c
         c = repform.central_content_eigenvalue(lam, n, basis.N)

@@ -6,7 +6,6 @@ instances holds on the nose.  Run with `pytest -s` to see the summary lines.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -55,13 +54,6 @@ def test_criterion_3_fails_on_an_off_diagonal_x_entry_or_a_wrong_central_value(m
     content = repform.central_content_eigenvalue
     monkeypatch.setattr(repform, "central_content_eigenvalue", lambda lam, n, N: content(lam, n, N) + 1)
     assert not verify.criterion_3_representations()["ok"]
-
-
-def test_rational_diagonal_reads_only_a_rational_diagonal():
-    half, root2 = SurdSum.rational(Fraction(1, 2)), SurdSum(1, 2)
-    assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {}])) == [Fraction(1, 2), 0]
-    assert verify._rational_diagonal(repform.RepMatrix([{0: half, 1: half}, {}])) is None
-    assert verify._rational_diagonal(repform.RepMatrix([{0: half}, {1: root2}])) is None
 
 
 def test_criterion_4_rank1_traceN():

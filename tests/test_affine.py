@@ -16,8 +16,10 @@ from brauer.affine import (
     _element,
     _mul_term_atom,
     _normalize_into,
+    _odd_w_expansion,
     _raw,
     _times_atom,
+    _w_unit,
     cap_series,
     element_to_json,
     from_word,
@@ -329,6 +331,31 @@ def test_w_values():
     series = cap_series(n, 1, 3)
     assert series[0] == AffineElement.one(n).scale(N)
     assert series[1] == AffineElement.one(n).scale(N * H)
+
+
+def test_generators_are_their_monomial_sums():
+    # w_0 = N, an even w_i is one monomial and an odd one its expansion in
+    # N and the even w's; y_k is the monomial with left exponent 1 at k
+    for n in range(1, 5):
+        zero, ident = (0,) * n, BrauerDiagram.identity(n)
+        for i in range(16):
+            if i == 0:
+                expect = AffineElement.one(n).scale(N)
+            elif i % 2 == 0:
+                expect = AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, _w_unit(i)))
+            else:
+                expect = AffineElement.zero(n)
+                for key, c in _odd_w_expansion(i):
+                    expect = expect + AffineElement.from_monomial(RegularMonomial(n, zero, ident, zero, key), c)
+            got = w_elem(i, n)
+            assert got == expect and repr(got) == repr(expect), (i, n)
+        for k in range(1, n + 1):
+            left = tuple(int(m == k - 1) for m in range(n))
+            expect = AffineElement.from_monomial(RegularMonomial(n, left, ident, zero, ()))
+            assert y_elem(k, n) == expect and repr(y_elem(k, n)) == repr(expect), (k, n)
+    for make, atom in ((y_elem, "y0"), (y_elem, "y3"), (w_elem, "w-1")):
+        with pytest.raises(ValueError, match=f"^atom {atom} is out of range for n=2$"):
+            make(int(atom[1:]), 2)
 
 
 def test_cap_series_against_conditional_expectation():

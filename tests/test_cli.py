@@ -145,6 +145,14 @@ def test_rep_rational_N(capsys):
     assert json.loads(out)["N"] == "7/2"
 
 
+def test_a_negative_rational_N_parses_after_a_space(capsys):
+    # argparse alone reads -5/3 after a space as an option (exit 2)
+    for argv, value in ((("rep", "--lambda", "2", "--n", "2"), "-5/3"), (("central", "--mu", "1"), "-3/2")):
+        code, out = run(capsys, *argv, "--N", value)
+        assert code == 0 and out
+        assert run(capsys, *argv, f"--N={value}") == (code, out)
+
+
 # sha256 of `rep --format json`, pinned so that a change to how the
 # orthogonal form is built cannot change the printed matrices unnoticed;
 # V((1), 3) at N = 3 has a path with x_2 = 0, where the s_2 diagonal is 1/2

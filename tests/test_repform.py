@@ -654,6 +654,26 @@ def test_locality_mutants_name_the_generator_and_the_fiber():
         assert str(info.value).endswith("on V((1,), 5) at N=5")
 
 
+def test_symmetry_is_checked_on_the_first_block_of_each_key():
+    # the level-2 fibers (0, 3, 9) and (1, 4, 10) of V((1), 5) at N = 5 share
+    # a key: an asymmetric block is named as such in the first fiber, and as
+    # a block that differs from the first one in the second
+    rep = build_representation((1,), 5, 5)
+    s2 = rep.matrices["s2"]
+    assert rep.basis.fibers(2)[:2] == ((0, 3, 9), (1, 4, 10))
+    cases = {
+        (0, 3): "s2 is not symmetric on V((1,), 5) at N=5",
+        (1, 4): "s2 differs on the level-2 fibers of paths 0 and 1, both from (1,) to (1,), on V((1,), 5) at N=5",
+    }
+    for (i, j), message in cases.items():
+        assert s2.entry(i, j)
+        bad = _with_entries(rep, "s2", {(i, j): s2.entry(i, j) * 2})
+        assert _verdicts(bad) == (False, False)
+        with pytest.raises(RepresentationError) as info:
+            verify_representation(bad)
+        assert str(info.value) == message
+
+
 def _with_entries(rep: Representation, name: str, cells: dict) -> Representation:
     """rep with each (i, j) of cells of generator name set to its value."""
     bad = RepMatrix([dict(row) for row in rep.matrices[name].rows])
@@ -672,7 +692,8 @@ def test_two_term_entry_and_asymmetry_raise():
     i, j = next((i, j) for i, row in enumerate(s2.rows) for j, v in row.items() if not v.is_rational())
     with pytest.raises(RepresentationError, match="s2 is not symmetric"):
         verify_representation(_with_entries(rep, "s2", {(i, j): s2.entry(i, j) * 2}))
-    with pytest.raises(RepresentationError, match="sbar1 is not symmetric"):
+    # the new sbar1 entry lies outside its level-1 fiber, which support names
+    with pytest.raises(RepresentationError, match=rf"sbar1 has entry \({i}, {j}\) outside the level-1 fiber"):
         verify_representation(_with_entries(rep, "sbar1", {(i, j): SurdSum.one()}))
     with pytest.raises(RepresentationError, match="does not fit a diagonal gauge"):
         verify_representation(_with_entries(rep, "s2", dict.fromkeys([(i, j), (j, i)], SurdSum.rational(F(1, 3)))))
