@@ -97,6 +97,15 @@ and, again, nothing assumes confluence:
 identity diagram returns the other factor's terms unchanged, so the start
 from 1 that it replaces only added a product.
 
+`hecke_quotient` maps A(n, N) onto the degenerate affine Hecke algebra H(n)
+by killing every sbar.  An H(n) key is (v exponents, permutation diagram),
+and `HeckeElement.times_v` moves a v up through a permutation by `_route_y`,
+keeping the corrections whose diagram is a permutation.  That is exactly the
+quotient by sbar: a correction word that holds an sbar composes to a diagram
+with a horizontal edge, and one without to a loop-free permutation.  The kept
+signs are s_k v_k = v_{k+1} s_k - 1 and s_k v_{k+1} = v_k s_k + 1.  The v^a w
+form a basis of H(n), so the result does not depend on the reduced word walked.
+
 Confluence is not proved in general; the associativity and
 shift-homomorphism consistency suites test it on samples.  In a bounded
 range it is certified instead.  Let S be the regular monomials of weight at
@@ -132,12 +141,12 @@ from .diagrams import (
     AlgebraElement,
     BrauerDiagram,
     all_diagrams,
+    compose,
     compose_chain,
     diagram_to_json,
     factor_diagram,
     jucys_murphy,
     multiply,
-    perm_word,
     s_diagram,
     sbar_diagram,
     z_element,
@@ -576,7 +585,7 @@ def _mul_term_atom(out: Raw, n: int, key: Key, c: dict, sign: int, q: int, atom:
         else:
             for wkey, v in _odd_w_expansion(k):
                 prod: dict = {}
-                _mul_into(prod, c, v.coeffs, q)
+                _mul_into(prod, v.coeffs, c, q)
                 _add_raw(out, (left, d, right, _w_merge(w, wkey)), prod, sign, 0)
         return
     if kind == "s":
@@ -838,88 +847,49 @@ def pi_word(atoms: list[Atom], n: int, m: int) -> AlgebraElement:
 class HeckeElement(Combination):
     """Element of H(n): v-monomials to the left of permutations.
 
-    A basis key is (v exponents, permutation in 0-based one-line form)."""
+    A basis key is (v exponents, permutation diagram)."""
 
     __slots__ = ()
 
     def _check_key(self, key) -> None:
-        vexp, perm = key
-        if len(vexp) != self.n or len(perm) != self.n:
-            raise ValueError(f"H({self.n}) key of the wrong size: {key}")
+        vexp, d = key if isinstance(key, tuple) and len(key) == 2 else ((), None)
+        ok = all(e.__class__ is int and e >= 0 for e in vexp)
+        if not (ok and isinstance(d, BrauerDiagram) and d.is_permutation() and len(vexp) == d.n == self.n):
+            raise ValueError(f"H({self.n}) key of the wrong size, or not (exponents >= 0, permutation): {key!r}")
 
     @staticmethod
     def one(n: int) -> HeckeElement:
-        return HeckeElement(n, {((0,) * n, tuple(range(n))): NPoly.one()})
+        return HeckeElement(n, {((0,) * n, BrauerDiagram.identity(n)): NPoly.one()})
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check_compatible(other)
         out: dict = {}
-        for (vexp, perm), c in other.terms.items():
+        for (vexp, p), c in other.terms.items():
             partial = self
             for m in range(self.n):
                 for _ in range(vexp[m]):
                     partial = partial.times_v(m + 1)
-            for k in perm_word(perm):
-                partial = partial.times_s(k)
-            for key, x in partial.terms.items():
-                add_term(out, key, x * c)
-        return HeckeElement._trusted(self.n, out)
-
-    def times_s(self, k: int) -> HeckeElement:
-        out: dict = {}
-        for (vexp, perm), c in self.terms.items():
-            arr = list(perm)
-            arr[k - 1], arr[k] = arr[k], arr[k - 1]
-            add_term(out, (vexp, tuple(arr)), c)
+            for (vexp2, d), x in partial.terms.items():
+                add_term(out, (vexp2, compose(d, p)[0]), x * c)
         return HeckeElement._trusted(self.n, out)
 
     def times_v(self, m: int) -> HeckeElement:
+        """self * v_m, keeping the sbar-free corrections of `_route_y`."""
         out: dict = {}
-        for (vexp, perm), c in self.terms.items():
-            for sign, vshift, perm2 in _hecke_push_v(perm, m):
-                if vshift is None:
-                    key = (vexp, perm2)
-                else:
-                    lst = list(vexp)
-                    lst[vshift - 1] += 1
-                    key = (tuple(lst), perm2)
-                add_term(out, key, c if sign > 0 else -c)
+        for (vexp, d), c in self.terms.items():
+            _, pos, _, corrections = _route_y(d, m, True)
+            lst = list(vexp)
+            lst[pos - 1] += 1
+            add_term(out, (tuple(lst), d), c)
+            for csign, _, dd in corrections:
+                if dd.is_permutation():
+                    add_term(out, (vexp, dd), c if csign > 0 else -c)
         return HeckeElement._trusted(self.n, out)
 
     @staticmethod
     def _format_key(key) -> str:
-        vexp, perm = key
-        return f"v^{list(vexp)}*perm{list(perm)}"
-
-
-def _hecke_push_v(perm: tuple[int, ...], m: int) -> tuple[tuple[int, int | None, tuple[int, ...]], ...]:
-    """perm * v_m as [(sign, arrival strand or None, permutation)].
-
-    Uses s_k v_k = v_{k+1} s_k - 1 and s_k v_{k+1} = v_k s_k + 1; entries
-    with arrival None lost the v.
-    """
-    word = perm_word(perm)
-    pos = m
-    results: list[tuple[int, int | None, tuple[Atom, ...]]] = []
-    for idx in range(len(word) - 1, -1, -1):
-        c = word[idx]
-        if pos == c:
-            results.append((-1, None, word[:idx] + word[idx + 1 :]))
-            pos = c + 1
-        elif pos == c + 1:
-            results.append((1, None, word[:idx] + word[idx + 1 :]))
-            pos = c
-
-    def word_to_perm(toks) -> tuple[int, ...]:
-        arr = list(range(len(perm)))
-        for k in toks:
-            arr[k - 1], arr[k] = arr[k], arr[k - 1]
-        return tuple(arr)
-
-    out = [(1, pos, perm)]
-    for sign, _, toks in results:
-        out.append((sign, None, word_to_perm(toks)))
-    return tuple(out)
+        vexp, d = key
+        return f"v^{list(vexp)}*b{list(d.edges())}"
 
 
 def hecke_quotient(a: AffineElement, f: dict[int, Fraction]) -> HeckeElement:
@@ -936,7 +906,7 @@ def hecke_quotient(a: AffineElement, f: dict[int, Fraction]) -> HeckeElement:
                 if fi is None:
                     raise ValueError(f"no weight supplied for w_{2*(s+1)}")
                 coeff = coeff * as_fraction(fi) ** h
-        add_term(out, (t.left, t.diagram.permutation()), coeff)
+        add_term(out, (t.left, t.diagram), coeff)
     return HeckeElement._trusted(a.n, out)
 
 

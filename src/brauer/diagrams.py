@@ -97,16 +97,6 @@ class BrauerDiagram(_DiagramFields):
     def is_permutation(self) -> bool:
         return all(w >= self.n for w in self.pairing[: self.n])
 
-    def permutation(self) -> tuple[int, ...]:
-        """One-line form (0-based): position i maps to p[i]; requires no horizontal edges."""
-        if not self.is_permutation():
-            raise ValueError("diagram has horizontal edges")
-        n = self.n
-        out = [-1] * n
-        for bottom in range(n):
-            out[bottom] = self.pairing[n + bottom]
-        return tuple(out)
-
     def shift(self, m: int, n2: int) -> BrauerDiagram:
         """Place this diagram on strands m+1..m+n inside B(n2), verticals elsewhere."""
         n = self.n

@@ -33,15 +33,17 @@ from brauer.affine import (
     w_elem,
     y_elem,
 )
-from brauer.coeffs import NPoly, n_minus_1_half
+from brauer.coeffs import NPoly, add_term, n_minus_1_half
 from brauer.diagrams import (
     AlgebraElement,
     BrauerDiagram,
     all_diagrams,
     compose,
     factor_diagram,
+    from_permutation,
     jucys_murphy,
     multiply,
+    perm_word,
     random_diagram,
     s_diagram,
     sbar_diagram,
@@ -590,11 +592,13 @@ def test_hecke_images():
     expected = HeckeElement(
         n,
         {
-            ((0, 1), (1, 0)): NPoly.one(),
-            ((0, 0), (0, 1)): NPoly.const(-1),
+            ((0, 1), s_diagram(1, n)): NPoly.one(),
+            ((0, 0), BrauerDiagram.identity(n)): NPoly.const(-1),
         },
     )
     assert img == expected
+    # the same product taken in H(n): s_1 v_1 = v_2 s_1 - 1
+    assert hecke_quotient(s_elem(1, n), F_WEIGHTS) * hecke_quotient(y_elem(1, n), F_WEIGHTS) == expected
 
 
 def test_hecke_center():
@@ -641,12 +645,86 @@ def test_hecke_associativity():
             v = tuple(rng.randint(0, 2) for _ in range(n))
             p = list(range(n))
             rng.shuffle(p)
-            terms[(v, tuple(p))] = NPoly.const(rng.randint(-3, 3))
+            terms[(v, from_permutation(tuple(p)))] = NPoly.const(rng.randint(-3, 3))
         return HeckeElement(n, terms)
 
     for _ in range(30):
         a, b, c = (rand_hecke(3) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def _reference_push_v(perm, m):
+    """perm * v_m in H(n) as [(sign, arrival strand or None, permutation)],
+    on 0-based one-line permutations, by s_k v_k = v_{k+1} s_k - 1 and
+    s_k v_{k+1} = v_k s_k + 1 along `perm_word`; entries with arrival None
+    lost the v.  Independent of the rewriting engine's `_route_y`."""
+    word = perm_word(perm)
+    pos = m
+    results = []
+    for idx in range(len(word) - 1, -1, -1):
+        c = word[idx]
+        if pos == c:
+            results.append((-1, word[:idx] + word[idx + 1 :]))
+            pos = c + 1
+        elif pos == c + 1:
+            results.append((1, word[:idx] + word[idx + 1 :]))
+            pos = c
+    out = [(1, pos, perm)]
+    for sign, toks in results:
+        arr = list(range(len(perm)))
+        for k in toks:
+            arr[k - 1], arr[k] = arr[k], arr[k - 1]
+        out.append((sign, None, tuple(arr)))
+    return out
+
+
+def _reference_hecke_mul(a, b, n):
+    """a * b on one-line keys {(v exponents, permutation): NPoly}: each v of
+    a right key is pushed through the partial by `_reference_push_v`, then
+    each letter of the right permutation's reduced word swaps two entries."""
+    out = {}
+    for (vexp, perm), c in b.items():
+        partial = dict(a)
+        for m in range(n):
+            for _ in range(vexp[m]):
+                pushed = {}
+                for (v2, p2), x in partial.items():
+                    for sign, arrival, p3 in _reference_push_v(p2, m + 1):
+                        v3 = list(v2)
+                        if arrival is not None:
+                            v3[arrival - 1] += 1
+                        add_term(pushed, (tuple(v3), p3), x if sign > 0 else -x)
+                partial = pushed
+        for k in perm_word(perm):
+            swapped = {}
+            for (v2, p2), x in partial.items():
+                arr = list(p2)
+                arr[k - 1], arr[k] = arr[k], arr[k - 1]
+                add_term(swapped, (v2, tuple(arr)), x)
+            partial = swapped
+        for key, x in partial.items():
+            add_term(out, key, x * c)
+    return out
+
+
+def test_hecke_product_matches_one_line_reference():
+    rng = random.Random(40)
+
+    def rand_hecke(n):
+        terms = {}
+        for _ in range(3):
+            v = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[(v, from_permutation(tuple(rng.sample(range(n), n))))] = rng.randint(-3, 3)
+        return HeckeElement(n, terms)
+
+    def one_line(e):
+        # bottom i of a permutation diagram meets top p[i]
+        return {(v, tuple(d.pairing[d.n + i] for i in range(d.n))): c for (v, d), c in e.terms.items()}
+
+    for n in (1, 2, 3, 4):
+        for _ in range(15):
+            a, b = rand_hecke(n), rand_hecke(n)
+            assert one_line(a * b) == _reference_hecke_mul(one_line(a), one_line(b), n)
 
 
 def test_json_output():
@@ -676,7 +754,16 @@ def test_mixed_size_hecke_arithmetic_raises():
     with pytest.raises(ValueError, match="size mismatch"):
         a * b
     with pytest.raises(ValueError, match="wrong size"):
-        HeckeElement(2, {((0, 0, 0), (0, 1, 2)): 1})
+        HeckeElement(2, {((0, 0, 0), BrauerDiagram.identity(2)): 1})
+    with pytest.raises(ValueError, match="wrong size"):
+        HeckeElement(2, {((0, 0), BrauerDiagram.identity(3)): 1})
+
+
+def test_hecke_key_must_hold_exponents_and_a_permutation_diagram():
+    one, bar = BrauerDiagram.identity(2), sbar_diagram(1, 2)
+    for key in (((0, 0), bar), ((0, 0), (1, 0)), ((0, 0),), "key", 3, ((-1, 0), one), ((0, "1"), one)):
+        with pytest.raises(ValueError, match="H\\(2\\) key"):
+            HeckeElement(2, {key: 1})
 
 
 def test_mixed_type_arithmetic_raises():
@@ -694,7 +781,7 @@ def test_builtin_sum_of_elements():
     for parts in (
         [AlgebraElement.one(2), AlgebraElement.from_diagram(random_diagram(2, random.Random(1)), 3)],
         [AffineElement.one(3), y_elem(2, 3), s_elem(1, 3)],
-        [HeckeElement.one(2), HeckeElement(2, {((1, 0), (1, 0)): N})],
+        [HeckeElement.one(2), HeckeElement(2, {((1, 0), s_diagram(1, 2)): N})],
     ):
         total = sum(parts)
         assert total == parts[0] + sum(parts[1:], type(parts[0]).zero(parts[0].n))
@@ -757,7 +844,7 @@ def element_pairs(draw):
         make = AffineElement
     else:
         keys = st.tuples(
-            st.tuples(*[st.integers(0, 2)] * n), st.permutations(range(n)).map(tuple)
+            st.tuples(*[st.integers(0, 2)] * n), st.permutations(range(n)).map(lambda p: from_permutation(tuple(p)))
         )
         make = HeckeElement
     terms = st.dictionaries(keys, _coefficients, max_size=4)
