@@ -35,7 +35,9 @@ def _rational(text: str) -> Fraction:
     """argparse type for --N: a bad rational is a usage error (exit 2)."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: zero denominator")
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
@@ -261,12 +263,6 @@ def cmd_verify_all(args) -> int:
             print(f"{status}  criterion {r['criterion']:20s} ({r['seconds']}s){rss}")
             for name, c in r.get("memos", {}).items():
                 print(f"      {name:32s} hits {c['hits']:>8}  misses {c['misses']:>8}")
-            c = r.get("near_relations")
-            if c and any(c.values()):
-                print(
-                    f"      near relations multiplied {c['multiplied']}, transposed {c['transposed']},"
-                    f" IntMatrix products {c['products']}"
-                )
 
     _emit(reports, args.format, table)
     return 0 if all(r["ok"] for r in reports) else 1

@@ -98,8 +98,9 @@ locality gives a_k(i, m) = A(i_{k-1}, i_{k+1}; i_k, j_k) = a_k(m', j) and
 b_l(m, j) = B(i_{l-1}, i_{l+1}; i_l, j_l) = b_l(i, m'), and the two entries
 are equal, whichever of s and sbar a and b are.  The three checks take
 time linear in the number of entries, and only the near relations are
-multiplied out, in the gauge below: the relation table draws the far
-families from `diagrams.far_relations`, which the verifier does not walk.
+multiplied out, on windows in the gauge below: the relation table draws the
+far families from `diagrams.far_relations`, which the verifier does not
+walk.
 
 The same pass checks that s_k and sbar_k are symmetric, on one block per
 key.  Once support holds, a_k is block-diagonal over the level-k fibers,
@@ -112,12 +113,49 @@ all symmetric when the first one is.  So only the first block of each key
 is checked, with one lookup of the mirrored key per entry, and an entry
 outside its fiber is named by the support message first.
 
-Of the 13n - 18 near relations, 10n - 15 are multiplied out.  The transpose
-of a relation reverses each of its words.  Three near families are, up to
-sign, the transposes of others at the same k, each listed just after its
-partner: absorb-right of absorb-left, x-cross-b of x-cross-a and
-x-kill-right of x-kill-left.  Their 3(n - 1) relations are taken from their
-partners:
+The near relations are local too, so each is multiplied out on one window
+per key, not on the whole matrices.  A one-index relation at k
+(involution, bar-square, absorb, x-cross, x-kill) is a word in s_k, sbar_k,
+x_k and x_{k+1}, which all map each level-k fiber to itself, so it holds
+exactly when it holds on every level-k fiber.  Once the three properties
+hold, every fiber with the same key (mu_{k-1}, mu_{k+1}) carries the same
+matrices there: the same level-k diagrams, since the basis holds every path
+through them, the same blocks of s_k and sbar_k by locality, and the same
+x_k and x_{k+1}, whose entry on path i is read off (mu_{k-1}, i_k) and
+(i_k, mu_{k+1}).  So the relation is checked on the first fiber of each key.
+A two-index relation at k (braid, bar-contract, slide) is a word in s_k,
+sbar_k, s_{k+1} and sbar_{k+1}, which map each double fiber, the paths
+equal away from levels k and k+1, to itself.  On a double fiber from
+mu_{k-1} to mu_{k+2}, name a path by its level-k and level-(k+1) diagrams
+(a, b).  The pairs are all the steps mu_{k-1} -> a -> b -> mu_{k+2} through
+the level sets, a_k joins (a, b) to (a', b) with the entry of its block at
+key (mu_{k-1}, b), and a_{k+1} joins (a, b) to (a, b') with the entry of its
+block at key (a, mu_{k+2}).  So every double fiber with the same
+(mu_{k-1}, mu_{k+2}) carries the same matrices, and the relation is checked
+on the first.
+
+Each window, a fiber or double fiber so chosen, is read off the matrices as
+exact ints: its end diagrams, its paths by their diagrams at its levels in
+path order, the first block of each key it meets as (row diagram, column
+diagram, num, den, rad) entries, the x_k and x_{k+1} entries of its own
+paths, and N.  `_window_failures`, a bounded memo, builds the window's
+matrices from them, gauges them on their own, multiplies out its families
+and returns those that fail.  Its result is a function of those ints alone,
+so a window whose content was checked before, at any level or in any
+representation, costs one lookup.  A changed entry that passes the three
+checks changes the content of some window: once they hold, every entry of
+s_k and sbar_k equals one of its key's first block, and every entry of x_l
+equals one on a path of a window at k = l (or k = n - 1 for l = n), which
+reads it off x_l itself, not off a value kept for its step, which x_l and
+another x_m can share.  A relation fails on the representation exactly when
+it fails on a window at its k, so the first failing relation in table order
+is the one a check of the whole matrices names.
+
+Of the 13 near families, 10 are multiplied out.  The transpose of a
+relation reverses each of its words.  Three near families are, up to sign,
+the transposes of others at the same k, each listed just after its partner:
+absorb-right of absorb-left, x-cross-b of x-cross-a and x-kill-right of
+x-kill-left.  Their 3(n - 1) relations are taken from their partners:
 
   1. the checks before the products show that s_k and sbar_k are symmetric
      and x_l is diagonal, in the orthogonal form;
@@ -128,7 +166,9 @@ partners:
 
 A skipped relation comes after its partner, so a representation that fails
 one names the same first relation as a check of them all.  The families are
-read off the table itself, in `_NEAR_FAMILIES`.
+read off the table itself, in `_TRANSPOSED`.  Windows that multiplied out
+all 13 families were measured slower on `rep_sweep`
+(`BENCH_near_windows.json`).
 
 Matrices are stored as sparse rows (``RepMatrix.rows[i]`` maps a column to a
 non-zero ``SurdSum`` entry; ``entry(i, j)`` reads any entry).  s_k and
@@ -145,7 +185,9 @@ a*sqrt(r)/e at (i, j) forces c_j = squarefree(c_i*r).
 With D = diag(sqrt(c_i)), the entry of D^-1 M D at (i, j) is
 a*sqrt(r*c_i*c_j)/(e*c_i), rational because r*c_i*c_j is a square.  So every
 gauged generator is an `IntMatrix`: integer rows over one denominator.  A
-class that clashes raises; there is no fallback to surd arithmetic.
+class that clashes raises; there is no fallback to surd arithmetic.  The
+verifier gauges each window on its own, and a window that fits no gauge is
+named as such; classes that fit the whole matrices fit each window.
 
 One surd term per entry is enough.  A matrix M fits the gauge
 exactly when its entry (i, j) lies in Q*sqrt(c_i*c_j).  Sums of such matrices
@@ -678,26 +720,31 @@ def _combination(terms, gens: dict[tuple[str, int], IntMatrix], d: int) -> IntMa
     return IntMatrix(rows, den)
 
 
-def _check_locality(rep: Representation) -> None:
+def _check_locality(rep: Representation) -> dict[int, dict[tuple[Diagram, Diagram], tuple]]:
     """Check support, locality and symmetry of every s_k and sbar_k, the
     last on the first block of each key, and the x property of every x_l
     (module docstring), in time linear in the entries.
 
+    Returns, for each k, each key (level k-1, level k+1) -> [its first
+    fiber, the block of s_k there, that of sbar_k], each block as the (row
+    diagram, column diagram, num, den, rad) entries `_window_failures` reads.
     Raises RepresentationError naming the generator and the fiber or path.
     """
     basis = rep.basis
     paths, n = basis.paths, basis.n
     where = f"on V({basis.lam}, {n}) at N={basis.N}"
+    firsts: dict[int, dict[tuple[Diagram, Diagram], list]] = {}
     fiber_of = [0] * basis.dim
     for k in range(1, n):
         fibers = basis.fibers(k)
         for f, fiber in enumerate(fibers):
             for i in fiber:
                 fiber_of[i] = f
+        windows = firsts[k] = {}
         for name in (f"s{k}", f"sbar{k}"):
             rows = rep.matrices[name].rows
             # (level k-1, level k+1) -> the first fiber there and its block
-            blocks: dict[tuple[Diagram, Diagram], tuple[int, dict]] = {}
+            blocks: dict[tuple[Diagram, Diagram], tuple[tuple[int, ...], dict]] = {}
             for f, fiber in enumerate(fibers):
                 block = {}
                 for i in fiber:
@@ -708,15 +755,18 @@ def _check_locality(rep: Representation) -> None:
                             )
                         block[paths[i][k], paths[j][k]] = value
                 p0 = paths[fiber[0]]
-                first, first_block = blocks.setdefault((p0[k - 1], p0[k + 1]), (fiber[0], block))
+                first, first_block = blocks.setdefault((p0[k - 1], p0[k + 1]), (fiber, block))
                 if first_block is block:
                     if any(block.get((b, a)) != value for (a, b), value in block.items()):
                         raise RepresentationError(f"{name} is not symmetric {where}")
                 elif block != first_block:
                     raise RepresentationError(
-                        f"{name} differs on the level-{k} fibers of paths {first} and {fiber[0]},"
+                        f"{name} differs on the level-{k} fibers of paths {first[0]} and {fiber[0]},"
                         f" both from {p0[k - 1]} to {p0[k + 1]}, {where}"
                     )
+            for key, (fiber, block) in blocks.items():
+                entries = tuple((a, c, v.num, v.den, v.rad) for (a, c), v in block.items())
+                windows.setdefault(key, [fiber]).append(entries)
     for l in range(1, n + 1):
         # (level l-1, level l) -> the first path there and its x_l entry
         steps: dict[tuple[Diagram, Diagram], tuple[int, SurdSum]] = {}
@@ -730,6 +780,7 @@ def _check_locality(rep: Representation) -> None:
                 raise RepresentationError(
                     f"x{l} differs on paths {first} and {i}, both stepping from {p[l - 1]} to {p[l]}, {where}"
                 )
+    return firsts
 
 
 def _near_relations(n: int):
@@ -748,61 +799,131 @@ def _difference(lhs, rhs, step: int = 1) -> frozenset:
     return frozenset(chain(((word[::step], c) for c, word in lhs), ((word[::step], -c) for c, word in rhs)))
 
 
-def _near_families() -> dict[str, int | None]:
-    """Each near family -> the IntMatrix products that multiplying out one
-    of its relations takes (L - 1 for a word of L generators), or None where
-    its relations are, up to sign, the transposes of relations checked
-    before them (module docstring).  Read off the tables at n = 3, which
-    hold one instance of every family.  `_at` drops no term at an N that a
-    path basis takes: the one coefficient other than +/-1 is N, never 0."""
-    kept, families = set(), {}
+def _transposed_families() -> frozenset[str]:
+    """The near families whose relations are, up to sign, the transposes of
+    relations checked before them (module docstring).  Read off the tables
+    at n = 3, which hold one instance of every family."""
+    kept, transposed = set(), set()
     for name, lhs, rhs in _near_relations(3):
         if _difference(lhs, rhs, -1) in kept or _difference(rhs, lhs, -1) in kept:
-            families[_family(name)] = None
+            transposed.add(_family(name))
         else:
             kept.add(_difference(lhs, rhs))
-            families[_family(name)] = sum(len(word) - 1 for _, word in chain(lhs, rhs) if word)
-    return families
+    return frozenset(transposed)
 
 
-_NEAR_FAMILIES = _near_families()
+_TRANSPOSED = _transposed_families()
 
-# the near relations multiplied out and those taken by transposition, and
-# the IntMatrix products of the first, over every `verify_representation`;
-# `verify-all --stats` reports what each criterion adds
-NEAR_COUNTS = {"multiplied": 0, "transposed": 0, "products": 0}
+# the near relations at k = 1 that a window multiplies out, as (family, lhs,
+# rhs): those of n = 2, on s_1, sbar_1, x_1 and x_2, but the transposed
+# families (one index), and those of n = 3 with words on both s_1 or sbar_1
+# and s_2 or sbar_2 (two)
+_ONE_INDEX = tuple(
+    (_family(name), lhs, rhs) for name, lhs, rhs in _near_relations(2) if _family(name) not in _TRANSPOSED
+)
+_TWO_INDEX = tuple(
+    (_family(name), lhs, rhs)
+    for name, lhs, rhs in near_presentation_relations(3)
+    if {k for _, word in lhs + rhs for _, k in word} == {1, 2}
+)
+
+
+def _ints(value: SurdSum) -> tuple[int, int, int]:
+    return value.num, value.den, value.rad
+
+
+# rep_sweep (the inputs of criteria 3 and 4) leaves 369 entries here, the
+# n = 6 levels at N = 4 and 7 leave 301
+@lru_cache(maxsize=1024)
+def _window_failures(
+    N: tuple[int, int], ends: tuple[Diagram, Diagram], paths: tuple, blocks: tuple, xs: tuple
+) -> tuple[str, ...]:
+    """The families of the near relations that fail on one window (module
+    docstring), in table order.
+
+    The window spans the w = 1 or 2 levels from k on, between the diagrams
+    ends at levels k-1 and k+w, and N is the pair (numerator, denominator).
+    paths lists its paths, each as its w diagrams there.  blocks holds
+    (t, before, after, s, sbar) for each key that a path meets at level
+    k+t: the first blocks of s_{k+t} and sbar_{k+t} between the diagrams
+    before and after, as (row diagram, column diagram, num, den, rad)
+    entries.  For w = 1, xs holds the x_k and x_{k+1} entries of each path
+    as (num, den, rad).  The window is gauged on its own, and a window that
+    fits no diagonal gauge raises.
+    """
+    d, w = len(paths), len(paths[0])
+    index = {p: i for i, p in enumerate(paths)}
+    table = {(t, before, after): pair for t, before, after, *pair in blocks}
+    named = {}
+    for t in range(w):
+        pair = named["s", t + 1], named["sbar", t + 1] = RepMatrix.zero(d), RepMatrix.zero(d)
+        for p, i in index.items():
+            key = (t, p[t - 1] if t else ends[0], p[t + 1] if t < w - 1 else ends[1])
+            for m, entries in zip(pair, table[key]):
+                for a, c, num, den, rad in entries:
+                    if a == p[t]:
+                        m.rows[i][index[(*p[:t], c, *p[t + 1 :])]] = SurdSum._reduced(num, den, rad)
+    for t, values in enumerate(zip(*xs)):
+        named["x", t + 1] = RepMatrix([{i: SurdSum._reduced(*v)} if v[0] else {} for i, v in enumerate(values)])
+    gens = _gauge(named, d, "in a window")[1]
+    N = Fraction(*N)
+    return tuple(
+        family
+        for family, lhs, rhs in (_ONE_INDEX if w == 1 else _TWO_INDEX)
+        if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d)
+    )
 
 
 def verify_representation(rep: Representation) -> None:
     """Check the support, locality and x properties, which imply every far
-    relation, and that every s_k and sbar_k is symmetric, and then the near
-    relations of the tables, in the diagonal gauge: each one multiplied out
-    but those of the transposed families of `_NEAR_FAMILIES`, which the
-    symmetry check and the relations before them imply (module docstring).
+    relation, and that every s_k and sbar_k is symmetric, and then every
+    near relation on one window per key, through `_window_failures` (module
+    docstring).
 
     Raises RepresentationError naming the first violated check.
     """
     basis = rep.basis
-    n, N, d = basis.n, basis.N, basis.dim
-    _check_locality(rep)
-    gens = rep._gauged[1]
-    multiplied = transposed = products = 0
-    try:
-        for name, lhs, rhs in _near_relations(n):
-            cost = _NEAR_FAMILIES[_family(name)]
-            if cost is None:
-                transposed += 1
-                continue
-            multiplied += 1
-            products += cost
-            if _combination(_at(lhs, N), gens, d) != _combination(_at(rhs, N), gens, d):
-                raise RepresentationError(
-                    f"relation {name} fails on V({basis.lam}, {n}) at N={N}"
-                )
-    finally:
-        NEAR_COUNTS["multiplied"] += multiplied
-        NEAR_COUNTS["transposed"] += transposed
-        NEAR_COUNTS["products"] += products
+    paths, n, N = basis.paths, basis.n, basis.N
+    where = f"on V({basis.lam}, {n}) at N={N}"
+    firsts = _check_locality(rep)
+    failed: set[str] = set()
+
+    def check(k: int, first: int, window: tuple) -> None:
+        try:
+            failures = _window_failures((N.numerator, N.denominator), *window)
+        except RepresentationError:
+            raise RepresentationError(
+                f"the level-{k} window of path {first} {where} does not fit a diagonal gauge"
+            ) from None
+        failed.update(f"{family} k={k}" for family in failures)
+
+    for k in range(1, n):
+        xk, xk1 = rep.matrices[f"x{k}"].rows, rep.matrices[f"x{k + 1}"].rows
+        for key, (fiber, s, sbar) in firsts[k].items():
+            middles = tuple((paths[i][k],) for i in fiber)
+            xs = tuple((_ints(xk[i].get(i, _ZERO)), _ints(xk1[i].get(i, _ZERO))) for i in fiber)
+            check(k, fiber[0], (key, middles, ((0, *key, s, sbar),), xs))
+        if k == n - 1:
+            break
+        # the first group of paths equal away from levels k and k+1 for
+        # each (level k-1, level k+2)
+        groups: dict[tuple, list[int]] = {}
+        for i, p in enumerate(paths):
+            groups.setdefault((p[:k], p[k + 2 :]), []).append(i)
+        windows: dict[tuple[Diagram, Diagram], list[int]] = {}
+        for fiber in groups.values():
+            p0 = paths[fiber[0]]
+            windows.setdefault((p0[k - 1], p0[k + 2]), fiber)
+        for ends, fiber in windows.items():
+            middles = tuple((paths[i][k], paths[i][k + 1]) for i in fiber)
+            keys = dict.fromkeys(
+                chain(((0, (ends[0], b)) for _, b in middles), ((1, (a, ends[1])) for a, _ in middles))
+            )
+            blocks = tuple((t, *key, *firsts[k + t][key][1:]) for t, key in keys)
+            check(k, fiber[0], (ends, middles, blocks, ()))
+    if failed:
+        name = next(name for name, _, _ in _near_relations(n) if name in failed)
+        raise RepresentationError(f"relation {name} fails {where}")
 
 
 def build_representation(lam: Diagram, n: int, N: int | Fraction) -> Representation:

@@ -448,6 +448,7 @@ ALL_CRITERIA = [
 # | repform._s_block                | 1,024  | 193      | -           | 1,213/215  | -            | -               | 1,241/215    |
 # | repform._sbar_block             | 256    | 40       | -           | 228/40     | -            | -               | 462/40       |
 # | repform._step_eigenvalue        | 1,024  | 288      | -           | 3,091/189  | -            | -               | 6,026/323    |
+# | repform._window_failures        | 1,024  | 369      | -           | 1,062/369  | -            | -               | 1,098/369    |
 # | shapes.branch                   | 512    | 147      | 6/15        | 681/137    | -            | -               | 1,057/290    |
 # | shapes.enumerate_paths          | 256    | 178      | -           | 0/131      | -            | -               | 274/178      |
 # | shapes.path_counts              | 64     | 32       | 0/6         | -          | -            | -               | 66/36        |
@@ -470,6 +471,7 @@ MEMOS = (
     "repform._s_block",
     "repform._sbar_block",
     "repform._step_eigenvalue",
+    "repform._window_failures",
     "shapes.branch",
     "shapes.enumerate_paths",
     "shapes.path_counts",
@@ -495,14 +497,13 @@ def _memo_counts() -> dict[str, tuple[int, int]]:
 
 def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
     """Every criterion's report; with stats, each also has "memos": the
-    hits and misses it added to each memo it used, "near_relations": the
-    near relations its representation checks multiplied out and took by
-    transposition, and the products those took (`repform.NEAR_COUNTS`), and
-    "peak_rss_mb": the process's peak RSS once it has run."""
+    hits and misses it added to each memo it used (those of
+    `repform._window_failures` are the near-relation windows its
+    representation checks reused and multiplied out), and "peak_rss_mb": the
+    process's peak RSS once it has run."""
     out = []
     for label, fn in ALL_CRITERIA:
         before = _memo_counts() if stats else {}
-        near_before = dict(repform.NEAR_COUNTS)
         if fn in (criterion_6_tensor, criterion_8_affine):
             rep = fn(seed=seed)
         else:
@@ -514,7 +515,6 @@ def run_all(seed: int | None = None, stats: bool = False) -> list[dict]:
                 hits0, misses0 = before.get(name, (0, 0))
                 if (hits, misses) != (hits0, misses0):
                     rep["memos"][name] = {"hits": hits - hits0, "misses": misses - misses0}
-            rep["near_relations"] = {key: count - near_before[key] for key, count in repform.NEAR_COUNTS.items()}
             # the process's high-water mark so far; Linux gives ru_maxrss in KiB
             rep["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         out.append(rep)

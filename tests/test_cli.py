@@ -73,12 +73,16 @@ def test_bad_rational_is_usage_error(capsys, value):
     for argv in (
         ["shapes", "--n", "2", "--N", value],
         ["rep", "--lambda", "", "--n", "2", "--N", value],
+        ["rep", "--lambda", "2,1", "--n", "5", "--N", value],
         ["central", "--mu", "", "--N", value],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "bad rational" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad rational" in err
+        # a zero denominator is named, not shown as Python's Fraction(1, 0)
+        assert ("zero denominator" in err) == (value == "1/0") and "Fraction(" not in err
 
 
 def test_shapes(capsys):
@@ -700,30 +704,23 @@ def test_verify_all_stats_reports_each_criterion_s_memo_deltas(capsys, monkeypat
 
 
 def test_verify_all_stats_counts_criterion_3_s_near_relations(capsys, monkeypatch):
+    # each representation looks up one window per level-k key (level k-1,
+    # level k+1) and one per (level k-1, level k+2); from an empty memo,
+    # criterion 3's sweep multiplies out 369 distinct windows and reuses
+    # the rest, and a second sweep reuses them all
     monkeypatch.setattr(verify, "ALL_CRITERIA", [("3 representations", verify.criterion_3_representations)])
-    products = 0
-    mul = repform.IntMatrix.__mul__
-
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(repform.IntMatrix, "__mul__", counted)
+    lookups = 0
+    for lam, n, N in verify._rep_sweep():
+        paths = repform.PathBasis.build(lam, n, N).paths
+        lookups += sum(len({(p[k - 1], p[k + 1]) for p in paths}) for k in range(1, n))
+        lookups += sum(len({(p[k - 1], p[k + 2]) for p in paths}) for k in range(1, n - 1))
+    repform._window_failures.cache_clear()
     code, out = run(capsys, "verify-all", "--stats", "--format", "json")
     (rep,) = json.loads(out)
-    ns = [n for _, n, _ in verify._rep_sweep()]
-    assert code == 0 and len(ns) == 131
-    expected = {"multiplied": sum(10 * n - 15 for n in ns), "transposed": sum(3 * (n - 1) for n in ns)}
-    assert rep["near_relations"] == {**expected, "products": products}
+    assert code == 0 and rep["memos"]["repform._window_failures"] == {"hits": lookups - 369, "misses": 369}
     code, out = run(capsys, "verify-all", "--stats")
-    assert code == 0 and out.splitlines()[-1].split() == [
-        "near", "relations", "multiplied", f"{expected['multiplied']},", "transposed",
-        f"{expected['transposed']},", "IntMatrix", "products", str(rep["near_relations"]["products"]),
-    ]
-    # without --stats the output keeps its shape
-    code, out = run(capsys, "verify-all", "--format", "json")
-    assert code == 0 and "near_relations" not in json.loads(out)[0]
+    assert code == 0
+    assert ["repform._window_failures", "hits", str(lookups), "misses", "0"] in [line.split() for line in out.splitlines()]
 
 
 _TOKENS = st.sampled_from(

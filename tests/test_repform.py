@@ -548,17 +548,46 @@ def _verdicts(rep: Representation) -> tuple[bool, bool]:
 def test_locality_and_full_table_accept_the_same_representations():
     # criterion 3's sweep and the n = 6 levels at N = 4 and 7
     level_6 = ((lam, 6, Nv) for Nv in (4, 7) for lam in shapes.enumerate_O(6, Nv))
+    # and two where windows repeat inside one representation (d = 210, 420)
+    repeating = [((2, 1), 7, 7), ((1, 1), 8, 8)]
     checked = 0
-    for lam, n, Nv in chain(verify._rep_sweep(), level_6):
+    for lam, n, Nv in chain(verify._rep_sweep(), level_6, repeating):
         assert _verdicts(_unverified(lam, n, Nv)) == (True, True), (lam, n, Nv)
         checked += 1
-    assert checked == 131 + 32
+    assert checked == 131 + 32 + 2
 
 
 @pytest.mark.slow
 def test_locality_and_full_table_accept_the_representation_at_n_500():
     # 874,745 relations in the reference against 6,482 near ones
     assert _verdicts(_unverified((), 500, 1)) == (True, True)
+
+
+def test_windows_reused_from_the_memo_still_catch_every_corruption():
+    # fill the window memo with criterion 3's sweep at N = 5, which holds
+    # V((1, 1), 4): every window of it is then reused, and each changed
+    # entry, with its mirror in s_k and sbar_k, must still be refused
+    for lam, n, Nv in verify._rep_sweep():
+        if Nv == 5:
+            build_representation(lam, n, Nv)
+    rep = build_representation((1, 1), 4, 5)
+    misses = repform._window_failures.cache_info().misses
+    verify_representation(Representation(rep.basis, rep.matrices))
+    assert repform._window_failures.cache_info().misses == misses
+    d = rep.basis.dim
+    for name, good in rep.matrices.items():
+        for i in range(d):
+            for j in range(d):
+                for value in _perturbations(good.entry(i, j)):
+                    cells = {(i, j): value} if name.startswith("x") else {(i, j): value, (j, i): value}
+                    with pytest.raises(RepresentationError):
+                        verify_representation(_with_entries(rep, name, cells))
+    # x_2 and x_4 both step from (1,) to () on path 0 of V((), 4) at N = 3:
+    # a window must hold x_2's own entry, not one read off the step
+    rep = build_representation((), 4, 3)
+    assert rep.basis.paths[0] == ((), (1,), (), (1,), ()) and rep.matrices["x2"].entry(0, 0) == -1
+    with pytest.raises(RepresentationError, match="relation x-cross-a k=1 fails"):
+        verify_representation(_with_entries(rep, "x2", {(0, 0): SurdSum.zero()}))
 
 
 def _signed_words(lhs, rhs, reverse: bool = False) -> dict:
@@ -578,7 +607,7 @@ def test_each_skipped_near_relation_is_a_kept_one_transposed():
         skipped = 0
         for name, lhs, rhs in repform._near_relations(n):
             at_k = kept.setdefault(name.rpartition(" k=")[2], [])
-            if repform._NEAR_FAMILIES[name.partition(" ")[0]] is None:
+            if name.partition(" ")[0] in repform._TRANSPOSED:
                 transposed = _signed_words(lhs, rhs, reverse=True)
                 negated = {word: -c for word, c in transposed.items()}
                 assert transposed in at_k or negated in at_k, name
@@ -586,8 +615,11 @@ def test_each_skipped_near_relation_is_a_kept_one_transposed():
             else:
                 at_k.append(_signed_words(lhs, rhs))
         assert sum(map(len, kept.values())) == 10 * n - 15 and skipped == 3 * (n - 1), n
-    transposed = {family for family, cost in repform._NEAR_FAMILIES.items() if cost is None}
-    assert transposed == {"absorb-right", "x-cross-b", "x-kill-right"}
+    assert repform._TRANSPOSED == {"absorb-right", "x-cross-b", "x-kill-right"}
+    # the windows multiply out every other near family, each once
+    checked = [family for family, _, _ in repform._ONE_INDEX + repform._TWO_INDEX]
+    families = {name.partition(" ")[0] for name, _, _ in repform._near_relations(3)}
+    assert len(families) == 13 and sorted(checked + sorted(repform._TRANSPOSED)) == sorted(families)
 
 
 def _first_failing_near_relation(rep: Representation) -> str | None:
